@@ -388,9 +388,10 @@ impl Replacer {
             }
             Policy::Nru => {
                 // Candidates (bit == 1, stored as repl == 1) first, each
-                // group in way order — the hardware scan order.
-                out.extend(valid.iter());
-                out.sort_unstable_by_key(|&w| (repl[w] == 0, w));
+                // group in way order — the hardware scan order. Two
+                // in-order passes give exactly that without a sort.
+                out.extend(valid.iter().filter(|&w| repl[w] != 0));
+                out.extend(valid.iter().filter(|&w| repl[w] == 0));
             }
             Policy::Random => {
                 // Fisher-Yates over the valid ways.
@@ -658,6 +659,22 @@ mod tests {
         r.on_hit(0, valid, &mut repl, 0);
         r.on_hit(0, valid, &mut repl, 1);
         assert_eq!(order(&mut r, 0, valid, &repl), vec![2, 3, 0, 1]);
+    }
+
+    #[test]
+    fn nru_order_matches_sorted_reference_exhaustively() {
+        // Every 6-way valid mask x every reference-bit pattern: the two
+        // in-order passes equal the (candidate first, way) sort.
+        let mut r = Replacer::new(Policy::Nru, 1, 6, 0);
+        for valid_bits in 0..64u64 {
+            let valid = mask(valid_bits);
+            for ref_bits in 0..64u64 {
+                let repl: Vec<u64> = (0..6).map(|w| (ref_bits >> w) & 1).collect();
+                let mut reference: Vec<usize> = valid.iter().collect();
+                reference.sort_unstable_by_key(|&w| (repl[w] == 0, w));
+                assert_eq!(order(&mut r, 0, valid, &repl), reference);
+            }
+        }
     }
 
     #[test]

@@ -29,7 +29,6 @@ pub struct SimConfig {
     prefetch: bool,
     jobs: Option<usize>,
     shard_jobs: Option<usize>,
-    engine_jobs: Option<usize>,
 }
 
 impl SimConfig {
@@ -46,7 +45,6 @@ impl SimConfig {
             prefetch: true,
             jobs: None,
             shard_jobs: None,
-            engine_jobs: None,
         }
     }
 
@@ -203,34 +201,6 @@ impl SimConfig {
             None => 1,
         }
     }
-
-    /// Caps the worker threads the parallel timing engine
-    /// ([`crate::EngineMode::Parallel`]) uses for its epoch trace
-    /// pre-generation phase. `0` means "use every available core" (the
-    /// default). Results are bit-identical for every value — only
-    /// wall-clock changes.
-    #[must_use]
-    pub fn engine_jobs(mut self, n: usize) -> Self {
-        self.engine_jobs = Some(n);
-        self
-    }
-
-    /// The explicit engine-jobs override, if one was set.
-    pub fn engine_jobs_override(&self) -> Option<usize> {
-        self.engine_jobs
-    }
-
-    /// Worker threads the parallel engine will actually use: the explicit
-    /// [`SimConfig::engine_jobs`] override if set (and nonzero), else the
-    /// `TLA_ENGINE_JOBS` environment variable, else every available core.
-    pub fn effective_engine_jobs(&self) -> usize {
-        let requested = self.engine_jobs.filter(|&n| n > 0).or_else(|| {
-            std::env::var("TLA_ENGINE_JOBS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-        });
-        tla_pool::resolve_jobs(requested)
-    }
 }
 
 impl Default for SimConfig {
@@ -283,17 +253,6 @@ mod tests {
         // Explicit override wins; zero auto-detects.
         assert_eq!(SimConfig::paper().shard_jobs(7).effective_shard_jobs(), 7);
         assert!(SimConfig::paper().shard_jobs(0).effective_shard_jobs() >= 1);
-    }
-
-    #[test]
-    fn engine_jobs_resolution() {
-        // Unset auto-detects (the TLA_ENGINE_JOBS env fallback cannot be
-        // exercised here without racing other tests).
-        assert_eq!(SimConfig::paper().engine_jobs_override(), None);
-        assert!(SimConfig::paper().effective_engine_jobs() >= 1);
-        // Explicit override wins; zero auto-detects.
-        assert_eq!(SimConfig::paper().engine_jobs(5).effective_engine_jobs(), 5);
-        assert!(SimConfig::paper().engine_jobs(0).effective_engine_jobs() >= 1);
     }
 
     #[test]

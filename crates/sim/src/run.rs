@@ -17,11 +17,11 @@ use tla_telemetry::{
     WindowedSeries, DEFAULT_REUSE_BUCKETS,
 };
 use tla_types::{stats, AccessKind, CoreId, Cycle, IoAgentStats, IoStats, LineAddr};
-use tla_workloads::{BatchedTrace, SpecApp, SyntheticTrace, TraceSource};
+use tla_workloads::{SpecApp, SyntheticTrace, TraceSource};
 
 /// Which execution loop drives the engine.
 ///
-/// All loops commit the same instructions in the same global order and
+/// Both loops commit the same instructions in the same global order and
 /// are byte-identical in every output (results, reports, checkpoints);
 /// they differ only in wall-clock. The serial loop is kept as the
 /// equivalence reference — `TLA_ENGINE=serial` selects it process-wide,
@@ -29,21 +29,11 @@ use tla_workloads::{BatchedTrace, SpecApp, SyntheticTrace, TraceSource};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineMode {
     /// Run extraction: pop a core once and commit a whole run of its
-    /// instructions back-to-back (buffered batch generation, hierarchy
-    /// state hot) until its clock passes the scheduler horizon.
+    /// instructions back-to-back (generator, core model and L1/L2 state
+    /// hot) until its clock passes the scheduler horizon.
     Batched,
     /// The original loop: one heap pop, one instruction, one push.
     Serial,
-    /// The epoch pipeline: simulated time is chopped into bounded epochs;
-    /// each epoch first pre-generates every core's (and device agent's)
-    /// instruction stream for the whole epoch on a worker pool
-    /// ([`tla_pool::scoped_map`], capped by
-    /// [`SimConfig::engine_jobs`](crate::SimConfig::engine_jobs) /
-    /// `TLA_ENGINE_JOBS`), then commits the epoch through the batched
-    /// run-extraction loop. Generation is timing-independent and the
-    /// commit order is untouched, so output stays byte-identical to the
-    /// other modes at every job count (see DESIGN §4l).
-    Parallel,
 }
 
 impl EngineMode {
@@ -60,11 +50,9 @@ impl EngineMode {
             Ok(EngineMode::Batched)
         } else if value.eq_ignore_ascii_case("serial") {
             Ok(EngineMode::Serial)
-        } else if value.eq_ignore_ascii_case("parallel") {
-            Ok(EngineMode::Parallel)
         } else {
             Err(format!(
-                "unrecognized TLA_ENGINE value {value:?} (valid modes: batched, serial, parallel)"
+                "unrecognized TLA_ENGINE value {value:?} (valid modes: batched, serial)"
             ))
         }
     }
@@ -87,7 +75,6 @@ impl EngineMode {
         match self {
             EngineMode::Batched => "batched",
             EngineMode::Serial => "serial",
-            EngineMode::Parallel => "parallel",
         }
     }
 }
@@ -761,36 +748,17 @@ fn io_report(labels: &[String], result: &RunResult) -> Option<IoReport> {
 /// own clock. Agents sit in the scheduler heap after the cores (heap
 /// index `n_cores + agent`), injecting one line every `period` cycles.
 struct IoAgentRuntime {
-    trace: BatchedTrace<SyntheticTrace>,
+    trace: SyntheticTrace,
     clock: Cycle,
     period: u64,
 }
 
-/// Memory round trips per parallel-engine epoch.
-///
-/// The epoch length is a *pacing* knob, not a correctness bound (the
-/// commit phase re-derives every ordering decision from the scheduler
-/// heap; see [`Engine::run_parallel`]): it trades barrier frequency
-/// against the pre-generation buffer each epoch pins. Sixty-four
-/// round trips of the slowest configured level (~10k cycles at the
-/// default 150-cycle memory latency) keeps the per-core buffer in the
-/// tens of kilobytes while amortizing the fork/join cost over tens of
-/// thousands of committed instructions.
-const EPOCH_MEMORY_ROUNDTRIPS: Cycle = 64;
-
 struct Engine {
     hier: CacheHierarchy,
     cores: Vec<CoreModel>,
-    traces: Vec<BatchedTrace<SyntheticTrace>>,
+    traces: Vec<SyntheticTrace>,
     io_agents: Vec<IoAgentRuntime>,
     mode: EngineMode,
-    /// Worker cap for the parallel engine's pre-generation phase.
-    engine_jobs: usize,
-    /// Parallel-engine epoch length in cycles (always ≥ 1).
-    epoch_cycles: Cycle,
-    /// Core retire width: the upper bound on instructions per cycle,
-    /// used to size epoch pre-generation.
-    width: usize,
     last_code_line: Vec<Option<LineAddr>>,
     frozen: Vec<Option<ThreadResult>>,
     /// Per-thread snapshot taken when the thread crosses the warm-up
@@ -839,11 +807,11 @@ impl Engine {
         let cores: Vec<CoreModel> = (0..n_cores)
             .map(|_| CoreModel::new(*run.cfg.core_config()))
             .collect();
-        let traces: Vec<BatchedTrace<SyntheticTrace>> = run
+        let traces: Vec<SyntheticTrace> = run
             .apps
             .iter()
             .enumerate()
-            .map(|(i, app)| BatchedTrace::new(app.trace(scale, i as u64, run.cfg.seed_value())))
+            .map(|(i, app)| app.trace(scale, i as u64, run.cfg.seed_value()))
             .collect();
         let warmup = run.cfg.warmup_quota();
         let quota = warmup + run.cfg.instruction_quota();
@@ -863,17 +831,11 @@ impl Engine {
             .iter()
             .enumerate()
             .map(|(i, spec)| IoAgentRuntime {
-                trace: BatchedTrace::new(spec.stream(i, scale, run.cfg.seed_value())),
+                trace: spec.stream(i, scale, run.cfg.seed_value()),
                 clock: spec.period,
                 period: spec.period,
             })
             .collect();
-        let latencies = run.cfg.core_config().latencies;
-        let epoch_cycles = latencies
-            .memory
-            .max(latencies.llc)
-            .max(1)
-            .saturating_mul(EPOCH_MEMORY_ROUNDTRIPS);
         let sched = CoreScheduler::new(
             cores
                 .iter()
@@ -890,9 +852,6 @@ impl Engine {
                 .map(Ok)
                 .unwrap_or_else(EngineMode::from_env)
                 .unwrap_or_else(|e| panic!("{e}")),
-            engine_jobs: run.cfg.effective_engine_jobs(),
-            epoch_cycles,
-            width: run.cfg.core_config().width,
             last_code_line: vec![None; n_cores],
             frozen: vec![None; n_cores],
             warm_mark,
@@ -1021,7 +980,6 @@ impl Engine {
     fn run_to_warm(&mut self) {
         match self.mode {
             EngineMode::Batched => self.run_batched(true),
-            EngineMode::Parallel => self.run_parallel(true),
             EngineMode::Serial => {
                 while self.remaining > 0 && !self.is_warm() {
                     self.step();
@@ -1033,7 +991,6 @@ impl Engine {
     fn run_to_completion(&mut self) {
         match self.mode {
             EngineMode::Batched => self.run_batched(false),
-            EngineMode::Parallel => self.run_parallel(false),
             EngineMode::Serial => {
                 while self.remaining > 0 {
                     self.step();
@@ -1052,7 +1009,7 @@ impl Engine {
     /// iteration, so the commit order — and therefore every `total_instr`
     /// event stamp, cache access, and stats update — is identical to
     /// [`step`](Engine::step)-ing in a loop. The win is locality: each
-    /// run keeps one core's trace buffer, core model, and L1/L2 state hot
+    /// run keeps one core's trace generator, core model, and L1/L2 state hot
     /// instead of round-robining through all of them.
     ///
     /// Warm/freeze checks stay per-instruction (inside
@@ -1070,112 +1027,6 @@ impl Engine {
                 if self.remaining == 0 || (until_warm && self.is_warm()) {
                     self.sched.reinsert(i, self.clock_of(i));
                     return;
-                }
-                match horizon {
-                    Some(h) if (self.clock_of(i), i) < h => {}
-                    Some(_) => break,
-                    None => {}
-                }
-            }
-            self.sched.reinsert(i, self.clock_of(i));
-        }
-    }
-
-    /// The parallel engine loop: a pipeline of bounded epochs, each one
-    /// a parallel *pre-generation* phase followed by a serial *commit*
-    /// phase.
-    ///
-    /// Per epoch, the cycle horizon is the lagging entry's clock plus
-    /// [`EPOCH_MEMORY_ROUNDTRIPS`] slow-level round trips. Pre-generation
-    /// fans the trace streams out over [`tla_pool::scoped_map`]: each
-    /// worker advances disjoint cores' generators far enough to cover the
-    /// epoch ([`BatchedTrace::prefill`]). Generation is a pure function of
-    /// each stream's own state — it never observes simulated time or any
-    /// shared structure — so running it early, concurrently, or not at
-    /// all cannot change a single generated instruction. The commit phase
-    /// is exactly [`run_batched`](Engine::run_batched) with every run
-    /// additionally clipped at the epoch horizon: commits still always
-    /// pick the globally minimal `(clock, index)` heap entry, and an
-    /// entry at or past the horizon can never be that minimum while any
-    /// entry is below it, so chopping time into epochs pauses the commit
-    /// order but never permutes it. Every observable — stats, event
-    /// stamps, window boundaries, checkpoint bytes — is therefore
-    /// byte-identical to the serial and batched engines for any epoch
-    /// length and any worker count.
-    fn run_parallel(&mut self, until_warm: bool) {
-        loop {
-            if self.remaining == 0 || (until_warm && self.is_warm()) {
-                return;
-            }
-            let Some((start, _)) = self.sched.peek() else {
-                return;
-            };
-            let epoch_end = start.saturating_add(self.epoch_cycles);
-            self.prefill_epoch(epoch_end);
-            if self.commit_epoch(epoch_end, until_warm) {
-                return;
-            }
-        }
-    }
-
-    /// Pre-generates every stream that can commit inside the epoch.
-    ///
-    /// The per-core need is the worst case the commit phase can consume:
-    /// the retire width bounds instructions per cycle, plus one refill
-    /// batch of slack so the run that *crosses* the horizon still finds
-    /// its instructions buffered. A shortfall would only cost speed, not
-    /// correctness — [`BatchedTrace`] falls back to inline generation —
-    /// but the bound makes one never happen.
-    fn prefill_epoch(&mut self, epoch_end: Cycle) {
-        let width = self.width as u64;
-        let core_clocks: Vec<Cycle> = self.cores.iter().map(CoreModel::now).collect();
-        let mut items: Vec<(&mut BatchedTrace<SyntheticTrace>, usize)> = self
-            .traces
-            .iter_mut()
-            .zip(&core_clocks)
-            .filter(|&(_, &clock)| clock < epoch_end)
-            .map(|(trace, &clock)| {
-                let need = (epoch_end - clock).saturating_mul(width) as usize
-                    + tla_workloads::DEFAULT_BATCH;
-                (trace, need)
-            })
-            .collect();
-        // Device agents inject one line per period, so their need is the
-        // period count to the horizon (plus the crossing injection).
-        for agent in &mut self.io_agents {
-            if agent.clock < epoch_end {
-                let need = ((epoch_end - agent.clock) / agent.period + 2) as usize;
-                items.push((&mut agent.trace, need));
-            }
-        }
-        tla_pool::scoped_map(self.engine_jobs, items, |(trace, need)| {
-            trace.prefill(need);
-        });
-    }
-
-    /// Commits until every heap entry has reached the epoch horizon (or
-    /// the run finished — the `true` return). Identical to
-    /// [`run_batched`](Engine::run_batched) except each extracted run is
-    /// also clipped at `epoch_end`.
-    fn commit_epoch(&mut self, epoch_end: Cycle, until_warm: bool) -> bool {
-        loop {
-            if self.remaining == 0 || (until_warm && self.is_warm()) {
-                return true;
-            }
-            match self.sched.peek() {
-                Some((clock, _)) if clock < epoch_end => {}
-                _ => return false,
-            }
-            let i = self.sched.pick();
-            let horizon = self.sched.peek();
-            loop {
-                self.step_index(i);
-                if self.remaining == 0 || (until_warm && self.is_warm()) {
-                    self.sched.reinsert(i, self.clock_of(i));
-                    return true;
-                }
-                if self.clock_of(i) >= epoch_end {
-                    break;
                 }
                 match horizon {
                     Some(h) if (self.clock_of(i), i) < h => {}
@@ -1633,8 +1484,8 @@ mod tests {
         }
         assert_eq!(b.global, s.global);
 
-        // Checkpoints too: the batched trace buffer must leave no trace in
-        // the wire bytes.
+        // Checkpoints too: the loop that wrote an image must leave no trace
+        // in its wire bytes.
         let cb = MixRun::new(&cfg, &mix)
             .engine_mode(EngineMode::Batched)
             .warm_checkpoint();
@@ -1664,106 +1515,28 @@ mod tests {
     fn engine_mode_parses_all_modes_and_rejects_typos() {
         assert_eq!(EngineMode::parse("batched"), Ok(EngineMode::Batched));
         assert_eq!(EngineMode::parse("SERIAL"), Ok(EngineMode::Serial));
-        assert_eq!(EngineMode::parse("Parallel"), Ok(EngineMode::Parallel));
         // Regression: typos used to fall through to Batched silently, so a
         // misspelled TLA_ENGINE measured the wrong engine without a word.
         let err = EngineMode::parse("seriall").unwrap_err();
         assert!(err.contains("\"seriall\""), "error lacks the value: {err}");
         assert!(
-            err.contains("batched, serial, parallel"),
+            err.contains("batched, serial"),
             "error lacks the valid modes: {err}"
         );
-        assert_eq!(EngineMode::Parallel.label(), "parallel");
         assert_eq!(EngineMode::Batched.label(), "batched");
         assert_eq!(EngineMode::Serial.label(), "serial");
     }
 
     #[test]
-    fn parallel_engine_matches_serial_engine_exactly() {
-        // The whole determinism claim in one test: a 3-core mix with
-        // warm-up, run under the epoch pipeline at several worker counts,
-        // must reproduce the serial loop bit-for-bit — results,
-        // checkpoint bytes, and cross-engine resumes.
-        let base = quick().warmup(10_000);
-        let mix = [SpecApp::Sjeng, SpecApp::Mcf, SpecApp::Libquantum];
-        let s = MixRun::new(&base, &mix)
-            .engine_mode(EngineMode::Serial)
-            .run();
-        let cs = MixRun::new(&base, &mix)
-            .engine_mode(EngineMode::Serial)
-            .warm_checkpoint();
-        for jobs in [1, 2, 4] {
-            let cfg = base.clone().engine_jobs(jobs);
-            let p = MixRun::new(&cfg, &mix)
-                .engine_mode(EngineMode::Parallel)
-                .run();
-            for (tp, ts) in p.threads.iter().zip(&s.threads) {
-                assert_eq!(tp.instructions, ts.instructions, "jobs={jobs}");
-                assert_eq!(tp.cycles, ts.cycles, "jobs={jobs}");
-                assert_eq!(tp.stats, ts.stats, "jobs={jobs}");
-            }
-            assert_eq!(p.global, s.global, "jobs={jobs}");
-
-            let cp = MixRun::new(&cfg, &mix)
-                .engine_mode(EngineMode::Parallel)
-                .warm_checkpoint();
-            assert_eq!(
-                cp.as_bytes(),
-                cs.as_bytes(),
-                "jobs={jobs}: pre-generated chunks leaked into checkpoint bytes"
-            );
-
-            // Cross-resume both ways: the parallel engine finishes the
-            // serial warm image and vice versa.
-            let rp = MixRun::new(&cfg, &mix)
-                .engine_mode(EngineMode::Parallel)
-                .resume(&cs)
-                .unwrap();
-            let rs = MixRun::new(&base, &mix)
-                .engine_mode(EngineMode::Serial)
-                .resume(&cp)
-                .unwrap();
-            assert_eq!(rp.global, rs.global, "jobs={jobs}");
-            assert_eq!(rp.threads[1].stats, rs.threads[1].stats, "jobs={jobs}");
-        }
-    }
-
-    #[test]
-    fn io_parallel_engine_matches_batched() {
-        // Device agents ride the same epochs: their injections interleave
-        // identically whatever the engine.
-        let cfg = quick().warmup(5_000).engine_jobs(3);
-        let mix = [SpecApp::Sjeng, SpecApp::Mcf];
-        let io = IoMixConfig::none()
-            .agent(IoAgentSpec::nic().period(3).lines(256))
-            .agent(IoAgentSpec::dma().period(7))
-            .inject_ways(2);
-        let p = MixRun::new(&cfg, &mix)
-            .io(io.clone())
-            .engine_mode(EngineMode::Parallel)
-            .run();
-        let b = MixRun::new(&cfg, &mix)
-            .io(io)
-            .engine_mode(EngineMode::Batched)
-            .run();
-        for (tp, tb) in p.threads.iter().zip(&b.threads) {
-            assert_eq!(tp.cycles, tb.cycles);
-            assert_eq!(tp.stats, tb.stats);
-        }
-        assert_eq!(p.global, b.global);
-        assert_eq!(p.io, b.io);
-    }
-
-    #[test]
-    fn parallel_engine_emits_monotonic_event_stream() {
-        use tla_telemetry::OrderCheckSink;
-        let cfg = quick().warmup(5_000).engine_jobs(2);
-        let shared = SharedSink::new(OrderCheckSink::new());
-        let r = MixRun::new(&cfg, &[SpecApp::Sjeng, SpecApp::Mcf])
-            .engine_mode(EngineMode::Parallel)
-            .run_with_sink(shared.clone());
-        assert_eq!(r.threads.len(), 2);
-        assert!(shared.with(|s| s.seen()) > 0, "no events reached the sink");
+    fn removed_parallel_engine_is_rejected() {
+        // `parallel` is not a mode; asking for it must fail loudly rather
+        // than silently measure another engine.
+        let err = EngineMode::parse("parallel").unwrap_err();
+        assert!(err.contains("\"parallel\""), "error lacks the value: {err}");
+        assert!(
+            err.contains("valid modes: batched, serial)"),
+            "error lacks the valid modes: {err}"
+        );
     }
 
     #[test]

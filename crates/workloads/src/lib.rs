@@ -29,14 +29,12 @@
 //! assert_eq!(SpecApp::ALL.len(), 15);
 //! ```
 
-mod batch;
 pub mod kv;
 mod mix;
 mod recorded;
 mod spec;
 mod trace;
 
-pub use batch::{BatchedTrace, DEFAULT_BATCH};
 pub use kv::{KeyStream, KvWorkload};
 pub use mix::{all_two_core_mixes, random_mixes, table2_mixes, Mix};
 pub use recorded::RecordedTrace;

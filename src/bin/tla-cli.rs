@@ -15,7 +15,7 @@
 //!
 //! options: --scale <1|2|4|8>  --measure <n>  --warmup <n>  --seed <n>
 //!          --llc-mb <n>  --no-prefetch  --json <path>  --window <n>
-//!          --jobs <n>  --shard-jobs <n>  --engine-jobs <n>
+//!          --jobs <n>  --shard-jobs <n>
 //!          --baseline <path>  --gate <pct>  --target-ms <n>  --out <path>
 //!          --warm-start  --warm-image <path>  --sample-every <n>
 //!          --io <agents>  --io-ways <n>  --io-partition  --smoke
@@ -91,11 +91,6 @@ fn usage() -> ExitCode {
          \x20                         inside one run (the Belady oracle;\n\
          \x20                         default 1, 0 = all cores; results are\n\
          \x20                         bit-identical for any value)\n\
-         \x20 --engine-jobs <n>       worker threads for the parallel\n\
-         \x20                         timing engine's epoch pre-generation\n\
-         \x20                         (TLA_ENGINE=parallel; 0 = all cores,\n\
-         \x20                         the default; results are bit-identical\n\
-         \x20                         for any value and any engine)\n\
          \x20 --out <path>            checkpoint file for snapshot save\n\
          \x20 --warm-start            share one warm-up across compare's\n\
          \x20                         policies via an in-memory checkpoint\n\
@@ -306,13 +301,6 @@ fn parse_options(
                 let v: usize = value("--shard-jobs")?.parse().map_err(|e| format!("{e}"))?;
                 // 0 is meaningful here: auto-detect the core count.
                 opts.cfg = opts.cfg.shard_jobs(v);
-            }
-            "--engine-jobs" => {
-                let v: usize = value("--engine-jobs")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?;
-                // 0 is meaningful here: auto-detect the core count.
-                opts.cfg = opts.cfg.engine_jobs(v);
             }
             "--baseline" => {
                 opts.baseline = Some(value("--baseline")?);
@@ -742,7 +730,7 @@ fn io_sweep_specs() -> [PolicySpec; 4] {
 /// The device axis of `io-sweep`. The full grid walks from no I/O through
 /// each agent alone, both together, and then reins the leaky-DMA stream in
 /// with an injection-way limit, with partitioning, and with the NIC riding
-/// along; `--smoke` keeps the three-point subset CI diffs across engines.
+/// along; `--smoke` keeps the three-point subset CI diffs across kernels.
 fn io_sweep_scenarios(smoke: bool) -> Vec<IoMixConfig> {
     let nic = || IoAgentSpec::nic().period(3).lines(512);
     let dma = || IoAgentSpec::dma().period(2);
@@ -873,14 +861,11 @@ const KV_BENCH_CAPACITY: usize = 16_384;
 #[derive(Clone)]
 enum BenchJob {
     /// A full hierarchy simulation of `apps` under `spec`, optionally
-    /// with device I/O agents injecting alongside (the `io/*` entries)
-    /// and optionally pinned to an engine mode + worker count (the
-    /// `par/*` entries; `None` uses the process default).
+    /// with device I/O agents injecting alongside (the `io/*` entries).
     Sim {
         apps: Vec<SpecApp>,
         spec: PolicySpec,
         io: IoMixConfig,
-        engine: Option<(EngineMode, usize)>,
     },
     /// A multi-threaded load run against a fresh [`ShardedKv`].
     Kv {
@@ -898,17 +883,9 @@ impl BenchJob {
         }
     }
 
-    /// The engine pin of a `par/*` entry, if any.
-    fn engine(&self) -> Option<(EngineMode, usize)> {
-        match self {
-            BenchJob::Sim { engine, .. } => *engine,
-            BenchJob::Kv { .. } => None,
-        }
-    }
-
     /// Runs a simulator entry to its result: resumed from the warm image
     /// when one is given and this entry's configuration matches it
-    /// (policy and engine are free axes of a checkpoint, so every
+    /// (policy is a free axis of a checkpoint, so every
     /// matching entry times the measured phase over identical warm
     /// state), cold otherwise. The bool reports whether the image was
     /// used.
@@ -917,20 +894,9 @@ impl BenchJob {
         apps: &[SpecApp],
         spec: &PolicySpec,
         io: &IoMixConfig,
-        engine: Option<(EngineMode, usize)>,
         warm: Option<&Checkpoint>,
     ) -> (RunResult, bool) {
-        let cfg = match engine {
-            Some((_, jobs)) => cfg.clone().engine_jobs(jobs),
-            None => cfg.clone(),
-        };
-        let build = || {
-            let mut run = MixRun::new(&cfg, apps).spec(spec).io(io.clone());
-            if let Some((mode, _)) = engine {
-                run = run.engine_mode(mode);
-            }
-            run
-        };
+        let build = || MixRun::new(cfg, apps).spec(spec).io(io.clone());
         if let Some(ck) = warm {
             // Checkpoints never cover I/O mixes, so io entries go cold
             // without even asking.
@@ -948,13 +914,8 @@ impl BenchJob {
     /// warm-up); kv entries issue a fixed op count by construction.
     fn accesses(&self, cfg: &SimConfig, warm: Option<&Checkpoint>) -> (u64, bool) {
         match self {
-            BenchJob::Sim {
-                apps,
-                spec,
-                io,
-                engine,
-            } => {
-                let (r, warmed) = Self::sim_result(cfg, apps, spec, io, *engine, warm);
+            BenchJob::Sim { apps, spec, io } => {
+                let (r, warmed) = Self::sim_result(cfg, apps, spec, io, warm);
                 let accesses = r
                     .threads
                     .iter()
@@ -969,13 +930,8 @@ impl BenchJob {
     /// Executes the job once, discarding results (timing-loop body).
     fn run_once(&self, cfg: &SimConfig, warm: Option<&Checkpoint>) {
         match self {
-            BenchJob::Sim {
-                apps,
-                spec,
-                io,
-                engine,
-            } => {
-                let _ = Self::sim_result(cfg, apps, spec, io, *engine, warm);
+            BenchJob::Sim { apps, spec, io } => {
+                let _ = Self::sim_result(cfg, apps, spec, io, warm);
             }
             BenchJob::Kv {
                 policy,
@@ -1033,7 +989,6 @@ fn bench_matrix() -> Vec<(String, BenchJob)> {
                     apps: apps.clone(),
                     spec: spec.clone(),
                     io: IoMixConfig::none(),
-                    engine: None,
                 },
             ));
         }
@@ -1048,7 +1003,6 @@ fn bench_matrix() -> Vec<(String, BenchJob)> {
             apps: vec![Mcf],
             spec: PolicySpec::victim_cache(128),
             io: IoMixConfig::none(),
-            engine: None,
         },
     ));
     // Injection-path entries: a period-2 leaky-DMA agent keeps the
@@ -1062,7 +1016,6 @@ fn bench_matrix() -> Vec<(String, BenchJob)> {
             apps: vec![Mcf, Libquantum],
             spec: PolicySpec::baseline(),
             io: dma.clone(),
-            engine: None,
         },
     ));
     matrix.push((
@@ -1070,43 +1023,7 @@ fn bench_matrix() -> Vec<(String, BenchJob)> {
         BenchJob::Sim {
             apps: vec![Mcf, Libquantum],
             spec: PolicySpec::baseline(),
-            io: dma.clone().inject_ways(2),
-            engine: None,
-        },
-    ));
-    // Parallel-engine entries: the same multi-core mixes (and one
-    // injection mix) under the epoch pipeline, pinned to as many epoch
-    // workers as simulated cores, so the engine's speedup — or lack of
-    // it on a starved host — is a gated number tracked per revision
-    // rather than a claim made once. Output is byte-identical to the
-    // default engine; only wall-clock may differ.
-    matrix.push((
-        "par/4core-llcmiss/baseline".to_string(),
-        BenchJob::Sim {
-            apps: vec![Mcf, Mcf, Libquantum, Libquantum],
-            spec: PolicySpec::baseline(),
-            io: IoMixConfig::none(),
-            engine: Some((EngineMode::Parallel, 4)),
-        },
-    ));
-    matrix.push((
-        "par/8core/baseline".to_string(),
-        BenchJob::Sim {
-            apps: vec![
-                Mcf, Libquantum, Mcf, Libquantum, Mcf, Libquantum, Mcf, Libquantum,
-            ],
-            spec: PolicySpec::baseline(),
-            io: IoMixConfig::none(),
-            engine: Some((EngineMode::Parallel, 8)),
-        },
-    ));
-    matrix.push((
-        "par/io/2core-dma/baseline".to_string(),
-        BenchJob::Sim {
-            apps: vec![Mcf, Libquantum],
-            spec: PolicySpec::baseline(),
-            io: dma,
-            engine: Some((EngineMode::Parallel, 2)),
+            io: dma.inject_ways(2),
         },
     ));
     // Service entries: zipf scaling across thread counts under Clock (the
@@ -1162,9 +1079,6 @@ struct BenchEntry {
     /// Probe kernel the run dispatched to (`avx2`, `scalar4`, ...), so a
     /// committed baseline records which kernel produced its numbers.
     kernel: &'static str,
-    /// Execution engine the entry was pinned to (`par/*` entries) and its
-    /// worker count; `None` means the process-default engine.
-    engine: Option<(EngineMode, usize)>,
     /// Whether the entry timed resumes from a `--warm-image` checkpoint
     /// instead of cold runs (only meaningful when one was given).
     warmed_from_image: bool,
@@ -1186,10 +1100,6 @@ impl BenchEntry {
             ("calibration_ratio", JsonValue::Num(self.calibration_ratio)),
             ("kernel", JsonValue::Str(self.kernel.into())),
         ];
-        if let Some((mode, jobs)) = self.engine {
-            pairs.push(("engine", JsonValue::Str(mode.label().into())));
-            pairs.push(("engine_jobs", JsonValue::Int(jobs as u64)));
-        }
         if self.warmed_from_image {
             pairs.push(("warmed_from_image", JsonValue::Bool(true)));
         }
@@ -1437,7 +1347,6 @@ fn cmd_bench(opts: &Options) -> ExitCode {
             accesses_per_sec_mean,
             calibration_ratio,
             kernel: tla::cache::kernel_name(),
-            engine: job.engine(),
             warmed_from_image: warmed[i],
         });
     }
@@ -2176,6 +2085,8 @@ mod tests {
         assert!(bad(&["--mix", "xyz"]).contains("unknown mix"));
         assert!(bad(&["--jobs", "0"]).contains("positive"));
         assert!(bad(&["--jobs"]).contains("--jobs"));
+        // The epoch-parallel engine and its worker knob are gone.
+        assert!(bad(&["--engine-jobs", "2"]).contains("unknown option"));
     }
 
     #[test]
@@ -2297,15 +2208,15 @@ mod tests {
         let matrix = bench_matrix();
         assert_eq!(
             matrix.len(),
-            26,
+            23,
             "4 policies x 4 core counts + the probe-heavy vc128 entry \
-             + 2 io injection entries + 3 parallel-engine entries + 4 kv entries"
+             + 2 io injection entries + 4 kv entries"
         );
         // Names are unique (the gate matches entries by name).
         let mut names: Vec<&str> = matrix.iter().map(|(n, _)| n.as_str()).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 26);
+        assert_eq!(names.len(), 23);
         // The probe-heavy entry runs a 128-entry victim cache on one core.
         assert!(matrix.iter().any(|(n, job)| n == "1core-vc128/vc128"
             && matches!(job, BenchJob::Sim { apps, spec, .. }
@@ -2325,27 +2236,6 @@ mod tests {
                 assert_eq!(!io.is_trivial(), n.contains("io/"), "{n}");
             }
         }
-        // The parallel-engine entries pin the engine and its worker count
-        // (and only they do — the classic entries stay engine-default so
-        // their numbers are comparable against pre-parallel baselines).
-        for (n, job) in &matrix {
-            if let BenchJob::Sim { .. } = job {
-                assert_eq!(job.engine().is_some(), n.starts_with("par/"), "{n}");
-            }
-        }
-        assert!(matrix
-            .iter()
-            .any(|(n, job)| n == "par/4core-llcmiss/baseline"
-                && job.cores() == 4
-                && job.engine() == Some((EngineMode::Parallel, 4))));
-        assert!(matrix.iter().any(|(n, job)| n == "par/8core/baseline"
-            && job.cores() == 8
-            && job.engine() == Some((EngineMode::Parallel, 8))));
-        assert!(matrix
-            .iter()
-            .any(|(n, job)| n == "par/io/2core-dma/baseline"
-                && matches!(job, BenchJob::Sim { io, .. } if io.agents.len() == 1)
-                && job.engine() == Some((EngineMode::Parallel, 2))));
         // The headline LLC-miss-heavy workload is present at 4 cores.
         assert!(matrix
             .iter()
@@ -2503,7 +2393,6 @@ mod tests {
             accesses_per_sec_mean: aps,
             calibration_ratio: ratio,
             kernel: "scalar4",
-            engine: None,
             warmed_from_image: false,
         };
         let p = path.to_str().unwrap();
@@ -2586,7 +2475,6 @@ mod tests {
             accesses_per_sec_mean: 1.0,
             calibration_ratio: 0.5,
             kernel: "scalar4",
-            engine: None,
             warmed_from_image: false,
         };
         let write = |file: &str, schema: Option<&str>| {
@@ -2605,7 +2493,7 @@ mod tests {
             std::fs::write(&path, JsonValue::object(fields).to_pretty()).unwrap();
             path
         };
-        // Both tagged generations gate cleanly (BENCH_pr5.json is v2).
+        // Both tagged generations gate cleanly.
         for (file, schema) in [
             ("v2.json", Some("tla-bench-report-v2")),
             ("v3.json", Some("tla-bench-report-v3")),
@@ -2622,11 +2510,11 @@ mod tests {
         let err = bench_gate(std::slice::from_ref(&entry), p.to_str().unwrap(), 10.0).unwrap_err();
         assert!(err.contains("unsupported schema"), "{err}");
         assert!(err.contains("tla-bench-report-v3"), "{err}");
-        // The committed PR 5 baseline itself stays readable by this binary.
-        if std::path::Path::new("BENCH_pr5.json").exists() {
+        // The committed baseline itself stays readable by this binary.
+        if std::path::Path::new("BENCH_pr12.json").exists() {
             assert!(
-                bench_gate(std::slice::from_ref(&entry), "BENCH_pr5.json", 1e9).is_ok(),
-                "BENCH_pr5.json must remain a valid gate baseline"
+                bench_gate(std::slice::from_ref(&entry), "BENCH_pr12.json", 1e9).is_ok(),
+                "BENCH_pr12.json must remain a valid gate baseline"
             );
         }
         std::fs::remove_dir_all(&dir).ok();

@@ -1,25 +1,20 @@
-//! Engine equivalence matrix: the serial reference loop, the batched
-//! run-extraction engine and the parallel epoch pipeline (at every
-//! tested `engine_jobs` count) produce byte-identical artifacts —
+//! Engine equivalence: the serial reference loop and the batched
+//! run-extraction engine produce byte-identical artifacts —
 //! `compare --json`, `analyze --json`, io-mix reports, and checkpoint
 //! bytes, including save→resume across engine modes.
 //!
-//! The parallel engine only moves trace *generation* onto worker
-//! threads and chops commit time into epochs; commits still always pick
-//! the globally minimal `(clock, core)` heap entry, so nothing
-//! observable may change by a byte (DESIGN §4l). CI reruns this suite
-//! under `TLA_FORCE_SCALAR=1`, which pins the portable probe kernels —
-//! the equivalence must hold on either dispatch path.
+//! Run extraction only commits a core's instructions back-to-back while
+//! the serial loop would have re-picked that same core, so nothing
+//! observable may change by a byte. Both loops share one trace type,
+//! so the checkpoint wire format itself is pinned separately
+//! (`tests/snapshot_resume.rs`). CI reruns this suite under
+//! `TLA_FORCE_SCALAR=1`, which pins the portable probe kernels — the
+//! equivalence must hold on either dispatch path.
 
 use tla::io::{IoAgentSpec, IoMixConfig};
 use tla::sim::{optimal_llc, EngineMode, MixRun, PolicySpec, SimConfig};
 use tla::telemetry::json::JsonValue;
 use tla::workloads::SpecApp;
-
-/// Worker counts the parallel engine is pinned against. The serial and
-/// batched engines never touch the worker pool, so they are rendered
-/// once each; parallel must match them at every count.
-const JOB_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 fn quick() -> SimConfig {
     SimConfig::scaled_down().instructions(10_000)
@@ -29,22 +24,18 @@ fn mix() -> [SpecApp; 2] {
     [SpecApp::Libquantum, SpecApp::Sjeng]
 }
 
-/// `(mode, engine_jobs)` pairs spanning the whole matrix.
-fn matrix() -> Vec<(EngineMode, usize)> {
-    let mut m = vec![(EngineMode::Serial, 1), (EngineMode::Batched, 1)];
-    m.extend(JOB_COUNTS.map(|jobs| (EngineMode::Parallel, jobs)));
-    m
-}
+/// The engine compared against the serial reference.
+const ENGINES: [EngineMode; 1] = [EngineMode::Batched];
 
 /// Renders the exact `tla-cli compare --json` artifact with every run
-/// pinned to the given engine and worker count.
-fn render_compare(mode: EngineMode, jobs: usize) -> String {
+/// pinned to the given engine.
+fn render_compare(mode: EngineMode) -> String {
     let specs = [
         PolicySpec::baseline(),
         PolicySpec::qbs(),
         PolicySpec::non_inclusive(),
     ];
-    let cfg = quick().engine_jobs(jobs);
+    let cfg = quick();
     let reports: Vec<JsonValue> = specs
         .iter()
         .map(|spec| {
@@ -60,25 +51,25 @@ fn render_compare(mode: EngineMode, jobs: usize) -> String {
 
 #[test]
 fn compare_json_is_byte_identical_across_engines_and_job_counts() {
-    let reference = render_compare(EngineMode::Serial, 1);
+    let reference = render_compare(EngineMode::Serial);
     assert!(!reference.is_empty());
-    for (mode, jobs) in matrix() {
+    for mode in ENGINES {
         assert_eq!(
-            render_compare(mode, jobs),
+            render_compare(mode),
             reference,
-            "compare --json diverged under {} engine with {jobs} jobs",
+            "compare --json diverged under {} engine",
             mode.label()
         );
     }
 }
 
 /// Renders the `tla-cli analyze --json` artifact (reports plus the
-/// oracle-derived fields) under one engine/job-count pin. The policy
-/// fan-out helper resolves the engine from `TLA_ENGINE` per run, so the
-/// suite is rebuilt per report here with an explicit pin instead.
-fn render_analyze(mode: EngineMode, jobs: usize) -> String {
+/// oracle-derived fields) under one engine pin. The policy fan-out
+/// helper resolves the engine from `TLA_ENGINE` per run, so the suite is
+/// rebuilt per report here with an explicit pin instead.
+fn render_analyze(mode: EngineMode) -> String {
     let specs = [PolicySpec::baseline(), PolicySpec::qbs()];
-    let cfg = quick().engine_jobs(jobs);
+    let cfg = quick();
     let opt = optimal_llc(&cfg, &mix(), None);
     let docs: Vec<JsonValue> = specs
         .iter()
@@ -98,14 +89,14 @@ fn render_analyze(mode: EngineMode, jobs: usize) -> String {
 
 #[test]
 fn analyze_json_is_byte_identical_across_engines_and_job_counts() {
-    let reference = render_analyze(EngineMode::Serial, 1);
+    let reference = render_analyze(EngineMode::Serial);
     assert!(reference.contains("opt_misses"));
     assert!(reference.contains("reuse"));
-    for (mode, jobs) in matrix() {
+    for mode in ENGINES {
         assert_eq!(
-            render_analyze(mode, jobs),
+            render_analyze(mode),
             reference,
-            "analyze --json diverged under {} engine with {jobs} jobs",
+            "analyze --json diverged under {} engine",
             mode.label()
         );
     }
@@ -114,12 +105,12 @@ fn analyze_json_is_byte_identical_across_engines_and_job_counts() {
 /// Renders an `io-sweep`-style report: a device mix (ring-buffer NIC +
 /// leaky DMA, way-limited) under two policies, with the per-agent
 /// breakdown that `io-sweep --json` carries.
-fn render_io(mode: EngineMode, jobs: usize) -> String {
+fn render_io(mode: EngineMode) -> String {
     let io = IoMixConfig::none()
         .agent(IoAgentSpec::nic().period(3).lines(256))
         .agent(IoAgentSpec::dma().period(5))
         .inject_ways(2);
-    let cfg = quick().engine_jobs(jobs);
+    let cfg = quick();
     let reports: Vec<JsonValue> = [PolicySpec::baseline(), PolicySpec::tlh_l1()]
         .iter()
         .map(|spec| {
@@ -136,16 +127,16 @@ fn render_io(mode: EngineMode, jobs: usize) -> String {
 
 #[test]
 fn io_sweep_json_is_byte_identical_across_engines_and_job_counts() {
-    let reference = render_io(EngineMode::Serial, 1);
+    let reference = render_io(EngineMode::Serial);
     assert!(
         reference.contains("\"io\""),
         "io report key missing from the reference artifact"
     );
-    for (mode, jobs) in matrix() {
+    for mode in ENGINES {
         assert_eq!(
-            render_io(mode, jobs),
+            render_io(mode),
             reference,
-            "io report diverged under {} engine with {jobs} jobs",
+            "io report diverged under {} engine",
             mode.label()
         );
     }
@@ -167,15 +158,14 @@ fn checkpoints_save_and_resume_across_engine_modes() {
             .run_report(Some(5_000));
         report.to_json_string()
     };
-    for (mode, jobs) in matrix() {
-        let cfg = cfg.clone().engine_jobs(jobs);
+    for mode in ENGINES {
         let ck = MixRun::new(&cfg, &mix)
             .engine_mode(mode)
             .warm_checkpoint_instrumented(Some(5_000));
         assert_eq!(
             ck.as_bytes(),
             reference.as_bytes(),
-            "{} engine with {jobs} jobs leaked into checkpoint bytes",
+            "{} engine leaked into checkpoint bytes",
             mode.label()
         );
         // Resume the serially-written image under this engine (and this
@@ -189,7 +179,7 @@ fn checkpoints_save_and_resume_across_engine_modes() {
         assert_eq!(
             report.to_json_string(),
             straight,
-            "resume under {} engine with {jobs} jobs diverged",
+            "resume under {} engine diverged",
             mode.label()
         );
     }

@@ -109,6 +109,28 @@ fn checkpoint_survives_disk_round_trip() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// 64-bit FNV-1a, for pinning checkpoint bytes as one constant.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The warm image's bytes are a wire format: a change to how any layer
+/// (trace generators included) serializes must show up here, not only as
+/// a cross-engine mismatch. The constant was recorded before trace
+/// generation went inline, whose checkpoints must stay byte-identical.
+#[test]
+fn checkpoint_bytes_are_pinned() {
+    let cfg = SimConfig::scaled_down().warmup(15_000).instructions(10_000);
+    let checkpoint = MixRun::new(&cfg, &[SpecApp::Sjeng, SpecApp::Mcf]).warm_checkpoint();
+    assert_eq!(
+        format!("{:016x}", fnv1a(checkpoint.as_bytes())),
+        "59d4056219b9ab9b",
+        "checkpoint wire bytes changed"
+    );
+}
+
 #[test]
 fn corrupt_checkpoints_fail_loudly() {
     let bytes = MixRun::new(&cfg(), &MIX)
