@@ -65,13 +65,6 @@ pub enum Policy {
     /// (Qureshi et al. / the adaptive-insertion work the paper compares
     /// against in SVI).
     Dip,
-    /// Second-chance clock: one reference bit per way plus a per-set hand.
-    /// Hits set the bit; the hand sweeps forward clearing bits and evicts
-    /// the first way it finds unreferenced. Fills insert with the bit
-    /// *clear*, so a line must be re-referenced before it earns a second
-    /// chance — the scan-resistant service policy `tla-kv` uses (cachekit's
-    /// catalog calls this CLOCK; it is also S3-FIFO's main-queue rule).
-    Clock,
 }
 
 impl fmt::Display for Policy {
@@ -88,7 +81,6 @@ impl fmt::Display for Policy {
             Policy::Lip => "LIP",
             Policy::Bip => "BIP",
             Policy::Dip => "DIP",
-            Policy::Clock => "Clock",
         };
         f.write_str(s)
     }
@@ -117,12 +109,6 @@ pub struct Replacer {
     /// (keeps `victim` allocation-free while consuming the RNG stream
     /// exactly like a full set shuffle).
     scratch: Vec<usize>,
-    /// Per-set clock hand (empty for every policy but Clock). Deliberately
-    /// *not* snapshotted: like `scratch` it is transient sweep position, and
-    /// the warm-start fan-out resumes one warm image under arbitrary other
-    /// policies whose replacers keep no hands. A resumed Clock cache
-    /// restarts every hand at way 0, which only perturbs the first sweep.
-    hands: Vec<u32>,
     rng: SmallRng,
 }
 
@@ -138,7 +124,6 @@ impl Replacer {
         } else {
             0
         };
-        let hand_sets = if policy == Policy::Clock { sets } else { 0 };
         Replacer {
             policy,
             stamp: 0,
@@ -147,7 +132,6 @@ impl Replacer {
             trees: vec![0; sets * tree_words],
             tree_words,
             scratch: Vec::new(),
-            hands: vec![0; hand_sets],
             rng: SmallRng::seed_from_u64(seed ^ 0xA5A5_5A5A_71A5_EED0),
         }
     }
@@ -177,7 +161,6 @@ impl Replacer {
                 self.stamp += 1;
                 repl[way] = self.stamp;
             }
-            Policy::Clock => repl[way] = 1,
         }
     }
 
@@ -229,10 +212,6 @@ impl Replacer {
                 let mru = lru_mode || self.bip_fill_is_mru();
                 self.lru_insert(valid, repl, way, mru);
             }
-            // Insert unreferenced: a brand-new line is the hand's next prey
-            // unless it proves reuse first (scan resistance; classic CLOCK
-            // page replacement inserts referenced, caches insert clear).
-            Policy::Clock => repl[way] = 0,
         }
     }
 
@@ -254,7 +233,7 @@ impl Replacer {
     /// the victim's RRPV reaches the distant value, mirroring the hardware
     /// "increment all until a distant line exists" loop even when the TLA
     /// policy skipped over better candidates.
-    pub fn on_evict(&mut self, set_idx: usize, valid: WayMask, repl: &mut [u64], way: usize) {
+    pub fn on_evict(&mut self, _set_idx: usize, valid: WayMask, repl: &mut [u64], way: usize) {
         if matches!(self.policy, Policy::Srrip | Policy::Brrip | Policy::Drrip) {
             let delta = RRPV_MAX.saturating_sub(repl[way]);
             if delta > 0 {
@@ -262,26 +241,6 @@ impl Replacer {
                     repl[w] = (repl[w] + delta).min(RRPV_MAX);
                 }
             }
-        }
-        if self.policy == Policy::Clock {
-            // Commit the sweep [`Replacer::victim`] simulated: clear the
-            // reference bits the hand passed over on its way to `way`. A
-            // victim whose bit is still set means the pure scan wrapped a
-            // fully-referenced set — the hand swept everything once, so
-            // every bit clears (second chance granted to all survivors).
-            let ways = repl.len();
-            if repl[way] != 0 {
-                for w in valid.iter() {
-                    repl[w] = 0;
-                }
-            } else {
-                let mut w = self.hands[set_idx] as usize % ways;
-                while w != way {
-                    repl[w] = 0;
-                    w = (w + 1) % ways;
-                }
-            }
-            self.hands[set_idx] = ((way + 1) % ways) as u32;
         }
     }
 
@@ -328,28 +287,6 @@ impl Replacer {
                 self.scratch.first().copied()
             }
             Policy::Plru => plru_first_valid(self.tree(set_idx), 1, repl.len(), valid),
-            // First unreferenced valid way at/after the hand; a fully
-            // referenced set wraps and the hand's own way loses (its bit —
-            // and everyone else's — is cleared by `on_evict`). Pure: the
-            // sweep's bit-clearing is deferred to `on_evict`.
-            Policy::Clock => {
-                let ways = repl.len();
-                let hand = self.hands[set_idx] as usize % ways;
-                let mut first_valid = None;
-                for i in 0..ways {
-                    let w = (hand + i) % ways;
-                    if !valid.contains(w) {
-                        continue;
-                    }
-                    if repl[w] == 0 {
-                        return Some(w);
-                    }
-                    if first_valid.is_none() {
-                        first_valid = Some(w);
-                    }
-                }
-                first_valid
-            }
             // Highest RRPV is evicted first; ties go to the lowest way
             // (the hardware's left-to-right scan).
             Policy::Srrip | Policy::Brrip | Policy::Drrip => {
@@ -411,14 +348,6 @@ impl Replacer {
                 // (the hardware's left-to-right scan).
                 out.extend(valid.iter());
                 out.sort_unstable_by_key(|&w| (std::cmp::Reverse(repl[w]), w));
-            }
-            Policy::Clock => {
-                // Unreferenced ways in sweep order from the hand, then
-                // referenced ways in sweep order (they survive one pass).
-                let ways = repl.len();
-                let hand = self.hands[set_idx] as usize % ways;
-                out.extend(valid.iter());
-                out.sort_unstable_by_key(|&w| (repl[w] != 0, (w + ways - hand) % ways));
             }
         }
     }
@@ -854,82 +783,6 @@ mod tests {
         let mut r = Replacer::new(Policy::Nru, 1, 2, 0);
         let (_, repl) = set_of(2);
         assert_eq!(r.victim(0, WayMask::EMPTY, &repl), None);
-    }
-
-    #[test]
-    fn clock_evicts_unreferenced_first() {
-        let mut r = Replacer::new(Policy::Clock, 1, 4, 0);
-        let (valid, mut repl) = set_of(4);
-        for w in 0..4 {
-            r.on_fill(0, valid, &mut repl, w);
-        }
-        // Reference ways 0 and 1; the hand (at 0) must skip them.
-        r.on_hit(0, valid, &mut repl, 0);
-        r.on_hit(0, valid, &mut repl, 1);
-        assert_eq!(r.victim(0, valid, &repl), Some(2));
-        // Committing the eviction clears the skipped bits and advances the
-        // hand past the victim.
-        r.on_evict(0, valid, &mut repl, 2);
-        assert_eq!((repl[0], repl[1]), (0, 0));
-        assert_eq!(r.victim(0, valid, &repl), Some(3));
-    }
-
-    #[test]
-    fn clock_full_sweep_clears_all_and_takes_hand() {
-        let mut r = Replacer::new(Policy::Clock, 1, 4, 0);
-        let (valid, mut repl) = set_of(4);
-        for w in 0..4 {
-            r.on_fill(0, valid, &mut repl, w);
-            r.on_hit(0, valid, &mut repl, w); // everyone referenced
-        }
-        // Fully referenced set: the hand wraps and its own way loses.
-        assert_eq!(r.victim(0, valid, &repl), Some(0));
-        r.on_evict(0, valid, &mut repl, 0);
-        // Second chance granted to all survivors.
-        assert!(valid.iter().all(|w| repl[w] == 0));
-        assert_eq!(r.victim(0, valid, &repl), Some(1));
-    }
-
-    #[test]
-    fn clock_victim_matches_order_head() {
-        let mut r = Replacer::new(Policy::Clock, 1, 8, 0);
-        let (_, mut repl) = set_of(8);
-        let valid = mask(0b1101_0111);
-        for w in valid.iter() {
-            r.on_fill(0, valid, &mut repl, w);
-        }
-        r.on_hit(0, valid, &mut repl, 0);
-        r.on_hit(0, valid, &mut repl, 4);
-        let o = order(&mut r, 0, valid, &repl);
-        assert_eq!(o.len(), valid.count());
-        assert_eq!(r.victim(0, valid, &repl), o.first().copied());
-        // Referenced ways sort after every unreferenced way.
-        let split = o.iter().position(|&w| repl[w] != 0).unwrap();
-        assert!(o[split..].iter().all(|&w| repl[w] != 0));
-    }
-
-    #[test]
-    fn clock_resists_scan_where_fifo_fails() {
-        // A hot line re-referenced between one-shot scan fills survives
-        // under Clock (its ref bit earns a second chance) but not FIFO.
-        use tla_types::LineAddr;
-        let run = |policy: Policy| {
-            let cfg = crate::CacheConfig::with_sets("t", 1, 4, policy).unwrap();
-            let mut cache = crate::SetAssocCache::new(cfg);
-            let hot = LineAddr::new(0);
-            cache.fill(hot, false);
-            cache.touch(hot); // earn the reference bit
-            let mut hot_survived = 0;
-            for i in 0..64u64 {
-                cache.fill(LineAddr::new(1000 + i), false); // one-shot scan
-                if cache.touch(hot) {
-                    hot_survived += 1;
-                }
-            }
-            hot_survived
-        };
-        assert_eq!(run(Policy::Clock), 64, "Clock keeps the referenced line");
-        assert!(run(Policy::Fifo) < 64, "FIFO streams the hot line out");
     }
 
     #[test]

@@ -520,32 +520,6 @@ impl SetAssocCache {
         self.find(line).map(|way| self.cores[set * self.ways + way])
     }
 
-    /// The directory word of `line` read back as a raw 64-bit value.
-    ///
-    /// The simulator's LLC uses the per-way [`CoreBitmap`] as sharer bits;
-    /// a cache that is *not* a coherence directory (the `tla-kv` service)
-    /// is free to treat the same word as an opaque value payload instead —
-    /// [`SetAssocCache::fill_with_cores`] with `CoreBitmap::from_raw(v)`
-    /// stores it, this reads it, and evictions carry it out in
-    /// [`Evicted::cores`]. The two uses never mix within one cache.
-    pub fn payload(&self, line: LineAddr) -> Option<u64> {
-        self.sharers(line).map(CoreBitmap::to_raw)
-    }
-
-    /// Overwrites the directory word of `line` with a raw 64-bit value
-    /// (the in-place update half of the payload view described on
-    /// [`SetAssocCache::payload`]). Returns `true` if the line was present.
-    pub fn set_payload(&mut self, line: LineAddr, value: u64) -> bool {
-        let set = self.set_of(line);
-        match self.find(line) {
-            Some(way) => {
-                self.cores[set * self.ways + way] = CoreBitmap::from_raw(value);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Number of valid lines currently held (O(sets); for tests and
     /// reports, not the hot path).
     pub fn occupancy(&self) -> usize {

@@ -23,9 +23,9 @@ use tla_workloads::{SpecApp, SyntheticTrace, TraceSource};
 ///
 /// Both loops commit the same instructions in the same global order and
 /// are byte-identical in every output (results, reports, checkpoints);
-/// they differ only in wall-clock. The serial loop is kept as the
-/// equivalence reference — `TLA_ENGINE=serial` selects it process-wide,
-/// and the equivalence tests pin the loops against each other.
+/// they differ only in wall-clock. Every run uses the batched loop unless
+/// [`MixRun::engine_mode`] pins another; the serial loop is kept only as
+/// the reference the equivalence tests check the batched loop against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineMode {
     /// Run extraction: pop a core once and commit a whole run of its
@@ -34,49 +34,6 @@ pub enum EngineMode {
     Batched,
     /// The original loop: one heap pop, one instruction, one push.
     Serial,
-}
-
-impl EngineMode {
-    /// Parses a `TLA_ENGINE` value.
-    ///
-    /// # Errors
-    ///
-    /// Unrecognized values are an error listing the valid modes (they
-    /// were historically mapped to [`EngineMode::Batched`] silently,
-    /// which turned typos like `TLA_ENGINE=seriall` into wrong-engine
-    /// measurements).
-    pub fn parse(value: &str) -> Result<EngineMode, String> {
-        if value.eq_ignore_ascii_case("batched") {
-            Ok(EngineMode::Batched)
-        } else if value.eq_ignore_ascii_case("serial") {
-            Ok(EngineMode::Serial)
-        } else {
-            Err(format!(
-                "unrecognized TLA_ENGINE value {value:?} (valid modes: batched, serial)"
-            ))
-        }
-    }
-
-    /// The process default: batched, unless `TLA_ENGINE` selects another
-    /// mode (unset or empty means batched).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`EngineMode::parse`]'s error for unrecognized values.
-    pub fn from_env() -> Result<EngineMode, String> {
-        match std::env::var("TLA_ENGINE") {
-            Ok(v) if !v.is_empty() => EngineMode::parse(&v),
-            _ => Ok(EngineMode::Batched),
-        }
-    }
-
-    /// The mode's canonical lowercase name (the `TLA_ENGINE` spelling).
-    pub fn label(self) -> &'static str {
-        match self {
-            EngineMode::Batched => "batched",
-            EngineMode::Serial => "serial",
-        }
-    }
 }
 
 /// Frozen results of one thread (statistics collected over exactly the
@@ -217,7 +174,7 @@ pub struct MixRun<'a> {
     spec: PolicySpec,
     llc_capacity_full_scale: Option<usize>,
     profile_llc: bool,
-    engine: Option<EngineMode>,
+    engine: EngineMode,
     io: IoMixConfig,
 }
 
@@ -236,7 +193,7 @@ impl<'a> MixRun<'a> {
             spec: PolicySpec::baseline(),
             llc_capacity_full_scale: None,
             profile_llc: false,
-            engine: None,
+            engine: EngineMode::Batched,
             io: IoMixConfig::none(),
         }
     }
@@ -252,13 +209,12 @@ impl<'a> MixRun<'a> {
         self
     }
 
-    /// Pins the execution loop for this run, overriding the
-    /// `TLA_ENGINE` process default. Output is byte-identical either
-    /// way; the explicit override exists so equivalence tests can run
-    /// both loops in one process without touching the environment.
+    /// Pins the execution loop for this run (batched by default). Output
+    /// is byte-identical either way; the pin exists so the equivalence
+    /// tests can check the batched loop against the serial reference.
     #[must_use]
     pub fn engine_mode(mut self, mode: EngineMode) -> Self {
-        self.engine = Some(mode);
+        self.engine = mode;
         self
     }
 
@@ -847,11 +803,7 @@ impl Engine {
             cores,
             traces,
             io_agents,
-            mode: run
-                .engine
-                .map(Ok)
-                .unwrap_or_else(EngineMode::from_env)
-                .unwrap_or_else(|e| panic!("{e}")),
+            mode: run.engine,
             last_code_line: vec![None; n_cores],
             frozen: vec![None; n_cores],
             warm_mark,
@@ -1509,34 +1461,6 @@ mod tests {
             .unwrap();
         assert_eq!(rb.global, rs.global);
         assert_eq!(rb.threads[1].stats, rs.threads[1].stats);
-    }
-
-    #[test]
-    fn engine_mode_parses_all_modes_and_rejects_typos() {
-        assert_eq!(EngineMode::parse("batched"), Ok(EngineMode::Batched));
-        assert_eq!(EngineMode::parse("SERIAL"), Ok(EngineMode::Serial));
-        // Regression: typos used to fall through to Batched silently, so a
-        // misspelled TLA_ENGINE measured the wrong engine without a word.
-        let err = EngineMode::parse("seriall").unwrap_err();
-        assert!(err.contains("\"seriall\""), "error lacks the value: {err}");
-        assert!(
-            err.contains("batched, serial"),
-            "error lacks the valid modes: {err}"
-        );
-        assert_eq!(EngineMode::Batched.label(), "batched");
-        assert_eq!(EngineMode::Serial.label(), "serial");
-    }
-
-    #[test]
-    fn removed_parallel_engine_is_rejected() {
-        // `parallel` is not a mode; asking for it must fail loudly rather
-        // than silently measure another engine.
-        let err = EngineMode::parse("parallel").unwrap_err();
-        assert!(err.contains("\"parallel\""), "error lacks the value: {err}");
-        assert!(
-            err.contains("valid modes: batched, serial)"),
-            "error lacks the valid modes: {err}"
-        );
     }
 
     #[test]

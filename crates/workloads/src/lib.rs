@@ -29,13 +29,11 @@
 //! assert_eq!(SpecApp::ALL.len(), 15);
 //! ```
 
-pub mod kv;
 mod mix;
 mod recorded;
 mod spec;
 mod trace;
 
-pub use kv::{KeyStream, KvWorkload};
 pub use mix::{all_two_core_mixes, random_mixes, table2_mixes, Mix};
 pub use recorded::RecordedTrace;
 pub use spec::{Category, SpecApp};

@@ -155,7 +155,11 @@ impl RecordedTrace {
                 "trace file contains no instructions",
             ));
         }
-        let mut instructions = Vec::with_capacity(n);
+        // The count is untrusted until the body backs it: preallocate at
+        // most a bounded prefix and let the vector grow from there, so a
+        // corrupt length fails on the short read instead of aborting on a
+        // huge allocation.
+        let mut instructions = Vec::with_capacity(n.min(1 << 16));
         for _ in 0..n {
             r.read_exact(&mut buf8)?;
             let code_line = LineAddr::new(u64::from_le_bytes(buf8));
@@ -337,6 +341,21 @@ mod tests {
         let err = RecordedTrace::read_from(bytes.as_slice()).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("not a TLA trace file"), "{err}");
+    }
+
+    #[test]
+    fn huge_length_field_is_an_error_not_an_allocation() {
+        // A header claiming u64::MAX (or ~2^40) instructions over a body
+        // of one instruction must fail on the short read.
+        for n in [u64::MAX, 1 << 40] {
+            let mut bytes = Vec::new();
+            bytes.extend_from_slice(&MAGIC);
+            bytes.extend_from_slice(&n.to_le_bytes());
+            bytes.extend_from_slice(&42u64.to_le_bytes());
+            bytes.push(0);
+            let err = RecordedTrace::read_from(bytes.as_slice()).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "n = {n}");
+        }
     }
 
     #[test]

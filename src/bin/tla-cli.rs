@@ -23,19 +23,18 @@
 
 use std::process::ExitCode;
 use tla::io::{IoAgentSpec, IoMixConfig};
-use tla::kv::{report_json, run_load, KvConfig, KvPolicy, LoadSpec, ShardedKv};
 use tla::sim::{
     mpki_table, optimal_llc, run_policy_reports_analyzed_io, run_policy_reports_io,
-    run_policy_reports_warm_start_cached, Checkpoint, EngineMode, MixRun, PolicySpec, RunReport,
-    RunResult, SimConfig, Table, WarmCache,
+    run_policy_reports_warm_start_cached, Checkpoint, MixRun, PolicySpec, RunReport, RunResult,
+    SimConfig, Table, WarmCache,
 };
 use tla::telemetry::json::JsonValue;
 use tla::telemetry::DEFAULT_SAMPLE_EVERY;
-use tla::workloads::{table2_mixes, KvWorkload, SpecApp};
+use tla::workloads::{table2_mixes, SpecApp};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: tla-cli <list|table1|run|compare|analyze|bench|io-sweep|kv-bench|snapshot> [options]\n\
+        "usage: tla-cli <list|table1|run|compare|analyze|bench|io-sweep|snapshot> [options]\n\
          \n\
          commands:\n\
          \x20 list                    available apps, mixes and policies\n\
@@ -49,14 +48,12 @@ fn usage() -> ExitCode {
          \x20                         histograms, inclusion-victim rates\n\
          \x20 bench                   simulator throughput over a fixed\n\
          \x20                         policy x core-count matrix (plus the\n\
-         \x20                         kv/* service and io/* injection entries)\n\
+         \x20                         io/* injection entries)\n\
          \x20 io-sweep [--mix a,b]    app-vs-I/O pressure sweep: device\n\
          \x20                         scenarios (nic ring, leaky dma,\n\
          \x20                         injection-way limits, partitioning)\n\
          \x20                         x the four management policies\n\
          \x20                         (default mix: sje; --smoke for CI)\n\
-         \x20 kv-bench                multi-threaded load against the\n\
-         \x20                         tla-kv sharded cache service\n\
          \x20 snapshot save --mix a,b --out <f.tlas>\n\
          \x20                         run the warm-up only and checkpoint it\n\
          \x20                         (--window instruments the checkpoint)\n\
@@ -132,28 +129,7 @@ fn usage() -> ExitCode {
          \x20                         bisectable across binary revisions\n\
          \x20                         with identical warm state; entries\n\
          \x20                         whose config does not match the\n\
-         \x20                         image fall back to cold runs\n\
-         \n\
-         kv-bench options:\n\
-         \x20 --policy <p|all>        lru, fifo, clock, s3fifo or all\n\
-         \x20                         (default clock)\n\
-         \x20 --workload <w>          zipf, zipf:<s>, uniform, scan, mix,\n\
-         \x20                         mix:<period>:<burst> (default zipf)\n\
-         \x20 --threads <n>           load-generator threads (default 8)\n\
-         \x20 --keys <n>              keyspace size (default 65536)\n\
-         \x20 --ops <n>               operations per thread (default 200000)\n\
-         \x20 --capacity <n>          cache capacity in entries (default 16384)\n\
-         \x20 --shards <n>            lock stripes, power of two (default 8)\n\
-         \x20 --ways <n>              associativity (default 8)\n\
-         \x20 --put-permille <n>      puts per 1000 ops (default 50)\n\
-         \x20 --seed <n>              load/cache seed (default 1)\n\
-         \x20 --json <path>           write the tla-kv-report-v1 JSON,\n\
-         \x20                         including per-shard windowed\n\
-         \x20                         hit-rate time series\n\
-         \x20 --window <n>            ops per shard between series\n\
-         \x20                         windows (with --json; default 8192)\n\
-         \x20 --smoke                 quick fixed sweep over every policy\n\
-         \x20                         with counter self-checks (CI mode)"
+         \x20                         image fall back to cold runs"
     );
     ExitCode::FAILURE
 }
@@ -847,60 +823,37 @@ fn cmd_io_sweep(opts: &Options) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Fixed parameters of the `kv/*` bench-matrix entries (and the defaults
-/// `kv-bench` starts from): a 64k keyspace against a 16k-entry cache, so
-/// zipf traffic hits mostly and scans evict constantly.
-const KV_BENCH_KEYS: u64 = 65_536;
-const KV_BENCH_OPS_PER_THREAD: u64 = 100_000;
-const KV_BENCH_CAPACITY: usize = 16_384;
-
-/// One bench-matrix workload: a simulator mix or a kv-service load run.
-/// Both report deterministic work-unit counts (memory accesses for the
-/// simulator, operations for the service), so the calibration-ratio gate
-/// treats them uniformly.
+/// One bench-matrix workload: a full hierarchy simulation of `apps` under
+/// `spec`, optionally with device I/O agents injecting alongside (the
+/// `io/*` entries). Its deterministic work-unit count (memory accesses) is
+/// what the calibration-ratio gate divides by.
 #[derive(Clone)]
-enum BenchJob {
-    /// A full hierarchy simulation of `apps` under `spec`, optionally
-    /// with device I/O agents injecting alongside (the `io/*` entries).
-    Sim {
-        apps: Vec<SpecApp>,
-        spec: PolicySpec,
-        io: IoMixConfig,
-    },
-    /// A multi-threaded load run against a fresh [`ShardedKv`].
-    Kv {
-        policy: KvPolicy,
-        workload: KvWorkload,
-        threads: usize,
-    },
+struct BenchJob {
+    apps: Vec<SpecApp>,
+    spec: PolicySpec,
+    io: IoMixConfig,
 }
 
 impl BenchJob {
     fn cores(&self) -> usize {
-        match self {
-            BenchJob::Sim { apps, .. } => apps.len(),
-            BenchJob::Kv { threads, .. } => *threads,
-        }
+        self.apps.len()
     }
 
-    /// Runs a simulator entry to its result: resumed from the warm image
-    /// when one is given and this entry's configuration matches it
-    /// (policy is a free axis of a checkpoint, so every
-    /// matching entry times the measured phase over identical warm
-    /// state), cold otherwise. The bool reports whether the image was
-    /// used.
-    fn sim_result(
-        cfg: &SimConfig,
-        apps: &[SpecApp],
-        spec: &PolicySpec,
-        io: &IoMixConfig,
-        warm: Option<&Checkpoint>,
-    ) -> (RunResult, bool) {
-        let build = || MixRun::new(cfg, apps).spec(spec).io(io.clone());
+    /// Runs the entry to its result: resumed from the warm image when one
+    /// is given and this entry's configuration matches it (policy is a
+    /// free axis of a checkpoint, so every matching entry times the
+    /// measured phase over identical warm state), cold otherwise. The bool
+    /// reports whether the image was used.
+    fn result(&self, cfg: &SimConfig, warm: Option<&Checkpoint>) -> (RunResult, bool) {
+        let build = || {
+            MixRun::new(cfg, &self.apps)
+                .spec(&self.spec)
+                .io(self.io.clone())
+        };
         if let Some(ck) = warm {
             // Checkpoints never cover I/O mixes, so io entries go cold
             // without even asking.
-            if io.is_trivial() {
+            if self.io.is_trivial() {
                 if let Ok(r) = build().resume(ck) {
                     return (r, true);
                 }
@@ -909,48 +862,21 @@ impl BenchJob {
         (build().run(), false)
     }
 
-    /// Work units of one run, plus whether the warm image was used. For
-    /// simulator entries this costs one untimed run (which doubles as
-    /// warm-up); kv entries issue a fixed op count by construction.
+    /// Memory accesses of one run, plus whether the warm image was used.
+    /// This costs one untimed run, which doubles as warm-up.
     fn accesses(&self, cfg: &SimConfig, warm: Option<&Checkpoint>) -> (u64, bool) {
-        match self {
-            BenchJob::Sim { apps, spec, io } => {
-                let (r, warmed) = Self::sim_result(cfg, apps, spec, io, warm);
-                let accesses = r
-                    .threads
-                    .iter()
-                    .map(|t| t.stats.l1i_accesses + t.stats.l1d_accesses)
-                    .sum();
-                (accesses, warmed)
-            }
-            BenchJob::Kv { threads, .. } => (KV_BENCH_OPS_PER_THREAD * *threads as u64, false),
-        }
+        let (r, warmed) = self.result(cfg, warm);
+        let accesses = r
+            .threads
+            .iter()
+            .map(|t| t.stats.l1i_accesses + t.stats.l1d_accesses)
+            .sum();
+        (accesses, warmed)
     }
 
     /// Executes the job once, discarding results (timing-loop body).
     fn run_once(&self, cfg: &SimConfig, warm: Option<&Checkpoint>) {
-        match self {
-            BenchJob::Sim { apps, spec, io } => {
-                let _ = Self::sim_result(cfg, apps, spec, io, warm);
-            }
-            BenchJob::Kv {
-                policy,
-                workload,
-                threads,
-            } => {
-                let kv = ShardedKv::new(KvConfig::new(KV_BENCH_CAPACITY, *policy).with_seed(1))
-                    .expect("bench kv geometry is valid");
-                let spec = LoadSpec {
-                    workload: *workload,
-                    keys: KV_BENCH_KEYS,
-                    ops_per_thread: KV_BENCH_OPS_PER_THREAD,
-                    threads: *threads,
-                    put_permille: 50,
-                    seed: 1,
-                };
-                let _ = run_load(&kv, &spec);
-            }
-        }
+        let _ = self.result(cfg, warm);
     }
 }
 
@@ -958,9 +884,8 @@ impl BenchJob {
 /// with 1/2/4/8-core LLC-miss-heavy mixes (mcf and libquantum are the two
 /// highest-LLC-MPKI apps of Table I, so every entry exercises the LLC miss
 /// path the scratch-buffer rewrite targets; the 8-core mix stresses
-/// scheduler-heap and sharer-bitmap scaling), plus the `kv/*` service
-/// entries that time the sharded concurrent cache under load-generator
-/// threads and the `io/*` entries that time the device-injection path.
+/// scheduler-heap and sharer-bitmap scaling), plus the `io/*` entries that
+/// time the device-injection path.
 fn bench_matrix() -> Vec<(String, BenchJob)> {
     use SpecApp::{Libquantum, Mcf};
     let mixes: [(&str, Vec<SpecApp>); 4] = [
@@ -985,7 +910,7 @@ fn bench_matrix() -> Vec<(String, BenchJob)> {
         for (pol_name, spec) in &policies {
             matrix.push((
                 format!("{mix_name}/{pol_name}"),
-                BenchJob::Sim {
+                BenchJob {
                     apps: apps.clone(),
                     spec: spec.clone(),
                     io: IoMixConfig::none(),
@@ -999,7 +924,7 @@ fn bench_matrix() -> Vec<(String, BenchJob)> {
     // LLC-miss-heavy stream keeps that path hot.
     matrix.push((
         "1core-vc128/vc128".to_string(),
-        BenchJob::Sim {
+        BenchJob {
             apps: vec![Mcf],
             spec: PolicySpec::victim_cache(128),
             io: IoMixConfig::none(),
@@ -1012,7 +937,7 @@ fn bench_matrix() -> Vec<(String, BenchJob)> {
     let dma = IoMixConfig::none().agent(IoAgentSpec::dma().period(2));
     matrix.push((
         "io/2core-dma/baseline".to_string(),
-        BenchJob::Sim {
+        BenchJob {
             apps: vec![Mcf, Libquantum],
             spec: PolicySpec::baseline(),
             io: dma.clone(),
@@ -1020,31 +945,12 @@ fn bench_matrix() -> Vec<(String, BenchJob)> {
     ));
     matrix.push((
         "io/2core-dma-w2/baseline".to_string(),
-        BenchJob::Sim {
+        BenchJob {
             apps: vec![Mcf, Libquantum],
             spec: PolicySpec::baseline(),
             io: dma.inject_ways(2),
         },
     ));
-    // Service entries: zipf scaling across thread counts under Clock (the
-    // lock-striping story), plus the scan-burst mix under S3-FIFO (the
-    // admission-policy story). Units are ops/s rather than accesses/s, but
-    // the gate only ever compares an entry to its own baseline ratio.
-    for (name, policy, workload, threads) in [
-        ("kv/zipf-1t", KvPolicy::Clock, KvWorkload::ZIPF, 1),
-        ("kv/zipf-4t", KvPolicy::Clock, KvWorkload::ZIPF, 4),
-        ("kv/zipf-8t", KvPolicy::Clock, KvWorkload::ZIPF, 8),
-        ("kv/mix-8t-s3fifo", KvPolicy::S3Fifo, KvWorkload::MIX, 8),
-    ] {
-        matrix.push((
-            name.to_string(),
-            BenchJob::Kv {
-                policy,
-                workload,
-                threads,
-            },
-        ));
-    }
     matrix
 }
 
@@ -1403,259 +1309,6 @@ fn cmd_bench(opts: &Options) -> ExitCode {
     code
 }
 
-/// Options of the `kv-bench` subcommand (independent of the simulator's
-/// option set — a service load run has no mixes, scales or warm-ups).
-#[derive(Debug)]
-struct KvBenchOptions {
-    policies: Vec<KvPolicy>,
-    workload: KvWorkload,
-    threads: usize,
-    keys: u64,
-    ops: u64,
-    capacity: usize,
-    shards: usize,
-    ways: usize,
-    put_permille: u32,
-    seed: u64,
-    json: Option<String>,
-    window: Option<u64>,
-    smoke: bool,
-}
-
-/// Default per-shard series window (ops per shard) when `kv-bench --json`
-/// runs without an explicit `--window`.
-const KV_BENCH_WINDOW: u64 = 8_192;
-
-fn parse_kv_bench_options(args: &[String]) -> Result<KvBenchOptions, String> {
-    let mut opts = KvBenchOptions {
-        policies: vec![KvPolicy::Clock],
-        workload: KvWorkload::ZIPF,
-        threads: 8,
-        keys: KV_BENCH_KEYS,
-        ops: 200_000,
-        capacity: KV_BENCH_CAPACITY,
-        shards: 8,
-        ways: 8,
-        put_permille: 50,
-        seed: 1,
-        json: None,
-        window: None,
-        smoke: false,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        let positive = |name: &str, v: u64| {
-            if v == 0 {
-                Err(format!("{name} must be positive"))
-            } else {
-                Ok(v)
-            }
-        };
-        match arg.as_str() {
-            "--policy" => {
-                let v = value("--policy")?;
-                opts.policies = if v == "all" {
-                    KvPolicy::ALL.to_vec()
-                } else {
-                    vec![KvPolicy::parse(&v).ok_or_else(|| format!("unknown kv policy '{v}'"))?]
-                };
-            }
-            "--workload" => {
-                let v = value("--workload")?;
-                opts.workload =
-                    KvWorkload::parse(&v).ok_or_else(|| format!("unknown workload '{v}'"))?;
-            }
-            "--threads" => {
-                let v: u64 = value("--threads")?.parse().map_err(|e| format!("{e}"))?;
-                opts.threads = positive("--threads", v)? as usize;
-            }
-            "--keys" => {
-                let v: u64 = value("--keys")?.parse().map_err(|e| format!("{e}"))?;
-                opts.keys = positive("--keys", v)?;
-            }
-            "--ops" => {
-                let v: u64 = value("--ops")?.parse().map_err(|e| format!("{e}"))?;
-                opts.ops = positive("--ops", v)?;
-            }
-            "--capacity" => {
-                let v: u64 = value("--capacity")?.parse().map_err(|e| format!("{e}"))?;
-                opts.capacity = positive("--capacity", v)? as usize;
-            }
-            "--shards" => {
-                let v: u64 = value("--shards")?.parse().map_err(|e| format!("{e}"))?;
-                opts.shards = positive("--shards", v)? as usize;
-            }
-            "--ways" => {
-                let v: u64 = value("--ways")?.parse().map_err(|e| format!("{e}"))?;
-                opts.ways = positive("--ways", v)? as usize;
-            }
-            "--put-permille" => {
-                let v: u32 = value("--put-permille")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?;
-                if v > 1000 {
-                    return Err("--put-permille is out of 1000".into());
-                }
-                opts.put_permille = v;
-            }
-            "--seed" => {
-                opts.seed = value("--seed")?.parse().map_err(|e| format!("{e}"))?;
-            }
-            "--json" => {
-                opts.json = Some(value("--json")?);
-            }
-            "--window" => {
-                let v: u64 = value("--window")?.parse().map_err(|e| format!("{e}"))?;
-                opts.window = Some(positive("--window", v)?);
-            }
-            "--smoke" => {
-                opts.smoke = true;
-            }
-            other => return Err(format!("unknown kv-bench option '{other}'")),
-        }
-    }
-    if opts.window.is_some() && opts.json.is_none() {
-        return Err("--window only makes sense with --json".into());
-    }
-    // The series rides in the JSON report, so --json opts into it with
-    // the default window unless --window chose one.
-    if opts.json.is_some() {
-        opts.window = Some(opts.window.unwrap_or(KV_BENCH_WINDOW));
-    }
-    if opts.smoke {
-        // CI mode: small, fast, every policy, the scan-burst mix (it
-        // exercises hits, misses, evictions and the s3fifo ghost path).
-        opts.policies = KvPolicy::ALL.to_vec();
-        opts.workload = KvWorkload::MIX;
-        opts.threads = 2;
-        opts.keys = 8_192;
-        opts.ops = 20_000;
-        opts.capacity = 2_048;
-    }
-    Ok(opts)
-}
-
-/// Cross-checks one load run's service counters against the thread-side
-/// tallies — the same invariants the kv concurrency test pins, verified
-/// on every bench run so a violation in the wild is loud.
-fn kv_self_check(kv: &ShardedKv, result: &tla::kv::LoadResult) -> Result<(), String> {
-    let total = kv.stats();
-    let mut shard_sum = tla::kv::ShardStats::default();
-    for s in kv.per_shard_stats() {
-        shard_sum.merge(&s);
-    }
-    if total != shard_sum {
-        return Err("global stats diverge from the per-shard sum".into());
-    }
-    let issued_gets: u64 = result.threads.iter().map(|t| t.gets).sum();
-    let issued_puts: u64 = result.threads.iter().map(|t| t.puts).sum();
-    if total.gets != issued_gets || total.puts != issued_puts {
-        return Err(format!(
-            "issued {issued_gets} gets / {issued_puts} puts but the service counted {} / {}",
-            total.gets, total.puts
-        ));
-    }
-    if total.gets != total.hits + total.misses {
-        return Err("hits + misses != gets".into());
-    }
-    if kv.occupancy() as u64 != total.inserts - total.evictions - total.removes {
-        return Err("occupancy != inserts - evictions - removes".into());
-    }
-    Ok(())
-}
-
-fn cmd_kv_bench(args: &[String]) -> ExitCode {
-    let opts = match parse_kv_bench_options(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return usage();
-        }
-    };
-    eprintln!(
-        "kv-bench: workload={} keys={} ops/thread={} threads={} capacity={} shards={} ways={}",
-        opts.workload.name(),
-        opts.keys,
-        opts.ops,
-        opts.threads,
-        opts.capacity,
-        opts.shards,
-        opts.ways,
-    );
-    let mut table = Table::new(&[
-        "policy",
-        "threads",
-        "ops",
-        "wall s",
-        "Mops/s",
-        "hit %",
-        "occupancy",
-    ]);
-    let mut reports = Vec::new();
-    let mut consistent = true;
-    for &policy in &opts.policies {
-        let cfg = KvConfig {
-            capacity: opts.capacity,
-            shards: opts.shards,
-            ways: opts.ways,
-            policy,
-            seed: opts.seed,
-            window: opts.window,
-        };
-        let kv = match ShardedKv::new(cfg) {
-            Ok(kv) => kv,
-            Err(e) => {
-                eprintln!("error: {policy}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let spec = LoadSpec {
-            workload: opts.workload,
-            keys: opts.keys,
-            ops_per_thread: opts.ops,
-            threads: opts.threads,
-            put_permille: opts.put_permille,
-            seed: opts.seed,
-        };
-        let result = run_load(&kv, &spec);
-        if let Err(e) = kv_self_check(&kv, &result) {
-            eprintln!("error: {policy}: counter consistency violated: {e}");
-            consistent = false;
-        }
-        table.add_row(vec![
-            policy.name().to_string(),
-            opts.threads.to_string(),
-            result.total_ops().to_string(),
-            format!("{:.3}", result.elapsed.as_secs_f64()),
-            format!("{:.2}", result.ops_per_sec() / 1e6),
-            format!("{:.1}", result.hit_rate() * 100.0),
-            kv.occupancy().to_string(),
-        ]);
-        reports.push(report_json(&kv, &spec, &result));
-    }
-    print!("{table}");
-    if opts.smoke && consistent {
-        println!("kv-bench smoke: all policies consistent");
-    }
-    if let Some(path) = &opts.json {
-        let written = write_json(path, &JsonValue::array(reports).to_pretty());
-        if !consistent {
-            return ExitCode::FAILURE;
-        }
-        return written;
-    }
-    if consistent {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
 /// The paper-flavoured default config of the simulation commands.
 fn sim_base_cfg() -> SimConfig {
     SimConfig::scaled_down()
@@ -1931,24 +1584,12 @@ fn cmd_snapshot(rest: &[String]) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    // Validate TLA_ENGINE before dispatching anything: a typo must be a
-    // hard error up front, not a silent fall-through to the default
-    // engine halfway into a run (the library would only panic once a
-    // simulation actually starts).
-    if let Err(e) = EngineMode::from_env() {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = args.split_first() else {
         return usage();
     };
     if cmd == "snapshot" {
         return cmd_snapshot(rest);
-    }
-    // kv-bench has its own option set (service knobs, not simulator ones).
-    if cmd == "kv-bench" {
-        return cmd_kv_bench(rest);
     }
     // `bench` wants long measured runs with no warm-up (throughput, not
     // policy fidelity); the simulation commands keep the paper-flavoured
@@ -1969,7 +1610,7 @@ fn main() -> ExitCode {
         }
     };
     if opts.smoke && cmd != "io-sweep" {
-        eprintln!("error: --smoke only applies to io-sweep (kv-bench has its own)");
+        eprintln!("error: --smoke only applies to io-sweep");
         return usage();
     }
     match cmd.as_str() {
@@ -2208,33 +1849,31 @@ mod tests {
         let matrix = bench_matrix();
         assert_eq!(
             matrix.len(),
-            23,
+            19,
             "4 policies x 4 core counts + the probe-heavy vc128 entry \
-             + 2 io injection entries + 4 kv entries"
+             + 2 io injection entries"
         );
         // Names are unique (the gate matches entries by name).
         let mut names: Vec<&str> = matrix.iter().map(|(n, _)| n.as_str()).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 23);
+        assert_eq!(names.len(), 19);
         // The probe-heavy entry runs a 128-entry victim cache on one core.
         assert!(matrix.iter().any(|(n, job)| n == "1core-vc128/vc128"
-            && matches!(job, BenchJob::Sim { apps, spec, .. }
-                if apps.len() == 1 && spec.victim_cache == Some(128))));
+            && job.apps.len() == 1
+            && job.spec.victim_cache == Some(128)));
         // The io entries time the device-injection path: the same 2-core
         // mix with a leaky-DMA agent, unlimited and way-limited.
         assert!(matrix.iter().any(|(n, job)| n == "io/2core-dma/baseline"
-            && matches!(job, BenchJob::Sim { io, .. }
-                if io.agents.len() == 1 && io.inject_ways.is_none())));
+            && job.io.agents.len() == 1
+            && job.io.inject_ways.is_none()));
         assert!(matrix.iter().any(|(n, job)| n == "io/2core-dma-w2/baseline"
-            && matches!(job, BenchJob::Sim { io, .. }
-                if io.agents.len() == 1 && io.inject_ways == Some(2))));
+            && job.io.agents.len() == 1
+            && job.io.inject_ways == Some(2)));
         // Every non-io sim entry stays device-free, so bench numbers for
         // the classic entries are comparable against pre-io baselines.
         for (n, job) in &matrix {
-            if let BenchJob::Sim { io, .. } = job {
-                assert_eq!(!io.is_trivial(), n.contains("io/"), "{n}");
-            }
+            assert_eq!(!job.io.is_trivial(), n.contains("io/"), "{n}");
         }
         // The headline LLC-miss-heavy workload is present at 4 cores.
         assert!(matrix
@@ -2244,121 +1883,12 @@ mod tests {
         assert_eq!(
             matrix
                 .iter()
-                .filter(|(n, job)| n.starts_with("8core/")
-                    && matches!(job, BenchJob::Sim { apps, .. } if apps.len() == 8))
+                .filter(|(n, job)| n.starts_with("8core/") && job.cores() == 8)
                 .count(),
             4
         );
         // The gate's calibration entry is part of the matrix.
         assert!(matrix.iter().any(|(n, _)| n == GATE_CALIBRATION_ENTRY));
-        // The kv service entries: zipf thread scaling under Clock plus the
-        // scan-burst mix under S3-FIFO, all gated by calibration ratio.
-        for (name, threads) in [
-            ("kv/zipf-1t", 1usize),
-            ("kv/zipf-4t", 4),
-            ("kv/zipf-8t", 8),
-            ("kv/mix-8t-s3fifo", 8),
-        ] {
-            assert!(
-                matrix.iter().any(|(n, job)| n == name
-                    && matches!(job, BenchJob::Kv { threads: t, .. } if *t == threads)),
-                "{name} missing from the matrix"
-            );
-        }
-        // Every kv entry issues a deterministic op count independent of the
-        // sim config (the calibration-ratio gate depends on it).
-        let cfg = SimConfig::scaled_down();
-        for (n, job) in &matrix {
-            if let BenchJob::Kv { threads, .. } = job {
-                assert_eq!(
-                    job.accesses(&cfg, None).0,
-                    KV_BENCH_OPS_PER_THREAD * *threads as u64,
-                    "{n}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn kv_bench_options_parse() {
-        let parse = |args: &[&str]| {
-            let v: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-            parse_kv_bench_options(&v)
-        };
-        let o = parse(&[]).unwrap();
-        assert_eq!(o.policies, vec![KvPolicy::Clock]);
-        assert_eq!(o.workload, KvWorkload::ZIPF);
-        assert_eq!(o.threads, 8);
-        assert!(!o.smoke);
-        let o = parse(&[
-            "--policy",
-            "s3fifo",
-            "--workload",
-            "mix:100:50",
-            "--threads",
-            "4",
-            "--keys",
-            "1000",
-            "--ops",
-            "500",
-            "--capacity",
-            "256",
-            "--shards",
-            "2",
-            "--ways",
-            "4",
-            "--put-permille",
-            "200",
-            "--seed",
-            "9",
-            "--json",
-            "kv.json",
-        ])
-        .unwrap();
-        assert_eq!(o.policies, vec![KvPolicy::S3Fifo]);
-        assert_eq!(
-            o.workload,
-            KvWorkload::Mix {
-                period: 100,
-                burst: 50,
-                s: 1.0
-            }
-        );
-        assert_eq!((o.threads, o.keys, o.ops), (4, 1000, 500));
-        assert_eq!((o.capacity, o.shards, o.ways), (256, 2, 4));
-        assert_eq!((o.put_permille, o.seed), (200, 9));
-        assert_eq!(o.json.as_deref(), Some("kv.json"));
-        // --json opts into the series with the default window.
-        assert_eq!(o.window, Some(KV_BENCH_WINDOW));
-        let o = parse(&["--json", "kv.json", "--window", "500"]).unwrap();
-        assert_eq!(o.window, Some(500));
-        // Without --json there is no report to carry the series.
-        let o = parse(&[]).unwrap();
-        assert_eq!(o.window, None);
-        assert!(parse(&["--window", "500"]).is_err());
-        assert!(parse(&["--json", "kv.json", "--window", "0"]).is_err());
-        let o = parse(&["--policy", "all"]).unwrap();
-        assert_eq!(o.policies.len(), 4);
-        // Smoke pins a small fixed sweep whatever else was asked for.
-        let o = parse(&["--smoke", "--threads", "64"]).unwrap();
-        assert!(o.smoke);
-        assert_eq!(o.threads, 2);
-        assert_eq!(o.policies.len(), 4);
-        assert!(parse(&["--policy", "arc"]).is_err());
-        assert!(parse(&["--workload", "nope"]).is_err());
-        assert!(parse(&["--threads", "0"]).is_err());
-        assert!(parse(&["--put-permille", "1001"]).is_err());
-        assert!(parse(&["--bogus"]).is_err());
-    }
-
-    #[test]
-    fn kv_self_check_accepts_real_runs_all_policies() {
-        for policy in KvPolicy::ALL {
-            let kv = ShardedKv::new(KvConfig::new(512, policy)).unwrap();
-            let spec = LoadSpec::new(2_048, 3_000, 2);
-            let result = run_load(&kv, &spec);
-            kv_self_check(&kv, &result).unwrap_or_else(|e| panic!("{policy}: {e}"));
-        }
     }
 
     #[test]

@@ -27,9 +27,6 @@
 //!   experiment runner ([`tla_pool`]).
 //! * [`bench`] — the offline timing harness shared by the figure benches
 //!   and `tla-cli bench` ([`tla_bench`]).
-//! * [`kv`] — the lock-striped sharded concurrent cache service built on
-//!   the same set-associative core, with its load generator and
-//!   `tla-cli kv-bench` ([`tla_kv`]).
 //!
 //! # Quickstart
 //!
@@ -52,7 +49,6 @@ pub use tla_cache as cache;
 pub use tla_core as core;
 pub use tla_cpu as cpu;
 pub use tla_io as io;
-pub use tla_kv as kv;
 pub use tla_pool as pool;
 pub use tla_rng as rng;
 pub use tla_sim as sim;

@@ -24,9 +24,6 @@ fn mix() -> [SpecApp; 2] {
     [SpecApp::Libquantum, SpecApp::Sjeng]
 }
 
-/// The engine compared against the serial reference.
-const ENGINES: [EngineMode; 1] = [EngineMode::Batched];
-
 /// Renders the exact `tla-cli compare --json` artifact with every run
 /// pinned to the given engine.
 fn render_compare(mode: EngineMode) -> String {
@@ -50,23 +47,20 @@ fn render_compare(mode: EngineMode) -> String {
 }
 
 #[test]
-fn compare_json_is_byte_identical_across_engines_and_job_counts() {
+fn compare_json_is_byte_identical_across_engines() {
     let reference = render_compare(EngineMode::Serial);
     assert!(!reference.is_empty());
-    for mode in ENGINES {
-        assert_eq!(
-            render_compare(mode),
-            reference,
-            "compare --json diverged under {} engine",
-            mode.label()
-        );
-    }
+    assert_eq!(
+        render_compare(EngineMode::Batched),
+        reference,
+        "compare --json diverged under the batched engine"
+    );
 }
 
 /// Renders the `tla-cli analyze --json` artifact (reports plus the
 /// oracle-derived fields) under one engine pin. The policy fan-out
-/// helper resolves the engine from `TLA_ENGINE` per run, so the suite is
-/// rebuilt per report here with an explicit pin instead.
+/// helper always runs the batched engine, so the suite is rebuilt per
+/// report here with an explicit pin instead.
 fn render_analyze(mode: EngineMode) -> String {
     let specs = [PolicySpec::baseline(), PolicySpec::qbs()];
     let cfg = quick();
@@ -88,58 +82,62 @@ fn render_analyze(mode: EngineMode) -> String {
 }
 
 #[test]
-fn analyze_json_is_byte_identical_across_engines_and_job_counts() {
+fn analyze_json_is_byte_identical_across_engines() {
     let reference = render_analyze(EngineMode::Serial);
     assert!(reference.contains("opt_misses"));
     assert!(reference.contains("reuse"));
-    for mode in ENGINES {
-        assert_eq!(
-            render_analyze(mode),
-            reference,
-            "analyze --json diverged under {} engine",
-            mode.label()
-        );
-    }
+    assert_eq!(
+        render_analyze(EngineMode::Batched),
+        reference,
+        "analyze --json diverged under the batched engine"
+    );
 }
 
-/// Renders an `io-sweep`-style report: a device mix (ring-buffer NIC +
-/// leaky DMA, way-limited) under two policies, with the per-agent
-/// breakdown that `io-sweep --json` carries.
+/// Renders an `io-sweep`-style report with the per-agent breakdown that
+/// `io-sweep --json` carries: three device scenarios (ring-buffer NIC +
+/// leaky DMA way-limited, an unlimited leaky DMA stream, and a way-limited
+/// DMA stream with app fills partitioned out of its ways) under two
+/// policies each.
 fn render_io(mode: EngineMode) -> String {
-    let io = IoMixConfig::none()
-        .agent(IoAgentSpec::nic().period(3).lines(256))
-        .agent(IoAgentSpec::dma().period(5))
-        .inject_ways(2);
+    let dma = || IoAgentSpec::dma().period(5);
+    let scenarios = [
+        IoMixConfig::none()
+            .agent(IoAgentSpec::nic().period(3).lines(256))
+            .agent(dma())
+            .inject_ways(2),
+        IoMixConfig::none().agent(dma()),
+        IoMixConfig::none()
+            .agent(dma())
+            .inject_ways(2)
+            .partition(true),
+    ];
     let cfg = quick();
-    let reports: Vec<JsonValue> = [PolicySpec::baseline(), PolicySpec::tlh_l1()]
-        .iter()
-        .map(|spec| {
+    let mut reports = Vec::new();
+    for io in &scenarios {
+        for spec in [PolicySpec::baseline(), PolicySpec::tlh_l1()] {
             let (_, report) = MixRun::new(&cfg, &mix())
-                .spec(spec)
+                .spec(&spec)
                 .io(io.clone())
                 .engine_mode(mode)
                 .run_report(Some(2_500));
-            report.to_json()
-        })
-        .collect();
+            reports.push(report.to_json());
+        }
+    }
     JsonValue::array(reports).to_pretty()
 }
 
 #[test]
-fn io_sweep_json_is_byte_identical_across_engines_and_job_counts() {
+fn io_sweep_json_is_byte_identical_across_engines() {
     let reference = render_io(EngineMode::Serial);
     assert!(
         reference.contains("\"io\""),
         "io report key missing from the reference artifact"
     );
-    for mode in ENGINES {
-        assert_eq!(
-            render_io(mode),
-            reference,
-            "io report diverged under {} engine",
-            mode.label()
-        );
-    }
+    assert_eq!(
+        render_io(EngineMode::Batched),
+        reference,
+        "io report diverged under the batched engine"
+    );
 }
 
 #[test]
@@ -158,29 +156,25 @@ fn checkpoints_save_and_resume_across_engine_modes() {
             .run_report(Some(5_000));
         report.to_json_string()
     };
-    for mode in ENGINES {
-        let ck = MixRun::new(&cfg, &mix)
-            .engine_mode(mode)
-            .warm_checkpoint_instrumented(Some(5_000));
-        assert_eq!(
-            ck.as_bytes(),
-            reference.as_bytes(),
-            "{} engine leaked into checkpoint bytes",
-            mode.label()
-        );
-        // Resume the serially-written image under this engine (and this
-        // engine's image is identical anyway): the finished report must
-        // match the straight-through run byte-for-byte.
-        let (_, report) = MixRun::new(&cfg, &mix)
-            .engine_mode(mode)
-            .spec(&PolicySpec::qbs())
-            .resume_report(&reference, Some(5_000))
-            .unwrap();
-        assert_eq!(
-            report.to_json_string(),
-            straight,
-            "resume under {} engine diverged",
-            mode.label()
-        );
-    }
+    let ck = MixRun::new(&cfg, &mix)
+        .engine_mode(EngineMode::Batched)
+        .warm_checkpoint_instrumented(Some(5_000));
+    assert_eq!(
+        ck.as_bytes(),
+        reference.as_bytes(),
+        "batched engine leaked into checkpoint bytes"
+    );
+    // Resume the serially-written image under the batched engine (whose
+    // own image is identical anyway): the finished report must match the
+    // straight-through serial run byte-for-byte.
+    let (_, report) = MixRun::new(&cfg, &mix)
+        .engine_mode(EngineMode::Batched)
+        .spec(&PolicySpec::qbs())
+        .resume_report(&reference, Some(5_000))
+        .unwrap();
+    assert_eq!(
+        report.to_json_string(),
+        straight,
+        "resume under the batched engine diverged"
+    );
 }

@@ -1,18 +1,15 @@
-//! Shard equivalence: the batched run-extraction engine, the serial
-//! reference loop and every `--shard-jobs` worker count produce
+//! Shard equivalence: every `--shard-jobs` worker count produces
 //! byte-identical artifacts.
 //!
-//! The batched engine commits instructions in per-core runs and the
-//! set-sharded oracle replays per-set queues (optionally across worker
-//! threads); both restructurings are pure reorderings of independent
-//! work, so the exact JSON `tla-cli compare`/`analyze` would write must
-//! not change by a byte. CI reruns this suite under `TLA_FORCE_SCALAR=1`,
-//! which pins the portable probe kernels — the equivalence must hold on
-//! either dispatch path.
+//! The set-sharded oracle replays per-set queues (optionally across worker
+//! threads); that restructuring is a pure reordering of independent work,
+//! so the exact JSON `tla-cli analyze` would write must not change by a
+//! byte. (The batched engine is checked against the serial reference
+//! loop in `tests/engine_equiv.rs`.) CI reruns this suite under
+//! `TLA_FORCE_SCALAR=1`, which pins the portable probe kernels — the
+//! equivalence must hold on either dispatch path.
 
-use tla::sim::{
-    optimal_llc, run_policy_reports_analyzed, EngineMode, MixRun, PolicySpec, SimConfig,
-};
+use tla::sim::{optimal_llc, run_policy_reports_analyzed, PolicySpec, SimConfig};
 use tla::telemetry::json::JsonValue;
 use tla::workloads::SpecApp;
 
@@ -22,41 +19,6 @@ fn quick() -> SimConfig {
 
 fn mix() -> [SpecApp; 2] {
     [SpecApp::Libquantum, SpecApp::Sjeng]
-}
-
-/// Renders the exact `tla-cli compare --json` artifact with every run
-/// forced onto the given engine (`None` = the process default, whatever
-/// `TLA_ENGINE` says).
-fn render_compare(mode: Option<EngineMode>) -> String {
-    let specs = [
-        PolicySpec::baseline(),
-        PolicySpec::qbs(),
-        PolicySpec::non_inclusive(),
-    ];
-    let cfg = quick();
-    let reports: Vec<JsonValue> = specs
-        .iter()
-        .map(|spec| {
-            let mut run = MixRun::new(&cfg, &mix()).spec(spec);
-            if let Some(m) = mode {
-                run = run.engine_mode(m);
-            }
-            let (_, report) = run.run_report(Some(2_500));
-            report.to_json()
-        })
-        .collect();
-    JsonValue::array(reports).to_pretty()
-}
-
-#[test]
-fn batched_and_serial_compare_json_are_byte_identical() {
-    let batched = render_compare(Some(EngineMode::Batched));
-    let serial = render_compare(Some(EngineMode::Serial));
-    let default = render_compare(None);
-    assert!(!batched.is_empty());
-    assert_eq!(batched, serial, "engine mode leaked into compare --json");
-    // Whichever engine the environment selects, the bytes are the same.
-    assert_eq!(default, batched);
 }
 
 /// Renders the `tla-cli analyze --json` artifact (reports plus the
@@ -98,17 +60,9 @@ fn analyze_json_is_byte_identical_for_every_shard_job_count() {
 
 #[test]
 fn engine_and_sharding_compose() {
-    // Belt and braces: a serial-engine run next to a batched-engine run of
-    // the same mix, with the oracle sharded wide, all agree with the
-    // all-defaults path.
+    // The oracle sharded across every core agrees with the single-worker
+    // replay of the same mix.
     let cfg = quick();
-    let serial = MixRun::new(&cfg, &mix())
-        .engine_mode(EngineMode::Serial)
-        .run();
-    let batched = MixRun::new(&cfg, &mix())
-        .engine_mode(EngineMode::Batched)
-        .run();
-    assert_eq!(serial.global, batched.global);
     let wide = optimal_llc(&cfg.clone().shard_jobs(0), &mix(), None);
     let narrow = optimal_llc(&cfg, &mix(), None);
     assert_eq!(wide, narrow);
