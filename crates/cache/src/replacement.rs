@@ -17,6 +17,12 @@
 //! [`Replacer::victim`] and [`Replacer::order_into`] are allocation-free —
 //! victim selection scans the set directly and ordering fills a
 //! caller-provided buffer — because they sit on the LLC miss path.
+//!
+//! NRU, the paper's LLC policy, runs without per-way loops: the replacer
+//! keeps one candidate [`WayMask`] per set mirroring the set's valid ways
+//! whose `repl` word is non-zero, so touches, victims and orders are a few
+//! bit operations. The `repl` words stay the serialized form; callers that
+//! write them directly (checkpoint decode) call [`Replacer::sync_set`].
 
 use crate::probe::WayMask;
 use std::fmt;
@@ -90,7 +96,9 @@ impl fmt::Display for Policy {
 ///
 /// All operations take one set's `valid` [`WayMask`] and its `repl` slice
 /// (one policy word per way) plus the set's index; the caller owns that
-/// storage in struct-of-arrays form.
+/// storage in struct-of-arrays form. NRU mirrors each set's candidates in
+/// a mask of its own, so `repl` words change only through these
+/// operations or are followed by [`Replacer::sync_set`].
 #[derive(Debug, Clone)]
 pub struct Replacer {
     policy: Policy,
@@ -105,6 +113,9 @@ pub struct Replacer {
     trees: Vec<u64>,
     /// Words per set in `trees` (0 for every policy but PLRU).
     tree_words: usize,
+    /// NRU candidate mask per set (empty for every other policy): always
+    /// the set's valid ways whose `repl` word is non-zero.
+    cand: Vec<WayMask>,
     /// Reusable shuffle buffer for the Random policy's victim selection
     /// (keeps `victim` allocation-free while consuming the RNG stream
     /// exactly like a full set shuffle).
@@ -131,6 +142,11 @@ impl Replacer {
             psel: 0,
             trees: vec![0; sets * tree_words],
             tree_words,
+            cand: if policy == Policy::Nru {
+                vec![WayMask::EMPTY; sets]
+            } else {
+                Vec::new()
+            },
             scratch: Vec::new(),
             rng: SmallRng::seed_from_u64(seed ^ 0xA5A5_5A5A_71A5_EED0),
         }
@@ -146,6 +162,20 @@ impl Replacer {
         &self.trees[set_idx * self.tree_words..(set_idx + 1) * self.tree_words]
     }
 
+    /// Rebuilds the derived per-set state (NRU's candidate mask) of
+    /// `set_idx` from its `valid` mask and `repl` words. Callers that write
+    /// `repl` words other than through this replacer — checkpoint decode —
+    /// call it afterwards; every other policy keeps no derived state.
+    pub fn sync_set(&mut self, set_idx: usize, valid: WayMask, repl: &[u64]) {
+        if self.policy == Policy::Nru {
+            let mut cand = WayMask::EMPTY;
+            for w in valid.iter().filter(|&w| repl[w] != 0) {
+                cand.set(w);
+            }
+            self.cand[set_idx] = cand;
+        }
+    }
+
     /// Records a demand hit on `way`.
     pub fn on_hit(&mut self, set_idx: usize, valid: WayMask, repl: &mut [u64], way: usize) {
         match self.policy {
@@ -153,7 +183,7 @@ impl Replacer {
                 self.stamp += 1;
                 repl[way] = self.stamp;
             }
-            Policy::Nru => self.nru_touch(valid, repl, way),
+            Policy::Nru => self.nru_touch(set_idx, valid, repl, way),
             Policy::Fifo | Policy::Random => {}
             Policy::Plru => self.plru_touch(set_idx, repl.len(), way),
             Policy::Srrip | Policy::Brrip | Policy::Drrip => repl[way] = 0,
@@ -181,7 +211,7 @@ impl Replacer {
                 self.stamp += 1;
                 repl[way] = self.stamp;
             }
-            Policy::Nru => self.nru_touch(valid, repl, way),
+            Policy::Nru => self.nru_touch(set_idx, valid, repl, way),
             Policy::Random => {}
             Policy::Plru => self.plru_touch(set_idx, repl.len(), way),
             Policy::Srrip => repl[way] = RRPV_MAX - 1,
@@ -233,14 +263,19 @@ impl Replacer {
     /// the victim's RRPV reaches the distant value, mirroring the hardware
     /// "increment all until a distant line exists" loop even when the TLA
     /// policy skipped over better candidates.
-    pub fn on_evict(&mut self, _set_idx: usize, valid: WayMask, repl: &mut [u64], way: usize) {
-        if matches!(self.policy, Policy::Srrip | Policy::Brrip | Policy::Drrip) {
-            let delta = RRPV_MAX.saturating_sub(repl[way]);
-            if delta > 0 {
-                for w in valid.iter() {
-                    repl[w] = (repl[w] + delta).min(RRPV_MAX);
+    pub fn on_evict(&mut self, set_idx: usize, valid: WayMask, repl: &mut [u64], way: usize) {
+        match self.policy {
+            Policy::Srrip | Policy::Brrip | Policy::Drrip => {
+                let delta = RRPV_MAX.saturating_sub(repl[way]);
+                if delta > 0 {
+                    for w in valid.iter() {
+                        repl[w] = (repl[w] + delta).min(RRPV_MAX);
+                    }
                 }
             }
+            // The caller zeroes the evicted way's word and valid bit.
+            Policy::Nru => self.cand[set_idx].clear(way),
+            _ => {}
         }
     }
 
@@ -265,18 +300,10 @@ impl Replacer {
                 best.map(|(_, w)| w)
             }
             // First candidate (bit set) in way order, else first valid way.
-            Policy::Nru => {
-                let mut first = None;
-                for w in valid.iter() {
-                    if repl[w] != 0 {
-                        return Some(w);
-                    }
-                    if first.is_none() {
-                        first = Some(w);
-                    }
-                }
-                first
-            }
+            Policy::Nru => self.cand[set_idx]
+                .and(&valid)
+                .first()
+                .or_else(|| valid.first()),
             Policy::Random => {
                 self.scratch.clear();
                 self.scratch.extend(valid.iter());
@@ -325,10 +352,10 @@ impl Replacer {
             }
             Policy::Nru => {
                 // Candidates (bit == 1, stored as repl == 1) first, each
-                // group in way order — the hardware scan order. Two
-                // in-order passes give exactly that without a sort.
-                out.extend(valid.iter().filter(|&w| repl[w] != 0));
-                out.extend(valid.iter().filter(|&w| repl[w] == 0));
+                // group in way order — the hardware scan order.
+                let cand = self.cand[set_idx].and(&valid);
+                out.extend(cand.iter());
+                out.extend(valid.and_not(&cand).iter());
             }
             Policy::Random => {
                 // Fisher-Yates over the valid ways.
@@ -356,14 +383,17 @@ impl Replacer {
 
     /// NRU reference-bit update: `repl == 1` means "not recently used"
     /// (eviction candidate); touching clears the bit, and when no candidate
-    /// remains all *other* valid lines become candidates again.
-    fn nru_touch(&mut self, valid: WayMask, repl: &mut [u64], way: usize) {
+    /// remains all *other* valid lines become candidates again. `way` is
+    /// valid, so the candidate mask alone tells whether any remain.
+    fn nru_touch(&mut self, set_idx: usize, valid: WayMask, repl: &mut [u64], way: usize) {
         repl[way] = 0;
-        if valid.iter().all(|w| repl[w] == 0) {
-            for w in valid.iter() {
-                if w != way {
-                    repl[w] = 1;
-                }
+        let cand = &mut self.cand[set_idx];
+        cand.clear(way);
+        if cand.is_empty() {
+            *cand = valid;
+            cand.clear(way);
+            for w in cand.iter() {
+                repl[w] = 1;
             }
         }
     }
@@ -568,6 +598,7 @@ mod tests {
         let mut r = Replacer::new(Policy::Nru, 1, 4, 0);
         let (valid, mut repl) = set_of(4);
         repl.fill(1); // all candidates initially
+        r.sync_set(0, valid, &repl);
         r.on_hit(0, valid, &mut repl, 2);
         // way 2 is protected; scan finds way 0 first.
         assert_eq!(r.victim(0, valid, &repl), Some(0));
@@ -585,6 +616,7 @@ mod tests {
         let mut r = Replacer::new(Policy::Nru, 1, 4, 0);
         let (valid, mut repl) = set_of(4);
         repl.fill(1);
+        r.sync_set(0, valid, &repl);
         r.on_hit(0, valid, &mut repl, 0);
         r.on_hit(0, valid, &mut repl, 1);
         assert_eq!(order(&mut r, 0, valid, &repl), vec![2, 3, 0, 1]);
@@ -592,15 +624,18 @@ mod tests {
 
     #[test]
     fn nru_order_matches_sorted_reference_exhaustively() {
-        // Every 6-way valid mask x every reference-bit pattern: the two
-        // in-order passes equal the (candidate first, way) sort.
+        // Every 6-way valid mask x every reference-bit pattern, written
+        // directly and synced: the candidate-mask order equals the
+        // (candidate first, way) sort, and so does the victim.
         let mut r = Replacer::new(Policy::Nru, 1, 6, 0);
         for valid_bits in 0..64u64 {
             let valid = mask(valid_bits);
             for ref_bits in 0..64u64 {
                 let repl: Vec<u64> = (0..6).map(|w| (ref_bits >> w) & 1).collect();
+                r.sync_set(0, valid, &repl);
                 let mut reference: Vec<usize> = valid.iter().collect();
                 reference.sort_unstable_by_key(|&w| (repl[w] == 0, w));
+                assert_eq!(r.victim(0, valid, &repl), reference.first().copied());
                 assert_eq!(order(&mut r, 0, valid, &repl), reference);
             }
         }

@@ -661,6 +661,13 @@ impl Snapshot for SetAssocCache {
         read_mask_slice(r, &mut self.dirty, words_per_set, &name, "dirty bitmaps")?;
         read_mask_slice(r, &mut self.tag, words_per_set, &name, "tag bitmaps")?;
         self.replacer.read_state(r)?;
+        // The `repl` words are the serialized replacement state; rebuild
+        // what the replacer derives from them.
+        for (set, &valid) in self.valid.iter().enumerate() {
+            let base = set * self.ways;
+            self.replacer
+                .sync_set(set, valid, &self.repl[base..base + self.ways]);
+        }
         self.stats.read_state(r)
     }
 }
@@ -998,5 +1005,223 @@ mod tests {
     fn probe_kernel_name_is_reported() {
         let c = small(Policy::Lru, 1, 2);
         assert_eq!(c.probe_kernel_name(), crate::probe::kernel_name());
+    }
+}
+
+#[cfg(test)]
+mod nru_differential {
+    //! NRU's per-set candidate masks against the per-way scan they replaced.
+    //! A shadow model keeps its own valid masks and `repl` words under the
+    //! scan code; every victim, order, hit and word must agree with it.
+    use super::*;
+    use crate::replacement::Policy;
+    use tla_rng::SmallRng;
+
+    /// The per-way NRU reference-bit update. Returns whether the set ran
+    /// out of candidates and was refilled.
+    fn scan_touch(valid: WayMask, repl: &mut [u64], way: usize) -> bool {
+        repl[way] = 0;
+        if valid.iter().all(|w| repl[w] == 0) {
+            for w in valid.iter() {
+                if w != way {
+                    repl[w] = 1;
+                }
+            }
+            return true;
+        }
+        false
+    }
+
+    /// The per-way NRU victim scan.
+    fn scan_victim(valid: WayMask, repl: &[u64]) -> Option<usize> {
+        let mut first = None;
+        for w in valid.iter() {
+            if repl[w] != 0 {
+                return Some(w);
+            }
+            if first.is_none() {
+                first = Some(w);
+            }
+        }
+        first
+    }
+
+    /// The per-way NRU order: candidates first, each group in way order.
+    fn scan_order(valid: WayMask, repl: &[u64]) -> Vec<usize> {
+        let mut out: Vec<usize> = valid.iter().filter(|&w| repl[w] != 0).collect();
+        out.extend(valid.iter().filter(|&w| repl[w] == 0));
+        out
+    }
+
+    /// Line metadata and NRU words maintained by the scan code alone.
+    struct Shadow {
+        ways: usize,
+        valid: Vec<WayMask>,
+        repl: Vec<u64>,
+        addrs: Vec<Option<LineAddr>>,
+        refills: u64,
+    }
+
+    impl Shadow {
+        fn new(sets: usize, ways: usize) -> Self {
+            Shadow {
+                ways,
+                valid: vec![WayMask::EMPTY; sets],
+                repl: vec![0; sets * ways],
+                addrs: vec![None; sets * ways],
+                refills: 0,
+            }
+        }
+
+        fn slots(&self, set: usize) -> std::ops::Range<usize> {
+            set * self.ways..(set + 1) * self.ways
+        }
+
+        fn find(&self, set: usize, line: LineAddr) -> Option<usize> {
+            self.addrs[self.slots(set)]
+                .iter()
+                .position(|&a| a == Some(line))
+        }
+
+        fn touch(&mut self, set: usize, way: usize) {
+            let slots = self.slots(set);
+            self.refills += u64::from(scan_touch(self.valid[set], &mut self.repl[slots], way));
+        }
+
+        fn fill(&mut self, set: usize, way: usize, line: LineAddr) {
+            let i = set * self.ways + way;
+            self.addrs[i] = Some(line);
+            self.repl[i] = 0;
+            self.valid[set].set(way);
+            self.touch(set, way);
+        }
+
+        fn evict(&mut self, set: usize, way: usize) -> Option<LineAddr> {
+            if !self.valid[set].contains(way) {
+                return None;
+            }
+            let i = set * self.ways + way;
+            self.valid[set].clear(way);
+            self.repl[i] = 0;
+            self.addrs[i].take()
+        }
+
+        fn victim(&self, set: usize, allowed: &WayMask) -> Option<(usize, LineAddr)> {
+            let w = scan_victim(self.valid[set].and(allowed), &self.repl[self.slots(set)])?;
+            Some((w, self.addrs[set * self.ways + w].unwrap()))
+        }
+
+        fn order(&self, set: usize, allowed: &WayMask) -> Vec<(usize, LineAddr)> {
+            scan_order(self.valid[set].and(allowed), &self.repl[self.slots(set)])
+                .into_iter()
+                .map(|w| (w, self.addrs[set * self.ways + w].unwrap()))
+                .collect()
+        }
+    }
+
+    /// A uniformly random subset of the ways `0..ways`.
+    fn random_mask(rng: &mut SmallRng, ways: usize) -> WayMask {
+        let mut m = WayMask::EMPTY;
+        for w in 0..ways {
+            if rng.gen_range(0..2u32) == 1 {
+                m.set(w);
+            }
+        }
+        m
+    }
+
+    /// Round-trips `cache` through its checkpoint bytes into a fresh cache.
+    fn round_trip(cache: &SetAssocCache) -> SetAssocCache {
+        let mut w = SnapshotWriter::new();
+        cache.write_state(&mut w);
+        let bytes = w.finish();
+        let mut fresh = SetAssocCache::new(cache.config().clone());
+        fresh
+            .read_state(&mut SnapshotReader::new(&bytes).unwrap())
+            .unwrap();
+        let mut again = SnapshotWriter::new();
+        fresh.write_state(&mut again);
+        assert_eq!(again.finish(), bytes, "restored cache re-serializes");
+        fresh
+    }
+
+    #[test]
+    fn candidate_masks_match_the_per_way_scan() {
+        const SETS: usize = 2;
+        for ways in [1usize, 2, 6, 16, 63, 64, 65, 256] {
+            for seed in 0..3u64 {
+                let cfg = CacheConfig::with_sets("nru", SETS, ways, Policy::Nru).unwrap();
+                let mut cache = SetAssocCache::new(cfg);
+                let mut shadow = Shadow::new(SETS, ways);
+                let mut rng = SmallRng::seed_from_u64(seed << 16 | ways as u64);
+                // A line pool half again the associativity keeps sets
+                // mostly full, so touches often exhaust the candidates.
+                let pool = ways + ways / 2 + 1;
+                let steps = 40 * ways + 400;
+                let mut out = Vec::new();
+                for step in 0..steps {
+                    if step == steps / 2 {
+                        cache = round_trip(&cache);
+                    }
+                    let set = rng.gen_range(0..SETS);
+                    let line = LineAddr::new((rng.gen_range(0..pool) * SETS + set) as u64);
+                    let ctx = format!("{ways} ways, seed {seed}, step {step}");
+                    match rng.gen_range(0..10u32) {
+                        0..=2 => {
+                            let invalid = WayMask::all(ways).and_not(&shadow.valid[set]);
+                            if shadow.find(set, line).is_none() && !invalid.is_empty() {
+                                let k = rng.gen_range(0..invalid.count());
+                                let way = invalid.iter().nth(k).unwrap();
+                                let dirty = rng.gen_range(0..2u32) == 1;
+                                cache.fill_way(set, way, line, dirty, CoreBitmap::EMPTY);
+                                shadow.fill(set, way, line);
+                            }
+                        }
+                        op @ (3 | 4) => {
+                            let hit = if op == 3 {
+                                cache.touch(line)
+                            } else {
+                                cache.promote(line)
+                            };
+                            let way = shadow.find(set, line);
+                            assert_eq!(hit, way.is_some(), "{ctx}");
+                            if let Some(way) = way {
+                                shadow.touch(set, way);
+                            }
+                        }
+                        5 => {
+                            let way = rng.gen_range(0..ways);
+                            let ev = cache.evict_way(set, way).map(|e| e.addr);
+                            assert_eq!(ev, shadow.evict(set, way), "{ctx}");
+                        }
+                        6 => {
+                            let ev = cache.invalidate(line).map(|e| e.addr);
+                            let want = shadow.find(set, line).and_then(|w| shadow.evict(set, w));
+                            assert_eq!(ev, want, "{ctx}");
+                        }
+                        7 => {
+                            let all = WayMask::all(ways);
+                            assert_eq!(cache.victim_way(set), shadow.victim(set, &all), "{ctx}");
+                            let allowed = random_mask(&mut rng, ways);
+                            assert_eq!(
+                                cache.victim_way_in(set, &allowed),
+                                shadow.victim(set, &allowed),
+                                "{ctx}"
+                            );
+                        }
+                        _ => {
+                            cache.victim_order_into(set, &mut out);
+                            assert_eq!(out, shadow.order(set, &WayMask::all(ways)), "{ctx}");
+                            let allowed = random_mask(&mut rng, ways);
+                            cache.victim_order_in_into(set, &allowed, &mut out);
+                            assert_eq!(out, shadow.order(set, &allowed), "{ctx}");
+                        }
+                    }
+                    assert_eq!(cache.valid, shadow.valid, "{ctx}");
+                    assert_eq!(cache.repl, shadow.repl, "{ctx}");
+                }
+                assert!(shadow.refills > 0, "{ways} ways, seed {seed}: no refill");
+            }
+        }
     }
 }

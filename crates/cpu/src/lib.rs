@@ -251,7 +251,10 @@ impl CoreModel {
         let retire = complete.max(self.last_retire);
         self.last_retire = retire;
         self.rob[self.rob_idx] = retire;
-        self.rob_idx = (self.rob_idx + 1) % self.cfg.rob_entries;
+        self.rob_idx += 1;
+        if self.rob_idx == self.cfg.rob_entries {
+            self.rob_idx = 0;
+        }
         self.retired += 1;
         retire
     }

@@ -106,6 +106,41 @@ impl SmallRng {
         self.gen_f64() < p
     }
 
+    /// The integer threshold [`gen_bernoulli`](SmallRng::gen_bernoulli)
+    /// compares against for probability `p`: 0 means never and `u64::MAX`
+    /// means always (neither draws), and any other `p` maps to
+    /// `ceil(p·2^53)`. Scaling by 2^53 is exact, so the integer draw equals
+    /// [`gen_bool`](SmallRng::gen_bool)'s float comparison draw for draw.
+    /// Hot loops compute the threshold once instead of converting every
+    /// draw to `f64`.
+    ///
+    /// `p` must not be NaN (`gen_bool(NaN)` draws and returns `false`,
+    /// which no threshold reproduces).
+    pub fn bernoulli_threshold(p: f64) -> u64 {
+        debug_assert!(!p.is_nan(), "bernoulli_threshold(NaN)");
+        if p >= 1.0 {
+            u64::MAX
+        } else if p > 0.0 {
+            // `gen_f64() < p` is `m·2^-53 < p` for the 53-bit draw `m`,
+            // i.e. `m < p·2^53`, i.e. `m < ceil(p·2^53)` for an integer `m`.
+            (p * (1u64 << 53) as f64).ceil() as u64
+        } else {
+            0
+        }
+    }
+
+    /// Bernoulli draw against a threshold from
+    /// [`bernoulli_threshold`](SmallRng::bernoulli_threshold): equal to
+    /// `gen_bool(p)` in result and in the generator state it leaves.
+    #[inline]
+    pub fn gen_bernoulli(&mut self, threshold: u64) -> bool {
+        match threshold {
+            0 => false,
+            u64::MAX => true,
+            t => (self.next_u64() >> 11) < t,
+        }
+    }
+
     /// Uniform draw from a range; supports `a..b` and `a..=b` over the
     /// integer types the simulator uses.
     #[inline]
@@ -221,6 +256,54 @@ mod tests {
         assert!((rate - 0.3).abs() < 0.01, "rate {rate}");
         assert!(rng.gen_bool(1.0));
         assert!(!rng.gen_bool(0.0));
+    }
+
+    #[test]
+    fn bernoulli_threshold_draws_equal_gen_bool() {
+        let tiny = 1.0 / (1u64 << 53) as f64;
+        let probs = [
+            -0.1,
+            0.0,
+            1e-300,
+            tiny,
+            1.0 / 12.0,
+            0.3,
+            0.5,
+            1.0 - tiny,
+            1.0,
+            1.5,
+        ];
+        for seed in 0..64 {
+            for &p in &probs {
+                let t = SmallRng::bernoulli_threshold(p);
+                let mut a = SmallRng::seed_from_u64(seed);
+                let mut b = a.clone();
+                for _ in 0..256 {
+                    assert_eq!(a.gen_bernoulli(t), b.gen_bool(p), "seed {seed}, p {p}");
+                    assert_eq!(a, b, "seed {seed}, p {p}: generator state");
+                }
+            }
+        }
+        // Random draws never land on a threshold; steer the generator onto
+        // the edges. With s0 = 0 xoshiro256++ outputs rotl(s3, 23), so
+        // s3 = rotr(v, 23) makes the next output exactly v.
+        for &p in &probs {
+            let t = SmallRng::bernoulli_threshold(p);
+            let mut draws = vec![0u64, 1, (1 << 53) - 2, (1 << 53) - 1];
+            if (1..1 << 53).contains(&t) {
+                draws.extend([t - 1, t, t + 1]);
+            }
+            for m in draws {
+                for low in [0, 0x7ff] {
+                    let v = m << 11 | low;
+                    let mut a = SmallRng::from_state([0, 1, 2, v.rotate_right(23)]);
+                    assert_eq!(a.clone().next_u64(), v);
+                    let mut b = a.clone();
+                    assert_eq!(a.gen_bernoulli(t), b.gen_bool(p), "p {p}, m {m}");
+                    assert_eq!(a, b, "p {p}, m {m}: generator state");
+                }
+            }
+        }
     }
 
     #[test]

@@ -133,7 +133,10 @@ impl PatternState {
                 *rep += 1;
                 if *rep >= *stay {
                     *rep = 0;
-                    *pos = (*pos + 1) % *lines;
+                    *pos += 1;
+                    if *pos == *lines {
+                        *pos = 0;
+                    }
                 }
                 l
             }
@@ -226,11 +229,16 @@ pub struct SyntheticTrace {
     pc_line: u64,
     /// Instruction slot within the current code line.
     pc_slot: u64,
-    branch_prob: f64,
-    mem_ratio: f64,
-    write_ratio: f64,
-    /// Cumulative weights for pattern selection, paired with states.
-    patterns: Vec<(f64, PatternState)>,
+    /// [`SmallRng::bernoulli_threshold`]s of the branch, memory-reference
+    /// and store probabilities.
+    branch_at: u64,
+    mem_at: u64,
+    write_at: u64,
+    /// Cumulative pattern weights as 53-bit cut points
+    /// (`floor(c·2^53)`), paired with states: a draw `m` of 53 random bits
+    /// selects the first pattern with `m <= cut`, which is exactly
+    /// `m·2^-53 <= c`.
+    patterns: Vec<(u64, PatternState)>,
     rng: SmallRng,
     generated: u64,
 }
@@ -241,6 +249,10 @@ pub struct SyntheticTrace {
 pub(crate) const INSTANCE_STRIDE_LINES: u64 = 1 << 36;
 /// Offset of the code region within an instance's address space, in lines.
 const CODE_REGION_OFFSET: u64 = 1 << 35;
+/// Instruction slots per code line.
+const INSTR_PER_LINE: u64 = LINE_BYTES as u64 / INSTR_BYTES;
+/// 2^53, the scale of a 53-bit uniform draw.
+const TWO_POW_53: f64 = (1u64 << 53) as f64;
 
 impl SyntheticTrace {
     /// Creates a deterministic trace.
@@ -266,16 +278,19 @@ impl SyntheticTrace {
             })
             .collect::<Vec<_>>();
         let total = cum;
-        let patterns = patterns.into_iter().map(|(c, s)| (c / total, s)).collect();
+        let patterns = patterns
+            .into_iter()
+            .map(|(c, s)| (((c / total) * TWO_POW_53).floor() as u64, s))
+            .collect();
         SyntheticTrace {
             data_base: instance * INSTANCE_STRIDE_LINES,
             code_base: instance * INSTANCE_STRIDE_LINES + CODE_REGION_OFFSET,
             code_lines,
             pc_line: 0,
             pc_slot: 0,
-            branch_prob: 1.0 / AVG_BASIC_BLOCK,
-            mem_ratio: params.mem_ratio,
-            write_ratio: params.write_ratio,
+            branch_at: SmallRng::bernoulli_threshold(1.0 / AVG_BASIC_BLOCK),
+            mem_at: SmallRng::bernoulli_threshold(params.mem_ratio),
+            write_at: SmallRng::bernoulli_threshold(params.write_ratio),
             patterns,
             rng: SmallRng::seed_from_u64(seed ^ 0x5EED_7EA5_0000_0000 ^ instance),
             generated: 0,
@@ -329,9 +344,17 @@ impl Snapshot for SyntheticTrace {
         }
     }
 
+    // Cursors must lie in range: the generator wraps them with compares,
+    // so an out-of-range value from a corrupt image would run away.
     fn read_state(&mut self, r: &mut SnapshotReader) -> Result<(), SnapshotError> {
         self.pc_line = r.read_u64()?;
         self.pc_slot = r.read_u64()?;
+        if self.pc_line >= self.code_lines || self.pc_slot >= INSTR_PER_LINE {
+            return Err(SnapshotError::Corrupt(format!(
+                "trace program counter line {} slot {} outside {} lines of {INSTR_PER_LINE} slots",
+                self.pc_line, self.pc_slot, self.code_lines
+            )));
+        }
         self.generated = r.read_u64()?;
         self.rng.read_state(r)?;
         let n = r.read_usize()?;
@@ -349,17 +372,32 @@ impl Snapshot for SyntheticTrace {
                     p.snapshot_tag()
                 )));
             }
-            match p {
-                PatternState::Loop { pos, rep, .. } => {
+            let in_range = match p {
+                PatternState::Loop {
+                    lines,
+                    stay,
+                    pos,
+                    rep,
+                } => {
                     *pos = r.read_u64()?;
                     *rep = r.read_u64()?;
+                    *pos < *lines && *rep < *stay
                 }
-                PatternState::Random { .. } => {}
-                PatternState::Stream { pos, rep, .. } => {
+                PatternState::Random { .. } => true,
+                PatternState::Stream { stay, pos, rep } => {
                     *pos = r.read_u64()?;
                     *rep = r.read_u64()?;
+                    *rep < *stay
                 }
-                PatternState::Chase { pos, .. } => *pos = r.read_u64()?,
+                PatternState::Chase { mask, pos } => {
+                    *pos = r.read_u64()?;
+                    *pos <= *mask
+                }
+            };
+            if !in_range {
+                return Err(SnapshotError::Corrupt(format!(
+                    "trace pattern cursor out of range: {p:?}"
+                )));
             }
         }
         Ok(())
@@ -369,31 +407,34 @@ impl Snapshot for SyntheticTrace {
 impl TraceSource for SyntheticTrace {
     fn next_instruction(&mut self) -> Instruction {
         self.generated += 1;
-        let instr_per_line = LINE_BYTES as u64 / INSTR_BYTES;
 
         // Advance the program counter.
         let code_line = LineAddr::new(self.code_base + self.pc_line);
-        if self.rng.gen_bool(self.branch_prob) {
+        if self.rng.gen_bernoulli(self.branch_at) {
             self.pc_line = self.rng.gen_range(0..self.code_lines);
-            self.pc_slot = self.rng.gen_range(0..instr_per_line);
+            self.pc_slot = self.rng.gen_range(0..INSTR_PER_LINE);
         } else {
             self.pc_slot += 1;
-            if self.pc_slot >= instr_per_line {
+            if self.pc_slot == INSTR_PER_LINE {
                 self.pc_slot = 0;
-                self.pc_line = (self.pc_line + 1) % self.code_lines;
+                self.pc_line += 1;
+                if self.pc_line == self.code_lines {
+                    self.pc_line = 0;
+                }
             }
         }
 
         // Data reference.
-        let mem = if self.rng.gen_bool(self.mem_ratio) {
-            let x = self.rng.gen_f64();
+        let mem = if self.rng.gen_bernoulli(self.mem_at) {
+            // The 53 bits behind `gen_f64`, compared against integer cuts.
+            let m = self.rng.next_u64() >> 11;
             let idx = self
                 .patterns
                 .iter()
-                .position(|(c, _)| x <= *c)
+                .position(|(c, _)| m <= *c)
                 .unwrap_or(self.patterns.len() - 1);
             let line = self.patterns[idx].1.next_line(&mut self.rng);
-            let kind = if self.rng.gen_bool(self.write_ratio) {
+            let kind = if self.rng.gen_bernoulli(self.write_at) {
                 AccessKind::Store
             } else {
                 AccessKind::Load
@@ -603,6 +644,71 @@ mod tests {
         for _ in 0..5000 {
             assert_eq!(resumed.next_instruction(), live.next_instruction());
         }
+    }
+
+    /// Checkpoint bytes of a fresh trace whose cursors were set by `edit`.
+    fn checkpoint_with(params: &WorkloadParams, edit: impl FnOnce(&mut SyntheticTrace)) -> Vec<u8> {
+        let mut t = SyntheticTrace::new(params, 0, 1);
+        t.next_instruction();
+        edit(&mut t);
+        let mut w = tla_snapshot::SnapshotWriter::new();
+        t.write_state(&mut w);
+        w.finish()
+    }
+
+    #[test]
+    fn snapshot_rejects_out_of_range_cursors() {
+        let params = WorkloadParams {
+            code_footprint_bytes: 4096,
+            mem_ratio: 0.6,
+            write_ratio: 0.3,
+            patterns: vec![
+                (0.4, PatternKind::Loop { lines: 64, stay: 4 }),
+                (0.2, PatternKind::Stream { stay: 2 }),
+                (0.4, PatternKind::Chase { lines: 256 }),
+            ],
+        };
+        type Edit = fn(&mut SyntheticTrace);
+        // 4096 B of code is 64 lines.
+        let edits: [(&str, Edit); 6] = [
+            ("pc_line", |t| t.pc_line = 64),
+            ("pc_slot", |t| t.pc_slot = INSTR_PER_LINE),
+            ("loop pos", |t| {
+                if let PatternState::Loop { pos, .. } = &mut t.patterns[0].1 {
+                    *pos = 64;
+                }
+            }),
+            ("loop rep", |t| {
+                if let PatternState::Loop { rep, .. } = &mut t.patterns[0].1 {
+                    *rep = 4;
+                }
+            }),
+            ("stream rep", |t| {
+                if let PatternState::Stream { rep, .. } = &mut t.patterns[1].1 {
+                    *rep = 2;
+                }
+            }),
+            ("chase pos", |t| {
+                if let PatternState::Chase { pos, .. } = &mut t.patterns[2].1 {
+                    *pos = 256;
+                }
+            }),
+        ];
+        for (what, edit) in edits {
+            let bytes = checkpoint_with(&params, edit);
+            let mut fresh = SyntheticTrace::new(&params, 0, 1);
+            let mut r = tla_snapshot::SnapshotReader::new(&bytes).unwrap();
+            let err = fresh.read_state(&mut r).unwrap_err();
+            assert!(matches!(err, SnapshotError::Corrupt(_)), "{what}: {err:?}");
+        }
+        // The largest in-range cursors still resume.
+        let bytes = checkpoint_with(&params, |t| {
+            t.pc_line = 63;
+            t.pc_slot = INSTR_PER_LINE - 1;
+        });
+        let mut fresh = SyntheticTrace::new(&params, 0, 1);
+        let mut r = tla_snapshot::SnapshotReader::new(&bytes).unwrap();
+        fresh.read_state(&mut r).unwrap();
     }
 
     #[test]

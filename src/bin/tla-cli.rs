@@ -2041,10 +2041,10 @@ mod tests {
         assert!(err.contains("unsupported schema"), "{err}");
         assert!(err.contains("tla-bench-report-v3"), "{err}");
         // The committed baseline itself stays readable by this binary.
-        if std::path::Path::new("BENCH_pr12.json").exists() {
+        if std::path::Path::new("BENCH_pr15.json").exists() {
             assert!(
-                bench_gate(std::slice::from_ref(&entry), "BENCH_pr12.json", 1e9).is_ok(),
-                "BENCH_pr12.json must remain a valid gate baseline"
+                bench_gate(std::slice::from_ref(&entry), "BENCH_pr15.json", 1e9).is_ok(),
+                "BENCH_pr15.json must remain a valid gate baseline"
             );
         }
         std::fs::remove_dir_all(&dir).ok();
