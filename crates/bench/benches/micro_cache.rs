@@ -37,7 +37,7 @@ fn bench_cache_access(ms: u64) -> Vec<Measurement> {
         let mut i = 0u64;
         let m = time_it(&format!("cache_access/touch_fill/{policy}"), ms, || {
             let line = LineAddr::new(i.wrapping_mul(0x9E37_79B9) % 8192);
-            if !cache.touch(line) {
+            if cache.touch(line).is_none() {
                 cache.fill(line, false);
             }
             i += 1;

@@ -33,9 +33,9 @@
 //! let cfg = CacheConfig::new("L1D", 32 * 1024, 4, Policy::Lru)?;
 //! let mut cache = SetAssocCache::new(cfg);
 //! let line = LineAddr::new(0x40);
-//! assert!(!cache.touch(line));          // cold miss
+//! assert_eq!(cache.touch(line), None);  // cold miss
 //! cache.fill(line, false);              // bring the line in
-//! assert!(cache.touch(line));           // now it hits
+//! assert!(cache.touch(line).is_some()); // now it hits, at some way
 //! # Ok::<(), tla_cache::ConfigError>(())
 //! ```
 

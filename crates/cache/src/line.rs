@@ -11,6 +11,8 @@ use tla_types::{CoreId, LineAddr};
 /// be sent" (§III-B footnote 1). Bits are conservative — a core may have
 /// silently dropped a clean line without clearing its bit, which is exactly
 /// why QBS *queries* the core caches instead of trusting the directory.
+/// Under inclusion the bits are a superset of the holders, so QBS queries
+/// only the cores whose bits are set.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Default)]
 pub struct CoreBitmap(u64);
 

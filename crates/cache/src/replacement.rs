@@ -908,7 +908,7 @@ mod lip_tests {
             let mut hits = 0;
             for i in 0..400u64 {
                 let line = LineAddr::new(i % 5);
-                if cache.touch(line) {
+                if cache.touch(line).is_some() {
                     hits += 1;
                 } else {
                     cache.fill(line, false);

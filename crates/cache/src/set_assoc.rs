@@ -44,11 +44,10 @@ impl CacheStats {
     }
 }
 
-/// Below this associativity `find` keeps an inlined portable scan instead of
-/// an indirect call through the dispatched kernel: the L1s (4-way) and L2
-/// (8-way) probe sets too small for the call overhead to pay off, while the
-/// LLC (16-way) and the high-associativity victim experiments go through
-/// the SIMD kernel.
+/// Up to this associativity `find` compares inline into one mask word
+/// instead of calling the dispatched kernel: the L1s (4-way) and L2 (8-way)
+/// probe sets too small for a call to pay off, while the LLC (16-way) and
+/// the high-associativity victim experiments go through the SIMD kernel.
 const INLINE_PROBE_WAYS: usize = 8;
 
 /// A set-associative cache holding line metadata only (the simulator is
@@ -59,9 +58,10 @@ const INLINE_PROBE_WAYS: usize = 8;
 /// bit `w` describes way `w` — while addresses, replacement words and
 /// directory bits are flat per-way arrays. Presence scans (`find`,
 /// [`SetAssocCache::probe`], the QBS residency queries) compare the dense
-/// per-set address array against the needle with the process-wide
+/// per-set address array against the needle — inline for sets of up to
+/// `INLINE_PROBE_WAYS` ways, otherwise with the process-wide
 /// [`probe::probe_kernel`] (AVX2 on capable x86-64, a 4-lane scalar kernel
-/// elsewhere) and mask by validity; clearing a way is a handful of
+/// elsewhere) — and mask by validity; clearing a way is a handful of
 /// bit-ands. The layout caps associativity at
 /// [`MAX_WAYS`](crate::config::MAX_WAYS) = 256, which
 /// [`CacheConfig`](crate::config::CacheConfig) enforces.
@@ -160,20 +160,28 @@ impl SetAssocCache {
         self.cfg.set_of(line)
     }
 
+    /// The way holding `line`, if any.
+    ///
+    /// Narrow sets compare inline into one bitmask word and AND it with the
+    /// set's single valid word; wider sets go through the probe kernel.
+    /// Invalid slots may hold stale addresses, so the valid mask is what
+    /// makes a match real. Both paths return the lowest matching way.
+    #[inline]
     fn find(&self, line: LineAddr) -> Option<usize> {
         let set = self.set_of(line);
         let base = set * self.ways;
-        // Tag match through the probe kernel: a way bitmask of address
-        // matches over the dense address array, then masked by validity.
-        // Invalid slots may hold stale addresses, so the valid mask is what
-        // makes a match real.
         let addrs = &self.addrs[base..base + self.ways];
-        let mask = if self.ways <= INLINE_PROBE_WAYS {
-            probe::probe_portable(addrs, line)
-        } else {
-            (self.kernel.func)(addrs, line)
-        };
-        mask.and(&self.valid[set]).first()
+        if self.ways <= INLINE_PROBE_WAYS {
+            let mut hits = 0u64;
+            for (w, &a) in addrs.iter().enumerate() {
+                hits |= u64::from(a == line) << w;
+            }
+            hits &= self.valid[set].words()[0];
+            return (hits != 0).then(|| hits.trailing_zeros() as usize);
+        }
+        (self.kernel.func)(addrs, line)
+            .and(&self.valid[set])
+            .first()
     }
 
     /// Checks for presence without touching replacement state or counters —
@@ -183,18 +191,19 @@ impl SetAssocCache {
     }
 
     /// Looks `line` up as a demand access, updating replacement state and
-    /// counters. Returns `true` on a hit.
-    pub fn touch(&mut self, line: LineAddr) -> bool {
+    /// counters. Returns the hit way, so follow-up metadata updates on the
+    /// line ([`SetAssocCache::add_sharer`] and friends) skip a second probe.
+    pub fn touch(&mut self, line: LineAddr) -> Option<usize> {
         self.lookup(line, true)
     }
 
     /// Looks `line` up as a prefetch access (counted separately). Returns
-    /// `true` on a hit.
-    pub fn touch_prefetch(&mut self, line: LineAddr) -> bool {
+    /// the hit way.
+    pub fn touch_prefetch(&mut self, line: LineAddr) -> Option<usize> {
         self.lookup(line, false)
     }
 
-    fn lookup(&mut self, line: LineAddr, demand: bool) -> bool {
+    fn lookup(&mut self, line: LineAddr, demand: bool) -> Option<usize> {
         let set = self.set_of(line);
         let hit_way = self.find(line);
         if demand {
@@ -211,7 +220,6 @@ impl SetAssocCache {
                     &mut self.repl[base..base + self.ways],
                     way,
                 );
-                true
             }
             None => {
                 if demand {
@@ -220,40 +228,47 @@ impl SetAssocCache {
                     self.stats.prefetch_misses += 1;
                 }
                 self.replacer.on_miss(set);
-                false
             }
         }
+        hit_way
     }
 
-    /// Promotes `line` toward MRU if present (a TLH or QBS replacement-state
+    /// Promotes `line` toward MRU if present (a TLH replacement-state
     /// update). Returns `true` if the line was present.
     pub fn promote(&mut self, line: LineAddr) -> bool {
-        let set = self.set_of(line);
-        match self.find(line) {
-            Some(way) => {
-                let base = set * self.ways;
-                self.replacer.promote(
-                    set,
-                    self.valid[set],
-                    &mut self.repl[base..base + self.ways],
-                    way,
-                );
-                true
-            }
-            None => false,
-        }
+        let Some(way) = self.find(line) else {
+            return false;
+        };
+        self.promote_way(self.set_of(line), way);
+        true
+    }
+
+    /// Promotes the valid line in (`set`, `way`) toward MRU (a QBS
+    /// rejection).
+    pub fn promote_way(&mut self, set: usize, way: usize) {
+        debug_assert!(self.valid[set].contains(way), "promote of invalid way");
+        let base = set * self.ways;
+        self.replacer.promote(
+            set,
+            self.valid[set],
+            &mut self.repl[base..base + self.ways],
+            way,
+        );
     }
 
     /// Marks `line` dirty if present. Returns `true` if the line was present.
     pub fn mark_dirty(&mut self, line: LineAddr) -> bool {
-        let set = self.set_of(line);
-        match self.find(line) {
-            Some(way) => {
-                self.dirty[set].set(way);
-                true
-            }
-            None => false,
-        }
+        let Some(way) = self.find(line) else {
+            return false;
+        };
+        self.mark_dirty_way(self.set_of(line), way);
+        true
+    }
+
+    /// Marks the valid line in (`set`, `way`) dirty.
+    pub fn mark_dirty_way(&mut self, set: usize, way: usize) {
+        debug_assert!(self.valid[set].contains(way), "mark_dirty of invalid way");
+        self.dirty[set].set(way);
     }
 
     /// Fills `line` choosing the victim with the cache's own policy
@@ -460,64 +475,43 @@ impl SetAssocCache {
         self.evict_way(set, way)
     }
 
-    /// Sets the policy tag bit of `line` if present. Returns `true` if the
-    /// line was present.
-    pub fn set_tag(&mut self, line: LineAddr, tag: bool) -> bool {
-        let set = self.set_of(line);
-        match self.find(line) {
-            Some(way) => {
-                if tag {
-                    self.tag[set].set(way);
-                } else {
-                    self.tag[set].clear(way);
-                }
-                true
-            }
-            None => false,
-        }
+    /// Sets the policy tag bit of the valid line in (`set`, `way`) (ECI's
+    /// early-invalidate mark).
+    pub fn set_tag(&mut self, set: usize, way: usize) {
+        debug_assert!(self.valid[set].contains(way), "set_tag of invalid way");
+        self.tag[set].set(way);
     }
 
-    /// Reads and clears the policy tag bit of `line`. Returns the previous
-    /// value, or `None` if the line is absent.
-    pub fn take_tag(&mut self, line: LineAddr) -> Option<bool> {
-        let set = self.set_of(line);
-        let way = self.find(line)?;
+    /// Reads and clears the policy tag bit of the valid line in (`set`,
+    /// `way`), returning its previous value.
+    pub fn take_tag(&mut self, set: usize, way: usize) -> bool {
+        debug_assert!(self.valid[set].contains(way), "take_tag of invalid way");
         let old = self.tag[set].contains(way);
         self.tag[set].clear(way);
-        Some(old)
+        old
     }
 
-    /// Adds `core` to the directory bits of `line` (LLC bookkeeping).
-    /// Returns `true` if the line was present.
-    pub fn add_sharer(&mut self, line: LineAddr, core: CoreId) -> bool {
-        let set = self.set_of(line);
-        match self.find(line) {
-            Some(way) => {
-                self.cores[set * self.ways + way].insert(core);
-                true
-            }
-            None => false,
-        }
+    /// Adds `core` to the directory bits of the valid line in (`set`,
+    /// `way`) (LLC bookkeeping).
+    pub fn add_sharer(&mut self, set: usize, way: usize, core: CoreId) {
+        debug_assert!(self.valid[set].contains(way), "add_sharer of invalid way");
+        self.cores[set * self.ways + way].insert(core);
     }
 
-    /// Clears the directory bits of `line` (after the cores were
-    /// invalidated, e.g. by an ECI message). Returns `true` if the line was
-    /// present.
-    pub fn clear_sharers(&mut self, line: LineAddr) -> bool {
-        let set = self.set_of(line);
-        match self.find(line) {
-            Some(way) => {
-                self.cores[set * self.ways + way] = CoreBitmap::EMPTY;
-                true
-            }
-            None => false,
-        }
+    /// Clears the directory bits of the valid line in (`set`, `way`) (after
+    /// the cores were invalidated, e.g. by an ECI message).
+    pub fn clear_sharers(&mut self, set: usize, way: usize) {
+        debug_assert!(
+            self.valid[set].contains(way),
+            "clear_sharers of invalid way"
+        );
+        self.cores[set * self.ways + way] = CoreBitmap::EMPTY;
     }
 
-    /// Directory bits of `line`, if present.
-    pub fn sharers(&self, line: LineAddr) -> Option<CoreBitmap> {
-        let set = self.set_of(line);
-        self.find(line).map(|way| self.cores[set * self.ways + way])
+    /// Directory bits of the valid line in (`set`, `way`).
+    pub fn sharers(&self, set: usize, way: usize) -> CoreBitmap {
+        debug_assert!(self.valid[set].contains(way), "sharers of invalid way");
+        self.cores[set * self.ways + way]
     }
 
     /// Number of valid lines currently held (O(sets); for tests and
@@ -685,9 +679,9 @@ mod tests {
     fn cold_miss_then_hit() {
         let mut c = small(Policy::Lru, 4, 2);
         let l = LineAddr::new(5);
-        assert!(!c.touch(l));
+        assert_eq!(c.touch(l), None);
         c.fill(l, false);
-        assert!(c.touch(l));
+        assert_eq!(c.touch(l), Some(0));
         assert_eq!(c.stats().demand_accesses, 2);
         assert_eq!(c.stats().demand_misses, 1);
         assert_eq!(c.stats().demand_hits(), 1);
@@ -724,6 +718,10 @@ mod tests {
         assert!(!c.mark_dirty(LineAddr::new(9)));
         let ev = c.fill(LineAddr::new(1), false).unwrap();
         assert!(ev.dirty);
+        // The way-resolved form marks the slot a lookup returned.
+        let way = c.touch(LineAddr::new(1)).unwrap();
+        c.mark_dirty_way(0, way);
+        assert!(c.fill(LineAddr::new(2), false).unwrap().dirty);
     }
 
     #[test]
@@ -747,6 +745,11 @@ mod tests {
         let ev = c.fill(LineAddr::new(2), false).unwrap();
         assert_eq!(ev.addr, LineAddr::new(1));
         assert!(!c.promote(LineAddr::new(42)));
+        // 0 is now LRU; promoting its way protects it again.
+        let way = c.victim_order(0)[0].0;
+        c.promote_way(0, way);
+        let ev = c.fill(LineAddr::new(4), false).unwrap();
+        assert_eq!(ev.addr, LineAddr::new(2));
     }
 
     #[test]
@@ -822,11 +825,11 @@ mod tests {
         let mut c = small(Policy::Nru, 1, 2);
         let l = LineAddr::new(0);
         c.fill_with_cores(l, false, CoreBitmap::single(CoreId::new(0)));
-        assert!(c.add_sharer(l, CoreId::new(1)));
-        let s = c.sharers(l).unwrap();
+        let way = c.touch(l).unwrap();
+        c.add_sharer(0, way, CoreId::new(1));
+        let s = c.sharers(0, way);
         assert!(s.contains(CoreId::new(0)) && s.contains(CoreId::new(1)));
-        assert!(!c.add_sharer(LineAddr::new(99), CoreId::new(0)));
-        assert!(c.sharers(LineAddr::new(99)).is_none());
+        assert_eq!(s.len(), 2);
         // Eviction carries the bits out.
         c.fill(LineAddr::new(2), false);
         let ev = c.fill(LineAddr::new(4), false).unwrap();
@@ -837,22 +840,22 @@ mod tests {
     fn tag_bit_set_and_take() {
         let mut c = small(Policy::Lru, 1, 2);
         let l = LineAddr::new(0);
-        assert!(!c.set_tag(l, true), "absent line cannot be tagged");
         c.fill(l, false);
-        assert!(c.set_tag(l, true));
-        assert_eq!(c.take_tag(l), Some(true));
-        assert_eq!(c.take_tag(l), Some(false), "take clears the bit");
-        assert_eq!(c.take_tag(LineAddr::new(9)), None);
+        let way = c.touch(l).unwrap();
+        assert!(!c.take_tag(0, way), "a fill starts untagged");
+        c.set_tag(0, way);
+        assert!(c.take_tag(0, way));
+        assert!(!c.take_tag(0, way), "take clears the bit");
     }
 
     #[test]
     fn tag_bit_cleared_by_refill() {
         let mut c = small(Policy::Lru, 1, 1);
         c.fill(LineAddr::new(0), false);
-        c.set_tag(LineAddr::new(0), true);
+        c.set_tag(0, 0);
         c.fill(LineAddr::new(1), false); // evicts 0
         c.fill(LineAddr::new(0), false); // wait: set full; evicts 1
-        assert_eq!(c.take_tag(LineAddr::new(0)), Some(false));
+        assert!(!c.take_tag(0, 0));
     }
 
     #[test]
@@ -860,18 +863,18 @@ mod tests {
         let mut c = small(Policy::Nru, 1, 2);
         let l = LineAddr::new(0);
         c.fill_with_cores(l, false, CoreBitmap::single(CoreId::new(3)));
-        assert!(!c.sharers(l).unwrap().is_empty());
-        assert!(c.clear_sharers(l));
-        assert!(c.sharers(l).unwrap().is_empty());
-        assert!(!c.clear_sharers(LineAddr::new(9)));
+        let way = c.touch(l).unwrap();
+        assert!(!c.sharers(0, way).is_empty());
+        c.clear_sharers(0, way);
+        assert!(c.sharers(0, way).is_empty());
     }
 
     #[test]
     fn prefetch_counted_separately() {
         let mut c = small(Policy::Lru, 1, 2);
-        assert!(!c.touch_prefetch(LineAddr::new(0)));
+        assert_eq!(c.touch_prefetch(LineAddr::new(0)), None);
         c.fill(LineAddr::new(0), false);
-        assert!(c.touch_prefetch(LineAddr::new(0)));
+        assert_eq!(c.touch_prefetch(LineAddr::new(0)), Some(0));
         assert_eq!(c.stats().prefetch_accesses, 2);
         assert_eq!(c.stats().prefetch_misses, 1);
         assert_eq!(c.stats().demand_accesses, 0);
@@ -938,8 +941,10 @@ mod tests {
             // Dirty/tag bits land in the right word.
             let high = LineAddr::new(ways as u64 - 1);
             assert!(c.mark_dirty(high));
-            assert!(c.set_tag(high, true));
-            assert_eq!(c.take_tag(high), Some(true));
+            let way = c.touch(high).unwrap();
+            assert_eq!(way, ways - 1, "{ways} ways");
+            c.set_tag(0, way);
+            assert!(c.take_tag(0, way));
             let ev = c.invalidate(high).unwrap();
             assert!(ev.dirty, "{ways} ways");
         }
@@ -1178,13 +1183,12 @@ mod nru_differential {
                             }
                         }
                         op @ (3 | 4) => {
-                            let hit = if op == 3 {
-                                cache.touch(line)
-                            } else {
-                                cache.promote(line)
-                            };
                             let way = shadow.find(set, line);
-                            assert_eq!(hit, way.is_some(), "{ctx}");
+                            if op == 3 {
+                                assert_eq!(cache.touch(line), way, "{ctx}");
+                            } else {
+                                assert_eq!(cache.promote(line), way.is_some(), "{ctx}");
+                            }
                             if let Some(way) = way {
                                 shadow.touch(set, way);
                             }

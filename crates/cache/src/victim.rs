@@ -133,9 +133,10 @@ impl VictimCache {
         Some(self.swap_remove(pos))
     }
 
-    /// Whether `line` is parked here, without removing it.
-    pub fn probe(&self, line: LineAddr) -> bool {
-        probe::find_index(&self.addrs, line).is_some()
+    /// The directory bits `line` was parked with, if it is parked here;
+    /// the entry stays put.
+    pub fn sharers(&self, line: LineAddr) -> Option<CoreBitmap> {
+        probe::find_index(&self.addrs, line).map(|i| self.cores[i])
     }
 
     /// Marks a parked line dirty (a core wrote back while the line was
@@ -235,9 +236,22 @@ mod tests {
         vc.insert(entry(2));
         let displaced = vc.insert(entry(3)).unwrap();
         assert_eq!(displaced.addr, LineAddr::new(1));
-        assert!(vc.probe(LineAddr::new(2)));
-        assert!(vc.probe(LineAddr::new(3)));
+        assert!(vc.sharers(LineAddr::new(2)).is_some());
+        assert!(vc.sharers(LineAddr::new(3)).is_some());
         assert_eq!(vc.len(), 2);
+    }
+
+    #[test]
+    fn sharers_reports_parked_bits_without_removal() {
+        let mut vc = VictimCache::new(2);
+        let bits = CoreBitmap::from_raw(0b1010);
+        vc.insert(VictimEntry {
+            cores: bits,
+            ..entry(6)
+        });
+        assert_eq!(vc.sharers(LineAddr::new(6)), Some(bits));
+        assert_eq!(vc.len(), 1, "sharers must not remove the entry");
+        assert_eq!(vc.lookups(), 0, "sharers is not a lookup");
     }
 
     #[test]
@@ -268,9 +282,9 @@ mod tests {
         }
         assert_eq!(vc.len(), 128);
         for i in [0u64, 7, 63, 64, 65, 127] {
-            assert!(vc.probe(LineAddr::new(i)), "entry {i}");
+            assert!(vc.sharers(LineAddr::new(i)).is_some(), "entry {i}");
         }
-        assert!(!vc.probe(LineAddr::new(500)));
+        assert!(vc.sharers(LineAddr::new(500)).is_none());
         // Full: next insert displaces the LRU entry (stamp 1 = line 0).
         let displaced = vc.insert(entry(200)).unwrap();
         assert_eq!(displaced.addr, LineAddr::new(0));

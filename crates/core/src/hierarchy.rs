@@ -6,6 +6,8 @@
 //! access time and timing is recovered analytically by the CPU model from
 //! the [`DataSource`] each access reports.
 
+use std::collections::HashMap;
+
 use crate::config::{HierarchyConfig, InclusionPolicy};
 use crate::policy::{QbsConfig, TlaPolicy};
 use crate::stats::{GlobalStats, PerCoreStats};
@@ -303,9 +305,10 @@ impl CacheHierarchy {
             } else {
                 pc.l1d_accesses += 1;
             }
-            if l1.touch(line) {
+            if let Some(way) = l1.touch(line) {
                 if write {
-                    l1.mark_dirty(line);
+                    let set = l1.set_of(line);
+                    l1.mark_dirty_way(set, way);
                 }
                 self.send_tlh(core, line, is_ifetch, false);
                 return DataSource::L1;
@@ -319,7 +322,7 @@ impl CacheHierarchy {
 
         // L2 lookup.
         self.per_core[ci].l2_accesses += 1;
-        if self.cores[ci].l2.touch(line) {
+        if self.cores[ci].l2.touch(line).is_some() {
             self.send_tlh(core, line, is_ifetch, true);
             self.fill_l1(core, line, is_ifetch, write);
             return DataSource::L2;
@@ -393,22 +396,22 @@ impl CacheHierarchy {
     fn llc_demand(&mut self, core: CoreId, line: LineAddr) -> (DataSource, bool) {
         let ci = core.index();
         self.per_core[ci].llc_accesses += 1;
+        let set = self.llc.set_of(line);
 
         if self.profile_accesses && self.has_sink() {
-            let set = self.llc.set_of(line) as u32;
             self.emit(
                 self.event(EventKind::LlcAccess)
                     .with_core(core)
-                    .with_set(set)
+                    .with_set(set as u32)
                     .with_addr(line),
             );
         }
 
         if self.inclusion == InclusionPolicy::Exclusive {
-            if self.llc.touch(line) {
+            if let Some(way) = self.llc.touch(line) {
                 // Exclusive hit: the line moves up into the core caches and
                 // leaves the LLC, taking its dirty bit with it.
-                let dirty = self.llc.invalidate(line).is_some_and(|ev| ev.dirty);
+                let dirty = self.llc.evict_way(set, way).is_some_and(|ev| ev.dirty);
                 return (DataSource::Llc, dirty);
             }
             self.per_core[ci].llc_misses += 1;
@@ -420,21 +423,18 @@ impl CacheHierarchy {
             return (DataSource::Memory, false);
         }
 
-        if self.llc.touch(line) {
-            if self.llc.take_tag(line) == Some(true) {
+        if let Some(way) = self.llc.touch(line) {
+            if self.llc.take_tag(set, way) {
                 // An early-invalidated line was re-referenced in time: ECI
                 // derived its temporal locality (a "hot line rescue").
                 self.global.eci_rescues += 1;
-                if self.has_sink() {
-                    let set = self.llc.set_of(line) as u32;
-                    self.emit(
-                        self.event(EventKind::EciRescue)
-                            .with_core(core)
-                            .with_set(set),
-                    );
-                }
+                self.emit(
+                    self.event(EventKind::EciRescue)
+                        .with_core(core)
+                        .with_set(set as u32),
+                );
             }
-            self.llc.add_sharer(line, core);
+            self.llc.add_sharer(set, way, core);
             return (DataSource::Llc, false);
         }
         self.per_core[ci].llc_misses += 1;
@@ -490,9 +490,9 @@ impl CacheHierarchy {
                     Some(m) => self.llc.victim_way_in(set, m),
                     None => self.llc.victim_way(set),
                 };
-                if let Some((_, target)) = next {
+                if let Some((next_way, target)) = next {
                     if target != line {
-                        self.eci_invalidate(target);
+                        self.eci_invalidate(set, next_way, target);
                     }
                 }
             }
@@ -542,8 +542,8 @@ impl CacheHierarchy {
         // computed before the fill, so order[chosen] was the victim and
         // order[chosen + 1] is the next LRU line.
         if self.tla == TlaPolicy::Eci {
-            if let Some(&(_, target)) = order.get(chosen + 1) {
-                self.eci_invalidate(target);
+            if let Some(&(next_way, target)) = order.get(chosen + 1) {
+                self.eci_invalidate(set, next_way, target);
             }
         }
 
@@ -581,9 +581,10 @@ impl CacheHierarchy {
             io.io_ways
         };
 
-        if self.llc.touch(line) {
+        let set = self.llc.set_of(line);
+        if let Some(way) = self.llc.touch(line) {
             if write {
-                self.llc.mark_dirty(line);
+                self.llc.mark_dirty_way(set, way);
             }
             let io = self.io.as_mut().expect("checked above");
             io.stats.inject_hits += 1;
@@ -601,7 +602,6 @@ impl CacheHierarchy {
             }
         }
 
-        let set = self.llc.set_of(line);
         if let Some(way) = self.llc.invalid_way_in(set, &io_ways) {
             self.llc.fill_way(set, way, line, write, CoreBitmap::EMPTY);
             return;
@@ -651,49 +651,64 @@ impl CacheHierarchy {
         self.io.as_ref().map(|io| io.per_agent.as_slice())
     }
 
-    /// QBS victim selection: walk candidates in replacement order, querying
-    /// the core caches; rejected candidates are promoted to MRU. Returns the
-    /// index into `order` of the line to evict, and whether the pick was
-    /// *limit-forced* — evicted despite (possibly) being core-resident
-    /// because the query budget ran out (attribution tags such kills
-    /// [`VictimCause::QbsLimit`]).
+    /// QBS victim selection: walk candidates in replacement order,
+    /// querying the core caches; rejected candidates are promoted to
+    /// MRU. Returns the index into `order` of the line to evict, and whether
+    /// the pick was *limit-forced* — evicted despite (possibly) being
+    /// core-resident because the query budget ran out (attribution tags
+    /// such kills [`VictimCause::QbsLimit`]).
+    ///
+    /// A query goes only to the cores that can hold the candidate. Under
+    /// inclusion the directory bits are a superset of the holders (the
+    /// LLC is a snoop filter), so those are the cores asked; a
+    /// non-inclusive LLC's bits say nothing about core copies, so there
+    /// every core is asked. Either way the answer — and so every count —
+    /// is the one asking all cores would give.
     fn qbs_select(&mut self, order: &[(usize, LineAddr)], cfg: QbsConfig) -> (usize, bool) {
-        // All candidates share one set; resolve it once for telemetry.
-        let set = if self.has_sink() {
-            order.first().map(|&(_, l)| self.llc.set_of(l) as u32)
-        } else {
-            None
-        };
-        for (i, &(_, cand)) in order.iter().enumerate() {
+        // All candidates share one set.
+        let set = self.llc.set_of(order[0].1);
+        let tele_set = self.has_sink().then_some(set as u32);
+        let filtered = self.inclusion == InclusionPolicy::Inclusive;
+        let every_core: CoreBitmap = (0..self.cores.len()).map(CoreId::new).collect();
+        let holds =
+            |cc: &CoreCaches, line| cc.holds(line, cfg.check_l1i, cfg.check_l1d, cfg.check_l2);
+        for (i, &(way, cand)) in order.iter().enumerate() {
             // `i` queries have been issued so far, one per prior candidate.
             if i >= cfg.max_queries {
                 // Query budget exhausted: evict this candidate unqueried.
                 self.global.qbs_limit_hits += 1;
-                if let Some(s) = set {
+                if let Some(s) = tele_set {
                     self.emit(self.event(EventKind::QbsLimitHit).with_set(s));
                 }
                 return (i, true);
             }
             self.global.qbs_queries += 1;
-            if let Some(s) = set {
+            if let Some(s) = tele_set {
                 self.emit(self.event(EventKind::QbsQuery).with_set(s));
             }
-            let resident = self
-                .cores
-                .iter()
-                .any(|cc| cc.holds(cand, cfg.check_l1i, cfg.check_l1d, cfg.check_l2));
+            let ask = if filtered {
+                self.llc.sharers(set, way)
+            } else {
+                every_core
+            };
+            let resident = ask.iter().any(|c| holds(&self.cores[c.index()], cand));
+            debug_assert_eq!(
+                resident,
+                self.cores.iter().any(|cc| holds(cc, cand)),
+                "directory bits {ask:?} of {cand:?} miss a core that holds it"
+            );
             if !resident {
                 return (i, false);
             }
             self.global.qbs_rejections += 1;
-            if let Some(s) = set {
+            if let Some(s) = tele_set {
                 self.emit(self.event(EventKind::QbsRejection).with_set(s));
             }
-            self.llc.promote(cand);
+            self.llc.promote_way(set, way);
             if cfg.invalidate_on_query {
                 // "Modified QBS" (§V-E footnote 6): also evict the rejected
                 // candidate from the core caches, like ECI would.
-                self.eci_invalidate(cand);
+                self.eci_invalidate(set, way, cand);
             }
         }
         // Every line in the set is resident in a core cache (only possible
@@ -708,27 +723,22 @@ impl CacheHierarchy {
         // throw away the coldest line QBS queried first and deliberately
         // protected (§III-C keeps query-rejected LRU lines resident).
         self.global.qbs_limit_hits += 1;
-        if let Some(s) = set {
+        if let Some(s) = tele_set {
             self.emit(self.event(EventKind::QbsLimitHit).with_set(s));
         }
         (order.len() - 1, true)
     }
 
-    /// Sends an early invalidation for `target` to the cores in its
-    /// directory bits; the line stays in the LLC (tagged so a rescue can be
-    /// counted) and its directory bits are cleared.
-    fn eci_invalidate(&mut self, target: LineAddr) {
-        let Some(sharers) = self.llc.sharers(target) else {
-            return;
-        };
-        let set = if self.has_sink() {
-            Some(self.llc.set_of(target) as u32)
-        } else {
-            None
-        };
+    /// Sends an early invalidation for `target`, the valid line in LLC
+    /// (`set`, `way`), to the cores in its directory bits; the line stays
+    /// in the LLC (tagged so a rescue can be counted) and its directory
+    /// bits are cleared.
+    fn eci_invalidate(&mut self, set: usize, way: usize, target: LineAddr) {
+        let sharers = self.llc.sharers(set, way);
+        let tele_set = self.has_sink().then_some(set as u32);
         for c in sharers.iter() {
             self.global.eci_invalidates += 1;
-            if let Some(s) = set {
+            if let Some(s) = tele_set {
                 self.emit(
                     self.event(EventKind::EciInvalidate)
                         .with_core(c)
@@ -739,8 +749,8 @@ impl CacheHierarchy {
                 self.trackers[c.index()].note_kill(target, VictimCause::Eci);
             }
         }
-        self.llc.clear_sharers(target);
-        self.llc.set_tag(target, true);
+        self.llc.clear_sharers(set, way);
+        self.llc.set_tag(set, way);
     }
 
     /// Applies the configured inclusion behaviour to an LLC eviction.
@@ -847,12 +857,9 @@ impl CacheHierarchy {
         let ci = core.index();
         let cc = &mut self.cores[ci];
         let l1 = if is_ifetch { &mut cc.l1i } else { &mut cc.l1d };
-        if l1.probe(line) {
-            if write {
-                l1.mark_dirty(line);
-            }
-            return;
-        }
+        // The L1 lookup at the top of `access` missed, and nothing on the
+        // way here fills this L1.
+        debug_assert!(!l1.probe(line), "L1 refill of a resident line");
         let ev = l1.fill(line, write);
         if let Some(e) = ev {
             self.handle_l1_victim(core, e);
@@ -860,11 +867,11 @@ impl CacheHierarchy {
     }
 
     fn fill_l2(&mut self, core: CoreId, line: LineAddr) {
-        let ci = core.index();
-        if self.cores[ci].l2.probe(line) {
-            return;
-        }
-        let ev = self.cores[ci].l2.fill(line, false);
+        let l2 = &mut self.cores[core.index()].l2;
+        // The L2 lookup at the top of `access` missed, and the LLC path
+        // never fills an L2.
+        debug_assert!(!l2.probe(line), "L2 refill of a resident line");
+        let ev = l2.fill(line, false);
         if let Some(e) = ev {
             self.handle_l2_victim(core, e);
         }
@@ -985,7 +992,7 @@ impl CacheHierarchy {
     /// below the L2, not lines the prefetcher nominated.
     fn prefetch(&mut self, core: CoreId, line: LineAddr) {
         let ci = core.index();
-        if self.cores[ci].l2.touch_prefetch(line) {
+        if self.cores[ci].l2.touch_prefetch(line).is_some() {
             return;
         }
         self.global.prefetches += 1;
@@ -995,18 +1002,19 @@ impl CacheHierarchy {
                 .with_level(CacheLevel::L2),
         );
         let mut dirty = false;
+        let set = self.llc.set_of(line);
         match self.inclusion {
             InclusionPolicy::Exclusive => {
-                if self.llc.touch_prefetch(line) {
+                if let Some(way) = self.llc.touch_prefetch(line) {
                     // The line leaves the LLC for the L2; keep its dirty
                     // bit alive in the upward fill.
-                    dirty = self.llc.invalidate(line).is_some_and(|ev| ev.dirty);
+                    dirty = self.llc.evict_way(set, way).is_some_and(|ev| ev.dirty);
                 }
                 // On LLC miss the prefetched data bypasses the LLC.
             }
             InclusionPolicy::Inclusive | InclusionPolicy::NonInclusive => {
-                if self.llc.touch_prefetch(line) {
-                    self.llc.add_sharer(line, core);
+                if let Some(way) = self.llc.touch_prefetch(line) {
+                    self.llc.add_sharer(set, way, core);
                 } else {
                     let rescued = self.victim.as_mut().and_then(|vc| vc.take(line));
                     if let Some(entry) = rescued {
@@ -1081,9 +1089,40 @@ impl CacheHierarchy {
         for (i, cc) in self.cores.iter().enumerate() {
             for cache in [&cc.l1i, &cc.l1d, &cc.l2] {
                 for l in cache.iter_valid() {
-                    let in_vc = self.victim.as_ref().is_some_and(|vc| vc.probe(l.addr));
+                    let in_vc = self
+                        .victim
+                        .as_ref()
+                        .is_some_and(|vc| vc.sharers(l.addr).is_some());
                     if !self.llc.probe(l.addr) && !in_vc {
                         return Some((CoreId::new(i), l.addr));
+                    }
+                }
+            }
+        }
+        None
+    }
+
+    /// Verifies the directory invariant QBS's query filter relies on: in
+    /// inclusive mode every line a core holds carries that core's bit in
+    /// its LLC entry — or, while the line is parked in the victim cache, in
+    /// its victim-cache entry. Returns the first violating line, if any.
+    /// O(cache size).
+    pub fn find_directory_violation(&self) -> Option<(CoreId, LineAddr)> {
+        if self.inclusion != InclusionPolicy::Inclusive {
+            return None;
+        }
+        let llc: HashMap<LineAddr, CoreBitmap> =
+            self.llc.iter_valid().map(|l| (l.addr, l.cores)).collect();
+        for (i, cc) in self.cores.iter().enumerate() {
+            let core = CoreId::new(i);
+            for cache in [&cc.l1i, &cc.l1d, &cc.l2] {
+                for l in cache.iter_valid() {
+                    let bits = llc
+                        .get(&l.addr)
+                        .copied()
+                        .or_else(|| self.victim.as_ref()?.sharers(l.addr));
+                    if !bits.is_some_and(|b| b.contains(core)) {
+                        return Some((core, l.addr));
                     }
                 }
             }
@@ -1742,21 +1781,46 @@ mod tests {
             TlaPolicy::tlh_l1(),
             TlaPolicy::eci(),
             TlaPolicy::qbs(),
+            TlaPolicy::qbs_invalidating(),
         ] {
-            let cfg = HierarchyConfig::tiny_fig3().cores(2).tla(tla);
-            let mut h = CacheHierarchy::new(&cfg);
-            for _ in 0..500 {
-                let core = rng.gen_range(0usize..2);
-                let line = rng.gen_range(0..16u64);
-                let kind = if rng.gen_bool(0.3) {
-                    AccessKind::Store
-                } else {
-                    AccessKind::Load
-                };
-                h.access(CoreId::new(core), LineAddr::new(line), kind);
-                assert_eq!(h.find_inclusion_violation(), None, "policy {tla}");
+            for vc in [None, Some(VictimCacheConfig { entries: 2 })] {
+                let mut cfg = HierarchyConfig::tiny_fig3().cores(2).tla(tla);
+                if let Some(vc) = vc {
+                    cfg = cfg.victim_cache(vc);
+                }
+                let mut h = CacheHierarchy::new(&cfg);
+                for _ in 0..500 {
+                    let core = rng.gen_range(0usize..2);
+                    let line = rng.gen_range(0..16u64);
+                    let kind = if rng.gen_bool(0.3) {
+                        AccessKind::Store
+                    } else {
+                        AccessKind::Load
+                    };
+                    h.access(CoreId::new(core), LineAddr::new(line), kind);
+                    assert_eq!(h.find_inclusion_violation(), None, "policy {tla}, {vc:?}");
+                    assert_eq!(h.find_directory_violation(), None, "policy {tla}, {vc:?}");
+                }
             }
         }
+    }
+
+    #[test]
+    fn directory_check_catches_a_missing_bit() {
+        let cfg = HierarchyConfig::tiny_fig3().cores(2);
+        let mut h = CacheHierarchy::new(&cfg);
+        let line = LineAddr::new(3);
+        h.access(CoreId::new(1), line, AccessKind::Load);
+        assert_eq!(h.find_directory_violation(), None);
+        let set = h.llc.set_of(line);
+        let way = h.llc.touch(line).expect("line was just filled");
+        h.llc.clear_sharers(set, way);
+        assert_eq!(
+            h.find_inclusion_violation(),
+            None,
+            "the line is still in the LLC"
+        );
+        assert_eq!(h.find_directory_violation(), Some((CoreId::new(1), line)));
     }
 
     #[test]

@@ -953,10 +953,12 @@ impl Engine {
 
     /// The batched engine loop: run extraction over the core scheduler.
     ///
-    /// Pops the lagging core once and keeps committing on it back-to-back
+    /// Picks the lagging core once and keeps committing on it back-to-back
     /// while its updated `(clock, index)` stays lexicographically below the
-    /// rest of the heap ([`CoreScheduler::peek`]'s horizon, captured once —
-    /// the other entries cannot change while their cores are not stepping).
+    /// rest of the heap ([`CoreScheduler::horizon`], captured once — the
+    /// other entries cannot change while their cores are not stepping).
+    /// The picked core never leaves the top of the heap: its reinsertion
+    /// overwrites the top and sifts down once.
     /// Over that span the serial loop would re-pick the same core every
     /// iteration, so the commit order — and therefore every `total_instr`
     /// event stamp, cache access, and stats update — is identical to
@@ -973,7 +975,7 @@ impl Engine {
                 return;
             }
             let i = self.sched.pick();
-            let horizon = self.sched.peek();
+            let horizon = self.sched.horizon();
             loop {
                 self.step_index(i);
                 if self.remaining == 0 || (until_warm && self.is_warm()) {

@@ -14,12 +14,13 @@ use tla_types::Cycle;
 
 /// Index min-heap over per-core clocks.
 ///
-/// Pops the core with the smallest `(clock, index)` pair, which matches
-/// the tie-break of `(0..n).min_by_key(|i| clock[i])` exactly: among
-/// equal clocks the lowest core index runs first. Every core keeps
-/// exactly one heap entry; [`CoreScheduler::pick`] removes it and
-/// [`CoreScheduler::reinsert`] puts the updated clock back, so no stale
-/// entries ever accumulate.
+/// The top is the core with the smallest `(clock, index)` pair, which
+/// matches the tie-break of `(0..n).min_by_key(|i| clock[i])` exactly:
+/// among equal clocks the lowest core index runs first. Every core keeps
+/// exactly one heap entry. The picked core stays at the top while it
+/// steps ([`CoreScheduler::pick`] only reads it), and
+/// [`CoreScheduler::reinsert`] overwrites the top with the updated clock
+/// and sifts it down once — one sift instead of a pop plus a push.
 #[derive(Debug, Clone)]
 pub(crate) struct CoreScheduler {
     heap: BinaryHeap<Reverse<(Cycle, usize)>>,
@@ -37,33 +38,37 @@ impl CoreScheduler {
         }
     }
 
-    /// Removes and returns the index of the core that must step next
-    /// (smallest clock, ties to the lowest index).
+    /// The index of the core that must step next (smallest clock, ties to
+    /// the lowest index). It stays at the top of the heap until
+    /// [`CoreScheduler::reinsert`] updates its clock.
     ///
     /// # Panics
     ///
-    /// Panics if every core's entry has been picked without reinsertion.
-    pub fn pick(&mut self) -> usize {
-        let Reverse((_, i)) = self.heap.pop().expect("scheduler has a core");
-        i
+    /// Panics if the scheduler has no cores.
+    pub fn pick(&self) -> usize {
+        let Reverse((_, i)) = self.heap.peek().expect("scheduler has a core");
+        *i
     }
 
-    /// Returns core `i` to the schedule with its updated clock.
+    /// The smallest `(clock, index)` pair below the picked core — the
+    /// run-extraction horizon: the picked core may keep committing
+    /// back-to-back while its updated `(clock, index)` stays
+    /// lexicographically below this pair, because every other core's entry
+    /// is at least this large and unchanged. In a binary heap that pair is
+    /// the smaller of the top's two children.
+    ///
+    /// `None` when the picked core is the only entry (single-core runs).
+    pub fn horizon(&self) -> Option<(Cycle, usize)> {
+        let children = self.heap.as_slice().iter().skip(1).take(2);
+        children.map(|&Reverse(pair)| pair).min()
+    }
+
+    /// Returns the picked core `i` to the schedule with its updated clock:
+    /// overwrites the top entry and sifts it down.
     pub fn reinsert(&mut self, i: usize, clock: Cycle) {
-        self.heap.push(Reverse((clock, i)));
-    }
-
-    /// The smallest `(clock, index)` pair currently scheduled, without
-    /// removing it — the run-extraction horizon: after a [`pick`], the
-    /// picked core may keep committing back-to-back while its updated
-    /// `(clock, index)` stays lexicographically below this pair, because
-    /// every other core's entry is at least this large and unchanged.
-    ///
-    /// `None` when the heap is empty (single-core runs after the pick).
-    ///
-    /// [`pick`]: CoreScheduler::pick
-    pub fn peek(&self) -> Option<(Cycle, usize)> {
-        self.heap.peek().map(|&Reverse(pair)| pair)
+        let mut top = self.heap.peek_mut().expect("scheduler has a core");
+        debug_assert_eq!(top.0 .1, i, "reinsert of a core that was not picked");
+        *top = Reverse((clock, i));
     }
 }
 
@@ -127,30 +132,38 @@ mod tests {
     }
 
     #[test]
-    fn peek_returns_current_minimum_without_removal() {
+    fn horizon_is_the_next_minimum_and_pick_does_not_remove() {
         let mut sched = CoreScheduler::new([7, 3, 5]);
-        assert_eq!(sched.peek(), Some((3, 1)));
         assert_eq!(sched.pick(), 1);
-        // After the pick the horizon is the next-smallest entry.
-        assert_eq!(sched.peek(), Some((5, 2)));
-        assert_eq!(sched.peek(), Some((5, 2)), "peek must not consume");
+        // Below the picked core the horizon is the next-smallest entry.
+        assert_eq!(sched.horizon(), Some((5, 2)));
+        assert_eq!(sched.pick(), 1, "pick must not consume");
+        assert_eq!(sched.horizon(), Some((5, 2)), "horizon must not consume");
         sched.reinsert(1, 9);
-        assert_eq!(sched.peek(), Some((5, 2)));
-        // A drained single-core scheduler has no horizon.
-        let mut solo = CoreScheduler::new([0]);
-        let _ = solo.pick();
-        assert_eq!(solo.peek(), None);
+        // Core 1 sank below core 2; core 0 at 7 is now the horizon.
+        assert_eq!(sched.pick(), 2);
+        assert_eq!(sched.horizon(), Some((7, 0)));
+        // Two entries: the horizon is the single child.
+        let pair = CoreScheduler::new([4, 2]);
+        assert_eq!(pair.pick(), 1);
+        assert_eq!(pair.horizon(), Some((4, 0)));
+        // A single-core scheduler has no horizon.
+        let solo = CoreScheduler::new([0]);
+        assert_eq!(solo.pick(), 0);
+        assert_eq!(solo.horizon(), None);
     }
 
-    /// The batched engine's run extraction: pop a core, keep committing on
-    /// it while its updated `(clock, index)` stays below [`peek`]'s
-    /// horizon, then reinsert. The commit order must equal the serial
-    /// pick-one-reinsert loop's order exactly, ties included.
+    /// The batched engine's run extraction: pick a core, keep committing
+    /// on it while its updated `(clock, index)` stays below the
+    /// [`horizon`], then reinsert. The commit order must equal the serial
+    /// pick-one-reinsert loop's order exactly, ties included. Nine entries
+    /// stand for an 8-core mix plus one device agent, so the horizon is
+    /// read from a heap three levels deep.
     ///
-    /// [`peek`]: CoreScheduler::peek
+    /// [`horizon`]: CoreScheduler::horizon
     #[test]
     fn run_extraction_matches_serial_commit_order() {
-        let n = 4;
+        let n = 9;
         // Clock advance as a pure function of (core, per-core commit
         // count), so both schedules see identical advances. Zero advances
         // are frequent, exercising tie territory.
@@ -181,7 +194,9 @@ mod tests {
         let mut sched = CoreScheduler::new(clocks.iter().copied());
         while extracted.len() < total {
             let i = sched.pick();
-            let horizon = sched.peek();
+            let horizon = sched.horizon();
+            let others = (0..n).filter(|&j| j != i).map(|j| (clocks[j], j));
+            assert_eq!(horizon, others.min(), "horizon is the smallest other entry");
             loop {
                 clocks[i] += adv(i, count[i]);
                 count[i] += 1;

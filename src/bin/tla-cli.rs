@@ -30,6 +30,7 @@ use tla::sim::{
 };
 use tla::telemetry::json::JsonValue;
 use tla::telemetry::DEFAULT_SAMPLE_EVERY;
+use tla::types::CoreId;
 use tla::workloads::{table2_mixes, SpecApp};
 
 fn usage() -> ExitCode {
@@ -227,6 +228,13 @@ fn parse_options(
             "--mix" => {
                 let v = value("--mix")?;
                 opts.mix = parse_mix(&v).ok_or_else(|| format!("unknown mix '{v}'"))?;
+                if opts.mix.len() > CoreId::MAX_CORES {
+                    return Err(format!(
+                        "--mix has {} apps; at most {} cores are supported",
+                        opts.mix.len(),
+                        CoreId::MAX_CORES
+                    ));
+                }
             }
             "--policy" => {
                 let v = value("--policy")?;
@@ -239,6 +247,9 @@ fn parse_options(
             }
             "--measure" => {
                 let v: u64 = value("--measure")?.parse().map_err(|e| format!("{e}"))?;
+                if v == 0 {
+                    return Err("--measure must be positive".into());
+                }
                 opts.cfg = opts.cfg.instructions(v);
             }
             "--warmup" => {
@@ -1726,6 +1737,13 @@ mod tests {
         assert!(bad(&["--mix", "xyz"]).contains("unknown mix"));
         assert!(bad(&["--jobs", "0"]).contains("positive"));
         assert!(bad(&["--jobs"]).contains("--jobs"));
+        // Both used to panic deep in the simulator's config builders.
+        let too_many = vec!["lib"; CoreId::MAX_CORES + 1].join(",");
+        assert!(bad(&["--mix", &too_many]).contains("at most 64 cores"));
+        let max = vec!["lib"; CoreId::MAX_CORES].join(",");
+        let v = ["--mix".to_string(), max];
+        assert_eq!(parse_options(&v).unwrap().mix.len(), CoreId::MAX_CORES);
+        assert!(bad(&["--measure", "0"]).contains("--measure must be positive"));
         // The epoch-parallel engine and its worker knob are gone.
         assert!(bad(&["--engine-jobs", "2"]).contains("unknown option"));
     }
@@ -2041,10 +2059,10 @@ mod tests {
         assert!(err.contains("unsupported schema"), "{err}");
         assert!(err.contains("tla-bench-report-v3"), "{err}");
         // The committed baseline itself stays readable by this binary.
-        if std::path::Path::new("BENCH_pr15.json").exists() {
+        if std::path::Path::new("BENCH_pr16.json").exists() {
             assert!(
-                bench_gate(std::slice::from_ref(&entry), "BENCH_pr15.json", 1e9).is_ok(),
-                "BENCH_pr15.json must remain a valid gate baseline"
+                bench_gate(std::slice::from_ref(&entry), "BENCH_pr16.json", 1e9).is_ok(),
+                "BENCH_pr16.json must remain a valid gate baseline"
             );
         }
         std::fs::remove_dir_all(&dir).ok();

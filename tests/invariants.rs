@@ -52,8 +52,9 @@ fn drive(h: &mut CacheHierarchy, stream: &[Access]) {
     }
 }
 
-/// The inclusion property holds after any access stream, under every
-/// TLA policy, with and without a victim cache.
+/// The inclusion property, and the directory property QBS's query filter
+/// relies on, hold after any access stream, under every TLA policy
+/// (modified QBS included), with and without a victim cache.
 #[test]
 fn inclusion_invariant_holds() {
     for case in 0..CASES {
@@ -67,6 +68,7 @@ fn inclusion_invariant_holds() {
         let mut h = CacheHierarchy::new(&cfg);
         drive(&mut h, &stream);
         assert_eq!(h.find_inclusion_violation(), None, "case {case}");
+        assert_eq!(h.find_directory_violation(), None, "case {case}");
     }
 }
 
@@ -234,7 +236,7 @@ fn cache_occupancy_bounded() {
         for &l in &lines {
             let line = LineAddr::new(l);
             let probed = cache.probe(line);
-            let touched = cache.touch(line);
+            let touched = cache.touch(line).is_some();
             assert_eq!(probed, touched, "case {case}");
             if !touched {
                 cache.fill(line, false);
@@ -261,8 +263,8 @@ fn lru_is_a_stack_algorithm() {
         let mut big = SetAssocCache::new(CacheConfig::with_sets("big", 2, 4, Policy::Lru).unwrap());
         for &l in &lines {
             let line = LineAddr::new(l);
-            let hit_small = small.touch(line);
-            let hit_big = big.touch(line);
+            let hit_small = small.touch(line).is_some();
+            let hit_big = big.touch(line).is_some();
             assert!(
                 !hit_small || hit_big,
                 "case {case}: stack property violated at {l}"
