@@ -54,7 +54,7 @@ pub use config::{CacheConfig, ConfigError, MAX_WAYS};
 pub use line::{CoreBitmap, LineState};
 pub use mshr::MshrFile;
 pub use prefetch::{StreamPrefetcher, StreamPrefetcherConfig};
-pub use probe::{kernel_name, min_index, probe_first, ProbeKernel, WayMask};
+pub use probe::{kernel_name, min_index, ProbeKernel, WayMask};
 pub use replacement::{Policy, Replacer};
 pub use set_assoc::{CacheStats, Evicted, SetAssocCache};
 pub use victim::{VictimCache, VictimEntry};

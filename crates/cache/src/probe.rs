@@ -437,17 +437,6 @@ pub fn kernel_name() -> &'static str {
     probe_kernel().name
 }
 
-/// One dense-set probe through the dispatched kernel: the first way of
-/// `addrs` (one set's per-way tag array, at most [`MAX_WAYS`] long) that
-/// equals `needle` *and* is marked in `valid`. Invalid slots may hold
-/// stale tags — the valid mask screens them out, exactly as the simulated
-/// caches do. This is the batch entry point the set-sharded replays feed:
-/// one call per queued reference, tags resident across the whole run.
-pub fn probe_first(addrs: &[LineAddr], needle: LineAddr, valid: &WayMask) -> Option<usize> {
-    debug_assert!(addrs.len() <= MAX_WAYS);
-    (probe_kernel().func)(addrs, needle).and(valid).first()
-}
-
 /// Position of the first element of `addrs` equal to `needle`, scanning with
 /// the selected kernel in [`MAX_WAYS`]-wide chunks. The fully-associative
 /// victim cache's linear scans use this; `addrs` may be any length.
@@ -721,20 +710,6 @@ mod tests {
             assert!(probe_avx2(&empty, LineAddr::new(1)).is_empty());
             assert!(probe_avx2(&addrs, LineAddr::new(99)).is_empty());
         }
-    }
-
-    #[test]
-    fn probe_first_screens_stale_tags_with_the_valid_mask() {
-        // Way 1 holds a stale copy of the needle; only way 3 is a live hit.
-        let addrs: Vec<LineAddr> = [9, 5, 2, 5].iter().map(|&a| LineAddr::new(a)).collect();
-        let needle = LineAddr::new(5);
-        let mut valid = WayMask::all(4);
-        assert_eq!(probe_first(&addrs, needle, &valid), Some(1));
-        valid.clear(1);
-        assert_eq!(probe_first(&addrs, needle, &valid), Some(3));
-        valid.clear(3);
-        assert_eq!(probe_first(&addrs, needle, &valid), None);
-        assert_eq!(probe_first(&[], needle, &WayMask::EMPTY), None);
     }
 
     #[test]

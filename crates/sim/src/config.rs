@@ -58,11 +58,14 @@ impl SimConfig {
         }
     }
 
-    /// Sets the cache scale divisor explicitly (1, 2, 4 or 8).
+    /// The cache scale divisors that keep every geometry valid.
+    pub const SCALES: [u64; 4] = [1, 2, 4, 8];
+
+    /// Sets the cache scale divisor explicitly (one of [`Self::SCALES`]).
     #[must_use]
     pub fn with_scale(mut self, scale: u64) -> Self {
         assert!(
-            [1, 2, 4, 8].contains(&scale),
+            Self::SCALES.contains(&scale),
             "scale must be 1, 2, 4 or 8 to keep geometries valid"
         );
         self.scale = scale;

@@ -19,20 +19,26 @@
 //! cycle rather than round-robin, so the bound is an approximation:
 //! tight enough to rank policies against, not a per-access replay.
 //!
-//! Like the PR 3 hot path, the forward pass is allocation-free: state
-//! lives in flat `sets x ways` arrays and the per-access work is a short
-//! way scan. The backward pass allocates one `next_use` index per
-//! reference and a line-address map, both sized up front.
+//! There is one MIN implementation, `NextUseLists`, and it never
+//! stores the stream. A forward pass files each reference into its set's
+//! next-use list as a single `u32`; a line map patches the previous
+//! occurrence's slot. The per-set replay then needs no addresses at all,
+//! because a resident line's key *is* the local index of its next use:
+//! reference `k` hits exactly when some way's key equals `k`. That is
+//! 4 B per reference plus `Vec` growth and one map entry per distinct
+//! line, where a stored stream alone would cost 8 B per reference.
+//! [`optimal_llc`] runs the pass while the mix is generated; [`belady`]
+//! and [`belady_sharded`] feed it a slice.
 
 use crate::config::SimConfig;
 use std::collections::HashMap;
-use tla_cache::probe::{self, WayMask};
 use tla_core::HierarchyConfig;
 use tla_types::LineAddr;
 use tla_workloads::{SpecApp, TraceSource};
 
-/// Sentinel next-use index: the line is never referenced again.
-const NEVER: u64 = u64::MAX;
+/// Sentinel next-use key: the line is never referenced again (or the way
+/// is free — under MIN the two are interchangeable, see [`replay_set`]).
+const NEVER: u32 = u32::MAX;
 
 /// Hit/miss counts of an optimal-replacement replay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,104 +62,135 @@ impl OracleResult {
     }
 }
 
+/// Per-set next-use lists of a reference stream, built in one forward
+/// pass.
+///
+/// LLC sets are independent under MIN: a reference only competes with
+/// residents of its own set, and a line's next use is in the same set.
+/// So each set keeps its own list, indexed by the set-local position `k`
+/// of each reference: `next[set][k]` is the local index of the next
+/// reference to the same line, or [`NEVER`].
+struct NextUseLists {
+    mask: u64,
+    ways: usize,
+    next: Vec<Vec<u32>>,
+    /// Per set: how many of its references fall in the warm-up prefix.
+    warm: Vec<u32>,
+    /// Each line's latest set-local index, so its slot can be patched.
+    last: HashMap<u64, u32>,
+}
+
+impl NextUseLists {
+    /// # Panics
+    ///
+    /// Panics if `sets` is not a power of two (set indexing is a mask, as
+    /// in the simulated caches) or `ways` is zero.
+    fn new(sets: usize, ways: usize) -> Self {
+        assert!(sets.is_power_of_two(), "sets must be a power of two");
+        assert!(ways > 0, "ways must be positive");
+        NextUseLists {
+            mask: sets as u64 - 1,
+            ways,
+            next: vec![Vec::new(); sets],
+            warm: vec![0; sets],
+            last: HashMap::new(),
+        }
+    }
+
+    /// Files the next reference of the stream. Warm-up references
+    /// (`measured == false`) must form a prefix: they shape the cache
+    /// state but are left out of the counts, the freeze semantics the
+    /// simulator uses.
+    fn push(&mut self, line: LineAddr, measured: bool) {
+        let a = line.raw();
+        let set = (a & self.mask) as usize;
+        let list = &mut self.next[set];
+        let k = u32::try_from(list.len())
+            .ok()
+            .filter(|&k| k < NEVER)
+            .expect("a set's references fit in u32 keys below NEVER");
+        if let Some(prev) = self.last.insert(a, k) {
+            list[prev as usize] = k;
+        }
+        list.push(NEVER);
+        if !measured {
+            debug_assert_eq!(self.warm[set], k, "warm-up must be a prefix");
+            self.warm[set] = k + 1;
+        }
+    }
+
+    /// Replays every set under MIN on up to `jobs` worker threads and
+    /// sums the measured counts. Sets merge in set order, so the result
+    /// is identical for every `jobs` value.
+    fn replay(self, jobs: usize) -> OracleResult {
+        // The line map is only needed while building; free it first.
+        drop(self.last);
+        let ways = self.ways;
+        let accesses = (self.next.iter().zip(&self.warm))
+            .map(|(next, &warm)| (next.len() - warm as usize) as u64)
+            .sum();
+        let sets = self.next.into_iter().zip(self.warm).collect();
+        let per_set =
+            tla_pool::scoped_map(jobs, sets, |(next, warm)| replay_set(&next, warm, ways));
+        let hits = per_set.iter().sum();
+        OracleResult {
+            accesses,
+            hits,
+            misses: accesses - hits,
+        }
+    }
+}
+
+/// Replays one set's next-use list under MIN on `ways` ways and returns
+/// its measured hits (local indices at or past `warm`).
+///
+/// `keys[w]` is the next use of the line in way `w`. Next uses of
+/// resident lines are distinct, so reference `k` hits exactly when some
+/// key equals `k`, and the way that matches takes the reference's own
+/// next use. A miss evicts the first way with the largest key. Free ways
+/// start at [`NEVER`] too: a free way and a line that is never used
+/// again are equally useless to MIN, so filling one or evicting the
+/// other leaves the same useful residents and the same counts.
+fn replay_set(next: &[u32], warm: u32, ways: usize) -> u64 {
+    let mut keys = vec![NEVER; ways];
+    let mut hits = 0;
+    for (k, &nk) in (0u32..).zip(next) {
+        let way = match keys.iter().position(|&key| key == k) {
+            Some(w) => {
+                hits += u64::from(k >= warm);
+                w
+            }
+            None => {
+                let mut far = 0;
+                for w in 1..ways {
+                    if keys[w] > keys[far] {
+                        far = w;
+                    }
+                }
+                far
+            }
+        };
+        keys[way] = nk;
+    }
+    hits
+}
+
 /// Replays `refs` under Belady's MIN on a `sets x ways` cache and counts
 /// hits and misses, skipping the first `warm_len` references (the warm-up
 /// prefix participates in cache state but not in the counts — the same
 /// freeze semantics the simulator uses).
-///
-/// Two passes: a backward pass precomputes each reference's next-use
-/// index, then an allocation-free forward pass keeps per-way tags and
-/// next-use indices in flat arrays and evicts the way with the farthest
-/// next use (first such way on a tie, which only never-again lines can
-/// produce).
 ///
 /// # Panics
 ///
 /// Panics if `sets` is not a power of two (set indexing is a mask, as in
 /// the simulated caches) or `ways` is zero.
 pub fn belady(refs: &[LineAddr], warm_len: usize, sets: usize, ways: usize) -> OracleResult {
-    assert!(sets.is_power_of_two(), "sets must be a power of two");
-    assert!(ways > 0, "ways must be positive");
-    let mask = sets as u64 - 1;
-
-    // Backward pass: next_use[i] = index of the next reference to the
-    // same line after i, or NEVER.
-    let mut next_use = vec![NEVER; refs.len()];
-    let mut last: HashMap<u64, u64> = HashMap::with_capacity(1024);
-    for i in (0..refs.len()).rev() {
-        next_use[i] = last.insert(refs[i].raw(), i as u64).unwrap_or(NEVER);
-    }
-
-    // Forward pass over flat per-way state.
-    let mut valid = vec![false; sets * ways];
-    let mut tags = vec![0u64; sets * ways];
-    let mut nexts = vec![NEVER; sets * ways];
-    let mut hits = 0u64;
-    let mut misses = 0u64;
-    for (i, r) in refs.iter().enumerate() {
-        let a = r.raw();
-        let base = ((a & mask) as usize) * ways;
-        let set_valid = &mut valid[base..base + ways];
-        let set_tags = &mut tags[base..base + ways];
-        let set_nexts = &mut nexts[base..base + ways];
-        let measured = i >= warm_len;
-        let hit = (0..ways).find(|&w| set_valid[w] && set_tags[w] == a);
-        match hit {
-            Some(w) => {
-                if measured {
-                    hits += 1;
-                }
-                set_nexts[w] = next_use[i];
-            }
-            None => {
-                if measured {
-                    misses += 1;
-                }
-                let slot = match (0..ways).find(|&w| !set_valid[w]) {
-                    Some(w) => w,
-                    None => {
-                        // Evict the line with the farthest next use
-                        // (strict >, so ties keep the first way).
-                        let mut far = 0;
-                        for w in 1..ways {
-                            if set_nexts[w] > set_nexts[far] {
-                                far = w;
-                            }
-                        }
-                        far
-                    }
-                };
-                set_valid[slot] = true;
-                set_tags[slot] = a;
-                set_nexts[slot] = next_use[i];
-            }
-        }
-    }
-    OracleResult {
-        accesses: refs.len().saturating_sub(warm_len) as u64,
-        hits,
-        misses,
-    }
+    belady_sharded(refs, warm_len, sets, ways, 1)
 }
 
-/// Set-sharded MIN replay: the same counts as [`belady`], computed from
-/// per-set run queues processed back-to-back, optionally on `jobs` worker
-/// threads.
-///
-/// LLC sets are fully independent under MIN: a reference only competes
-/// with residents of its own set, and a line's next use is always in the
-/// same set. The replay therefore partitions `refs` by set index into
-/// per-set queues — keeping each reference's *global* stream position,
-/// which the warm cut and the farthest-next-use comparisons are defined
-/// over — then replays each queue in one cache-hot burst: the set's tag
-/// array stays register/L1-resident across the whole queue, every probe
-/// goes through the dispatched SIMD/scalar kernel
-/// ([`probe::probe_first`]), and evictions reduce a complemented next-use
-/// array with [`probe::min_index`] (first minimum of `!next` = first
-/// maximum of `next`, matching [`belady`]'s strict-`>` first-way
-/// tie-break). Per-set hit/miss counts merge additively in set order, so
-/// the totals are bit-identical to [`belady`] for *every* `jobs` value —
-/// only wall-clock changes. `jobs <= 1` runs inline on the caller.
+/// [`belady`] with the per-set replays spread over `jobs` worker threads.
+/// The counts are identical for every `jobs` value; only wall-clock
+/// changes. `jobs <= 1` runs inline on the caller.
 ///
 /// # Panics
 ///
@@ -165,83 +202,17 @@ pub fn belady_sharded(
     ways: usize,
     jobs: usize,
 ) -> OracleResult {
-    assert!(sets.is_power_of_two(), "sets must be a power of two");
-    assert!(ways > 0, "ways must be positive");
-    let mask = sets as u64 - 1;
-
-    // Partition into per-set run queues of (global index, line address).
-    let mut queues: Vec<Vec<(u64, u64)>> = vec![Vec::new(); sets];
-    for (i, r) in refs.iter().enumerate() {
-        let a = r.raw();
-        queues[(a & mask) as usize].push((i as u64, a));
+    let mut lists = NextUseLists::new(sets, ways);
+    for (i, &r) in refs.iter().enumerate() {
+        lists.push(r, i >= warm_len);
     }
-
-    let warm = warm_len as u64;
-    let per_set = tla_pool::scoped_map(jobs, queues, |queue| replay_set_queue(&queue, warm, ways));
-    let (hits, misses) = per_set
-        .iter()
-        .fold((0, 0), |(h, m), &(sh, sm)| (h + sh, m + sm));
-    OracleResult {
-        accesses: refs.len().saturating_sub(warm_len) as u64,
-        hits,
-        misses,
-    }
-}
-
-/// Replays one set's reference queue under MIN and returns its measured
-/// `(hits, misses)`. `queue` holds (global stream index, line address)
-/// pairs in stream order; a reference is measured when its global index
-/// is at or past `warm_len`.
-fn replay_set_queue(queue: &[(u64, u64)], warm_len: u64, ways: usize) -> (u64, u64) {
-    // Backward pass, set-local: the next use of a line is necessarily in
-    // the same set's queue, so the global next-use indices come out
-    // identical to the whole-stream pass.
-    let mut next_use = vec![NEVER; queue.len()];
-    let mut last: HashMap<u64, u64> = HashMap::with_capacity(queue.len().min(1024));
-    for k in (0..queue.len()).rev() {
-        next_use[k] = last.insert(queue[k].1, queue[k].0).unwrap_or(NEVER);
-    }
-
-    // Forward replay over this set's dense tag array. `far_keys` holds the
-    // complement of each resident way's next use, so the eviction scan is
-    // a min-reduce; invalid ways are never consulted (fills claim them
-    // first).
-    let mut tags = vec![LineAddr::new(0); ways];
-    let mut valid = WayMask::EMPTY;
-    let mut far_keys = vec![0u64; ways];
-    let mut hits = 0u64;
-    let mut misses = 0u64;
-    for (k, &(gi, a)) in queue.iter().enumerate() {
-        let needle = LineAddr::new(a);
-        let measured = gi >= warm_len;
-        match probe::probe_first(&tags, needle, &valid) {
-            Some(w) => {
-                if measured {
-                    hits += 1;
-                }
-                far_keys[w] = !next_use[k];
-            }
-            None => {
-                if measured {
-                    misses += 1;
-                }
-                let slot = match WayMask::all(ways).and_not(&valid).first() {
-                    Some(w) => w,
-                    None => probe::min_index(&far_keys).expect("ways is positive"),
-                };
-                valid.set(slot);
-                tags[slot] = needle;
-                far_keys[slot] = !next_use[k];
-            }
-        }
-    }
-    (hits, misses)
+    lists.replay(jobs)
 }
 
 /// Reference implementation of [`belady`]: no precomputation, on every
 /// eviction the next use of each resident line is found by a forward
 /// scan of the remaining references — O(n^2) and only suitable for
-/// tests, where it pins the two-pass oracle's counts.
+/// tests, where it pins the next-use oracle's counts.
 ///
 /// # Panics
 ///
@@ -278,7 +249,7 @@ pub fn belady_bruteforce(
                     refs[i + 1..]
                         .iter()
                         .position(|r| r.raw() == t)
-                        .map_or(NEVER, |d| (i + 1 + d) as u64)
+                        .map_or(usize::MAX, |d| i + 1 + d)
                 };
                 let mut far = 0;
                 let mut far_next = next_of(lines[0]);
@@ -300,6 +271,33 @@ pub fn belady_bruteforce(
     }
 }
 
+/// Generates a mix's reference stream (see [`mix_reference_stream`]) and
+/// hands each reference to `emit` with whether it is measured.
+fn for_each_mix_reference(cfg: &SimConfig, apps: &[SpecApp], mut emit: impl FnMut(LineAddr, bool)) {
+    assert!(!apps.is_empty(), "a mix needs at least one app");
+    let mut traces: Vec<_> = apps
+        .iter()
+        .enumerate()
+        .map(|(i, app)| app.trace(cfg.scale(), i as u64, cfg.seed_value()))
+        .collect();
+    let warmup = cfg.warmup_quota();
+    let total = warmup + cfg.instruction_quota();
+    let mut last_code: Vec<Option<LineAddr>> = vec![None; apps.len()];
+    for n in 0..total {
+        let measured = n >= warmup;
+        for (i, trace) in traces.iter_mut().enumerate() {
+            let instr = trace.next_instruction();
+            if last_code[i] != Some(instr.code_line) {
+                last_code[i] = Some(instr.code_line);
+                emit(instr.code_line, measured);
+            }
+            if let Some(m) = instr.mem {
+                emit(m.addr, measured);
+            }
+        }
+    }
+}
+
 /// The reference stream a mix presents to the memory hierarchy, plus the
 /// index where the warm-up prefix ends.
 ///
@@ -310,32 +308,12 @@ pub fn belady_bruteforce(
 /// its data line, if any. The cut index marks the first measured-phase
 /// reference (0 when `warmup` is zero).
 pub fn mix_reference_stream(cfg: &SimConfig, apps: &[SpecApp]) -> (Vec<LineAddr>, usize) {
-    assert!(!apps.is_empty(), "a mix needs at least one app");
-    let mut traces: Vec<_> = apps
-        .iter()
-        .enumerate()
-        .map(|(i, app)| app.trace(cfg.scale(), i as u64, cfg.seed_value()))
-        .collect();
-    let warmup = cfg.warmup_quota();
-    let total = warmup + cfg.instruction_quota();
-    let mut last_code: Vec<Option<LineAddr>> = vec![None; apps.len()];
     let mut refs = Vec::new();
     let mut warm_len = 0;
-    for n in 0..total {
-        for (i, trace) in traces.iter_mut().enumerate() {
-            let instr = trace.next_instruction();
-            if last_code[i] != Some(instr.code_line) {
-                last_code[i] = Some(instr.code_line);
-                refs.push(instr.code_line);
-            }
-            if let Some(m) = instr.mem {
-                refs.push(m.addr);
-            }
-        }
-        if n + 1 == warmup {
-            warm_len = refs.len();
-        }
-    }
+    for_each_mix_reference(cfg, apps, |line, measured| {
+        warm_len += usize::from(!measured);
+        refs.push(line);
+    });
     (refs, warm_len)
 }
 
@@ -344,10 +322,11 @@ pub fn mix_reference_stream(cfg: &SimConfig, apps: &[SpecApp]) -> (Vec<LineAddr>
 /// [`crate::MixRun::llc_capacity_full_scale`]). This is the `opt_misses`
 /// denominator behind `gap_to_opt`.
 ///
-/// The replay is the set-sharded one ([`belady_sharded`]) on
+/// The next-use lists are built while the mix is generated, so the
+/// stream itself is never stored; the per-set replay runs on
 /// [`SimConfig::effective_shard_jobs`] worker threads (serial unless
-/// `shard_jobs`/`TLA_SHARD_JOBS` opts in); the counts are bit-identical
-/// for every job count.
+/// `shard_jobs`/`TLA_SHARD_JOBS` opts in) with identical counts for
+/// every job count. Equal to [`belady`] on [`mix_reference_stream`].
 pub fn optimal_llc(
     cfg: &SimConfig,
     apps: &[SpecApp],
@@ -359,14 +338,9 @@ pub fn optimal_llc(
         hcfg = hcfg.llc_capacity(bytes / scale);
     }
     let llc = hcfg.llc();
-    let (refs, warm_len) = mix_reference_stream(cfg, apps);
-    belady_sharded(
-        &refs,
-        warm_len,
-        llc.sets(),
-        llc.ways(),
-        cfg.effective_shard_jobs(),
-    )
+    let mut lists = NextUseLists::new(llc.sets(), llc.ways());
+    for_each_mix_reference(cfg, apps, |line, measured| lists.push(line, measured));
+    lists.replay(cfg.effective_shard_jobs())
 }
 
 #[cfg(test)]
@@ -392,65 +366,18 @@ mod tests {
     }
 
     #[test]
-    fn belady_matches_bruteforce_on_random_streams() {
-        let mut state = 0x1234_5678_9abc_def0u64;
-        let mut next = || {
-            // xorshift64
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for (sets, ways, len) in [(1, 4, 200), (4, 2, 300), (8, 4, 500), (16, 1, 400)] {
-            let refs: Vec<LineAddr> = (0..len)
-                .map(|_| LineAddr::new(next() % (sets as u64 * ways as u64 * 3)))
-                .collect();
-            for warm in [0, len / 3] {
-                let fast = belady(&refs, warm, sets, ways);
-                let slow = belady_bruteforce(&refs, warm, sets, ways);
-                assert_eq!(fast, slow, "sets={sets} ways={ways} len={len} warm={warm}");
-            }
+    fn next_use_lists_point_at_each_lines_next_reference() {
+        // Two sets; set 0 sees lines 0, 2, 0 and set 1 sees 1, 1.
+        let mut lists = NextUseLists::new(2, 1);
+        for (i, a) in [0u64, 1, 2, 1, 0].into_iter().enumerate() {
+            lists.push(LineAddr::new(a), i >= 2);
         }
-    }
-
-    #[test]
-    fn sharded_replay_matches_serial_for_any_job_count() {
-        let mut state = 0xfeed_beef_dead_c0deu64;
-        let mut next = || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for (sets, ways, len) in [(1, 4, 300), (4, 2, 400), (16, 8, 1_000), (64, 4, 2_000)] {
-            let refs: Vec<LineAddr> = (0..len)
-                .map(|_| LineAddr::new(next() % (sets as u64 * ways as u64 * 3)))
-                .collect();
-            for warm in [0, len / 3] {
-                let serial = belady(&refs, warm, sets, ways);
-                for jobs in [1, 2, 7] {
-                    assert_eq!(
-                        belady_sharded(&refs, warm, sets, ways, jobs),
-                        serial,
-                        "sets={sets} ways={ways} len={len} warm={warm} jobs={jobs}"
-                    );
-                }
-            }
-        }
-        // Empty stream degenerate case.
-        assert_eq!(belady_sharded(&[], 0, 8, 2, 4), belady(&[], 0, 8, 2));
-    }
-
-    #[test]
-    fn optimal_llc_is_shard_job_invariant() {
-        let cfg = SimConfig::scaled_down().instructions(10_000);
-        let apps = [SpecApp::Mcf, SpecApp::Sjeng];
-        let serial = optimal_llc(&cfg, &apps, None);
-        assert!(serial.accesses > 0);
-        for jobs in [2, 7] {
-            let sharded = optimal_llc(&cfg.clone().shard_jobs(jobs), &apps, None);
-            assert_eq!(sharded, serial, "jobs={jobs}");
-        }
+        assert_eq!(lists.next, vec![vec![2, NEVER, NEVER], vec![1, NEVER]]);
+        assert_eq!(lists.warm, vec![1, 1]);
+        // Set 0: miss, miss (evicts 0), miss; set 1: miss, hit. Only the
+        // last three references are measured.
+        let r = lists.replay(1);
+        assert_eq!((r.accesses, r.hits, r.misses), (3, 1, 2));
     }
 
     #[test]
@@ -463,6 +390,9 @@ mod tests {
         assert_eq!(warm.accesses, 4);
         assert_eq!(warm.misses, 0, "cold fills fall in the warm prefix");
         assert_eq!(warm.hits, 4);
+        // A cut past the end measures nothing.
+        assert_eq!(belady(&refs, 9, 1, 2), belady_bruteforce(&refs, 9, 1, 2));
+        assert_eq!(belady_sharded(&[], 0, 8, 2, 4), belady(&[], 0, 8, 2));
     }
 
     #[test]

@@ -22,6 +22,8 @@
 //! ```
 
 use std::process::ExitCode;
+use tla::cache::CacheConfig;
+use tla::core::HierarchyConfig;
 use tla::io::{IoAgentSpec, IoMixConfig};
 use tla::sim::{
     mpki_table, optimal_llc, run_policy_reports_analyzed_io, run_policy_reports_io,
@@ -243,6 +245,9 @@ fn parse_options(
             }
             "--scale" => {
                 let v: u64 = value("--scale")?.parse().map_err(|e| format!("{e}"))?;
+                if !SimConfig::SCALES.contains(&v) {
+                    return Err(format!("--scale must be 1, 2, 4 or 8, got {v}"));
+                }
                 opts.cfg = opts.cfg.with_scale(v);
             }
             "--measure" => {
@@ -351,6 +356,25 @@ fn parse_options(
             }
             other => return Err(format!("unknown option '{other}'")),
         }
+    }
+    if let Some(mb) = opts.llc_mb {
+        // The same geometry `MixRun::llc_capacity_full_scale` builds, so
+        // a bad size is an error here rather than a panic mid-run.
+        let scale = opts.cfg.scale() as usize;
+        let hcfg = HierarchyConfig::scaled(1, scale);
+        let llc = hcfg.llc();
+        mb.checked_mul(1024 * 1024)
+            .ok_or_else(|| "overflows usize".to_string())
+            .and_then(|bytes| {
+                CacheConfig::new("LLC", bytes / scale, llc.ways(), llc.policy())
+                    .map_err(|e| e.to_string())
+            })
+            .map_err(|e| {
+                format!(
+                    "--llc-mb {mb} gives no valid {}-way LLC at scale {scale}: {e}",
+                    llc.ways()
+                )
+            })?;
     }
     if window_needs_json && opts.window.is_some() && opts.json.is_none() {
         return Err("--window only makes sense with --json".into());
@@ -1744,6 +1768,19 @@ mod tests {
         let v = ["--mix".to_string(), max];
         assert_eq!(parse_options(&v).unwrap().mix.len(), CoreId::MAX_CORES);
         assert!(bad(&["--measure", "0"]).contains("--measure must be positive"));
+        // Geometry flags are checked up front instead of panicking in the
+        // cache builders (384 sets at 3 MB / scale 8 is no power of two).
+        let e = bad(&["--llc-mb", "3"]);
+        assert!(
+            e.contains("--llc-mb 3") && e.contains("not a power of two"),
+            "{e}"
+        );
+        assert!(bad(&["--llc-mb", "0"]).contains("--llc-mb 0"));
+        assert!(bad(&["--llc-mb", "100000"]).contains("--llc-mb 100000"));
+        assert!(bad(&["--llc-mb", &usize::MAX.to_string()]).contains("overflows"));
+        assert!(bad(&["--scale", "1", "--llc-mb", "3"]).contains("scale 1"));
+        assert!(bad(&["--scale", "3"]).contains("--scale must be 1, 2, 4 or 8"));
+        assert!(bad(&["--scale", "0"]).contains("--scale"));
         // The epoch-parallel engine and its worker knob are gone.
         assert!(bad(&["--engine-jobs", "2"]).contains("unknown option"));
     }

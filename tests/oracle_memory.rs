@@ -1,0 +1,95 @@
+//! Heap bound of the Belady MIN oracle.
+//!
+//! `optimal_llc` builds per-set next-use lists while the mix is
+//! generated, so its heap grows by one `u32` per reference (plus `Vec`
+//! growth and one map entry per distinct line) and never holds the
+//! reference stream itself. A counting global allocator measures the
+//! peak live heap during one call and bounds it per reference. Storing
+//! the stream (8 B/ref) plus per-set `(index, addr)` queues (16 B/ref)
+//! would break the bound, as would any other copy of the stream.
+//!
+//! The binary holds one test, so no other test allocates while the peak
+//! is measured.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use tla_sim::{mix_reference_stream, optimal_llc, SimConfig};
+use tla_workloads::SpecApp;
+
+/// Counts live heap bytes and remembers their peak.
+struct Counting;
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+fn grew(bytes: usize) {
+    let live = LIVE.fetch_add(bytes, Relaxed) + bytes;
+    PEAK.fetch_max(live, Relaxed);
+}
+
+// SAFETY: every call forwards to `System` unchanged; the counters only
+// observe sizes.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc(layout);
+        if !p.is_null() {
+            grew(layout.size());
+        }
+        p
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc_zeroed(layout);
+        if !p.is_null() {
+            grew(layout.size());
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+        LIVE.fetch_sub(layout.size(), Relaxed);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let p = System.realloc(ptr, layout, new_size);
+        if !p.is_null() {
+            LIVE.fetch_sub(layout.size(), Relaxed);
+            grew(new_size);
+        }
+        p
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Peak heap per reference allowed to the oracle.
+const MAX_BYTES_PER_REF: f64 = 10.0;
+
+#[test]
+fn oracle_peak_heap_per_reference_is_bounded() {
+    let cfg = SimConfig::scaled_down()
+        .warmup(100_000)
+        .instructions(100_000);
+    let apps = [
+        SpecApp::Mcf,
+        SpecApp::Libquantum,
+        SpecApp::Xalancbmk,
+        SpecApp::Astar,
+    ];
+    let refs = mix_reference_stream(&cfg, &apps).0.len();
+
+    let base = LIVE.load(Relaxed);
+    PEAK.store(base, Relaxed);
+    let opt = optimal_llc(&cfg, &apps, None);
+    let peak = PEAK.load(Relaxed) - base;
+
+    assert!(opt.accesses > 0 && opt.misses > 0, "{opt:?}");
+    let per_ref = peak as f64 / refs as f64;
+    assert!(
+        per_ref < MAX_BYTES_PER_REF,
+        "oracle peak heap {peak} B over {refs} references = {per_ref:.1} B/ref \
+         (bound {MAX_BYTES_PER_REF} B/ref)"
+    );
+}
