@@ -7,7 +7,7 @@
 //! (default 200 ms).
 
 use std::hint::black_box;
-use tla_bench::{bench_progress, time_it, Measurement};
+use tla_bench::{time_it, Measurement};
 use tla_cache::{CacheConfig, Policy, SetAssocCache};
 use tla_core::{CacheHierarchy, HierarchyConfig, TlaPolicy};
 use tla_sim::{MixRun, SimConfig};
@@ -123,7 +123,7 @@ fn bench_end_to_end(ms: u64) -> Measurement {
 
 fn main() {
     let ms = target_millis();
-    bench_progress!("micro_cache", "measuring {ms} ms per benchmark");
+    eprintln!("[micro_cache] measuring {ms} ms per benchmark");
     let mut results = bench_cache_access(ms);
     results.extend(bench_probe_kernels(ms));
     results.extend(bench_hierarchy_access(ms, false));

@@ -1,168 +1,11 @@
-//! Shared harness utilities for the figure/table benches.
+//! The paper's evaluation and the offline timing harness.
 //!
-//! Every bench target regenerates one table or figure of the paper's
-//! evaluation. Because the substrate is a simulator rather than the
-//! authors' testbed, the *shape* of each result (who wins, by roughly what
-//! factor, where crossovers fall) is the reproduction target, not the
-//! absolute numbers.
-//!
-//! Environment knobs (all optional):
-//!
-//! * `TLA_FULL=1` — full fidelity: scale-1 caches, every sweep over all
-//!   105 mixes, longer windows. Hours of runtime.
-//! * `TLA_MEASURE=<n>` — measured instructions per thread
-//!   (default 300 000).
-//! * `TLA_WARMUP=<n>` — warm-up instructions per thread
-//!   (default 800 000).
-//! * `TLA_SCALE=<1|2|4|8>` — cache scale divisor (default 8).
-//! * `TLA_QUIET=1` — silence [`bench_progress!`] lines on stderr.
-//! * `TLA_JOBS=<n>` — worker threads for the suite fan-out (default: all
-//!   cores). Results are bit-identical for any value; only wall-clock
-//!   changes. Resolved inside [`SimConfig::effective_jobs`], so every
-//!   `run_mix_suite`/`mpki_table` call a bench makes obeys it.
-//! * `TLA_WARM_CACHE=<dir>` — directory for persistent warm images shared
-//!   by [`BenchEnv::run_suite`] callers (default
-//!   `target/tla-warm-cache`; `0`/`off` disables caching). A figure
-//!   re-run over the same configuration skips every warm-up it has
-//!   already done.
+//! * [`paper`] regenerates every table and figure of the paper's
+//!   evaluation as data; `tla-cli paper` prints it.
+//! * [`time_it`] is the criterion-free micro-benchmark timer behind the
+//!   `micro_cache` bench target.
 
-use tla_sim::{
-    run_mix_suite_warm_start_cached, PolicySpec, SimConfig, SuiteResult, Table, WarmCache,
-};
-use tla_types::stats;
-use tla_workloads::{all_two_core_mixes, table2_mixes, Mix};
-
-/// Harness configuration resolved from the environment.
-#[derive(Debug, Clone)]
-pub struct BenchEnv {
-    /// The simulation configuration every run starts from.
-    pub cfg: SimConfig,
-    /// Whether `TLA_FULL` was requested.
-    pub full: bool,
-}
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-impl BenchEnv {
-    /// Reads the environment and builds the base configuration.
-    pub fn from_env() -> Self {
-        let full = std::env::var("TLA_FULL").is_ok_and(|v| v == "1");
-        let scale = env_u64("TLA_SCALE", if full { 1 } else { 8 });
-        let measure = env_u64("TLA_MEASURE", if full { 2_000_000 } else { 300_000 });
-        let warmup = env_u64("TLA_WARMUP", if full { 4_000_000 } else { 800_000 });
-        let cfg = SimConfig::paper()
-            .with_scale(scale)
-            .instructions(measure)
-            .warmup(warmup);
-        BenchEnv { cfg, full }
-    }
-
-    /// The warm-image cache the figure benches share, resolved from
-    /// `TLA_WARM_CACHE` (default `target/tla-warm-cache` in the
-    /// workspace; `0`, `off` or an empty value disables caching). An
-    /// unopenable directory degrades to no caching rather than failing
-    /// the bench.
-    pub fn warm_cache(&self) -> Option<WarmCache> {
-        let dir = match std::env::var("TLA_WARM_CACHE") {
-            Ok(v) if v.is_empty() || v == "0" || v.eq_ignore_ascii_case("off") => return None,
-            Ok(v) => std::path::PathBuf::from(v),
-            Err(_) => {
-                std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/tla-warm-cache")
-            }
-        };
-        match WarmCache::open(&dir) {
-            Ok(cache) => Some(cache),
-            Err(e) => {
-                bench_progress!(
-                    "tla-bench",
-                    "warm cache {} unavailable ({e}) — warming uncached",
-                    dir.display()
-                );
-                None
-            }
-        }
-    }
-
-    /// The suite runner every figure bench goes through: warm each mix
-    /// once under the inclusive baseline (pulling the image from the
-    /// [`BenchEnv::warm_cache`] directory when it is already there), then
-    /// fan the `(spec, mix)` measurement grid out. Re-running a figure
-    /// over an unchanged configuration skips all warm-up work.
-    pub fn run_suite(
-        &self,
-        mixes: &[Mix],
-        specs: &[PolicySpec],
-        llc_capacity_full_scale: Option<usize>,
-    ) -> Vec<SuiteResult> {
-        let cache = self.warm_cache();
-        run_mix_suite_warm_start_cached(
-            &self.cfg,
-            mixes,
-            specs,
-            llc_capacity_full_scale,
-            cache.as_ref(),
-        )
-        .expect("resuming a just-written warm checkpoint cannot fail")
-    }
-
-    /// The 12 showcase mixes of Table II.
-    pub fn showcase_mixes(&self) -> Vec<Mix> {
-        table2_mixes()
-    }
-
-    /// The mix population for s-curves and `All(105)` averages: all 105
-    /// pairs (always — the s-curve is the point of those figures).
-    pub fn all_mixes(&self) -> Vec<Mix> {
-        all_two_core_mixes()
-    }
-
-    /// Prints the standard bench banner.
-    pub fn banner(&self, what: &str) {
-        bench_progress!("tla-bench", "{what}");
-        bench_progress!(
-            "tla-bench",
-            "scale=1/{}  measure={}  warmup={}  full={}  jobs={}",
-            self.cfg.scale(),
-            self.cfg.instruction_quota(),
-            self.cfg.warmup_quota(),
-            self.full,
-            self.cfg.effective_jobs()
-        );
-    }
-}
-
-/// Whether `TLA_QUIET` asks the benches to keep stderr clean (set and not
-/// `0`).
-pub fn quiet() -> bool {
-    std::env::var("TLA_QUIET").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
-/// Prints one `[tag] message` progress line to stderr unless `TLA_QUIET`
-/// is set. Drop-in replacement for the benches' ad-hoc `eprintln!` calls
-/// so scripted runs can silence them uniformly.
-///
-/// ```
-/// tla_bench::bench_progress!("fig5", "running {} mixes", 105);
-/// ```
-#[macro_export]
-macro_rules! bench_progress {
-    ($tag:expr, $($arg:tt)*) => {
-        if !$crate::quiet() {
-            eprintln!("[{}] {}", $tag, format_args!($($arg)*));
-        }
-    };
-}
-
-impl Default for BenchEnv {
-    fn default() -> Self {
-        Self::from_env()
-    }
-}
+pub mod paper;
 
 /// One timed micro-benchmark result from [`time_it`].
 #[derive(Debug, Clone)]
@@ -268,109 +111,9 @@ pub fn time_it(name: &str, target_millis: u64, mut op: impl FnMut()) -> Measurem
     }
 }
 
-/// Formats a normalized-throughput value the way the paper's bar charts
-/// read (1.00 = baseline).
-pub fn fmt_norm(x: f64) -> String {
-    format!("{x:.3}")
-}
-
-/// Formats a percentage.
-pub fn fmt_pct(x: f64) -> String {
-    format!("{x:+.1}%")
-}
-
-/// Builds the per-mix bar table the figures print: one row per showcase
-/// mix plus the `All(n)` geomean row over `all` results.
-///
-/// `series` pairs a label with (per-showcase-mix values, all-mix values).
-pub fn bar_table(showcase: &[Mix], series: &[(&str, Vec<f64>, Vec<f64>)]) -> Table {
-    let mut headers = vec!["mix"];
-    for (label, _, _) in series {
-        headers.push(label);
-    }
-    let mut t = Table::new(&headers);
-    for (i, mix) in showcase.iter().enumerate() {
-        let mut row = vec![format!("{} ({})", mix.name, mix.category_label())];
-        for (_, vals, _) in series {
-            row.push(fmt_norm(vals[i]));
-        }
-        t.add_row(row);
-    }
-    let mut row = vec![format!("All({})", series[0].2.len())];
-    for (_, _, all) in series {
-        row.push(fmt_norm(stats::geomean(all.iter().copied()).unwrap_or(0.0)));
-    }
-    t.add_row(row);
-    t
-}
-
-/// Prints an s-curve (sorted per-mix series) as deciles, the textual
-/// equivalent of the paper's s-curve plots. Series must share the mix
-/// population; each is sorted by the *reference* series' values (the
-/// paper sorts by non-inclusive performance).
-pub fn print_s_curve(title: &str, mixes: &[Mix], reference: &[f64], series: &[(&str, &[f64])]) {
-    println!("\n{title} (sorted by reference — deciles)");
-    let mut idx: Vec<usize> = (0..mixes.len()).collect();
-    idx.sort_by(|&a, &b| reference[a].partial_cmp(&reference[b]).unwrap());
-    let mut headers = vec!["percentile"];
-    for (label, _) in series {
-        headers.push(label);
-    }
-    let mut t = Table::new(&headers);
-    for pct in [0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100] {
-        let k = ((pct as f64 / 100.0) * (mixes.len() - 1) as f64).round() as usize;
-        let mut row = vec![format!("p{pct:<3} ({})", mixes[idx[k]].name)];
-        for (_, vals) in series {
-            row.push(fmt_norm(vals[idx[k]]));
-        }
-        t.add_row(row);
-    }
-    print!("{t}");
-}
-
-/// Extracts the normalized-throughput series of `suite` against
-/// `baseline`, split into (showcase values, all values) given that the
-/// suite ran over showcase ++ all concatenated. Convenience for benches
-/// that run one suite over both populations at once.
-pub fn split_series(
-    suite: &SuiteResult,
-    baseline: &SuiteResult,
-    n_showcase: usize,
-) -> (Vec<f64>, Vec<f64>) {
-    let all = suite.normalized_throughput(baseline);
-    (all[..n_showcase].to_vec(), all[n_showcase..].to_vec())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn env_defaults() {
-        // Do not set env vars (tests share the process env); just check
-        // the default path produces a valid config.
-        let env = BenchEnv::from_env();
-        assert!(env.cfg.instruction_quota() > 0);
-        assert_eq!(env.showcase_mixes().len(), 12);
-        assert_eq!(env.all_mixes().len(), 105);
-    }
-
-    #[test]
-    fn bar_table_shapes() {
-        let mixes = table2_mixes();
-        let series = vec![("QBS", vec![1.0; 12], vec![1.05; 105])];
-        let t = bar_table(&mixes, &series);
-        assert_eq!(t.len(), 13); // 12 mixes + All row
-        let s = t.to_string();
-        assert!(s.contains("All(105)"));
-        assert!(s.contains("1.050"));
-    }
-
-    #[test]
-    fn formatting() {
-        assert_eq!(fmt_norm(1.2345), "1.234");
-        assert_eq!(fmt_pct(3.21), "+3.2%");
-    }
 
     #[test]
     fn time_it_counts_iterations() {
@@ -381,73 +124,5 @@ mod tests {
         assert!(m.iters > 0);
         assert!(m.nanos_per_iter() >= 0.0);
         assert!(m.line().contains("noop"));
-    }
-
-    /// Serializes the tests that mutate `TLA_WARM_CACHE` (the process env
-    /// is shared across test threads).
-    static WARM_CACHE_ENV: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    #[test]
-    fn warm_cache_env_controls_caching() {
-        let _guard = WARM_CACHE_ENV.lock().unwrap();
-        // Tests share the process env; restore whatever was there.
-        let saved = std::env::var("TLA_WARM_CACHE").ok();
-        let env = BenchEnv::from_env();
-        for off in ["0", "off", "OFF", ""] {
-            std::env::set_var("TLA_WARM_CACHE", off);
-            assert!(env.warm_cache().is_none(), "'{off}' must disable caching");
-        }
-        let dir = std::env::temp_dir().join(format!("tla-bench-warmcache-{}", std::process::id()));
-        std::env::set_var("TLA_WARM_CACHE", &dir);
-        let cache = env.warm_cache().expect("explicit directory opens");
-        assert_eq!(cache.entries().unwrap().len(), 0);
-        std::fs::remove_dir_all(&dir).ok();
-        match saved {
-            Some(v) => std::env::set_var("TLA_WARM_CACHE", v),
-            None => std::env::remove_var("TLA_WARM_CACHE"),
-        }
-    }
-
-    #[test]
-    fn run_suite_matches_uncached_warm_start() {
-        let _guard = WARM_CACHE_ENV.lock().unwrap();
-        let saved = std::env::var("TLA_WARM_CACHE").ok();
-        let dir = std::env::temp_dir().join(format!("tla-bench-suite-{}", std::process::id()));
-        std::env::set_var("TLA_WARM_CACHE", &dir);
-        let mut env = BenchEnv::from_env();
-        env.cfg = env.cfg.with_scale(8).warmup(10_000).instructions(5_000);
-        let mixes = &table2_mixes()[..1];
-        let specs = [PolicySpec::baseline(), PolicySpec::qbs()];
-        let first = env.run_suite(mixes, &specs, None);
-        // Second invocation resumes the stored warm image, bit-identically.
-        let second = env.run_suite(mixes, &specs, None);
-        assert_eq!(first.len(), 2);
-        for (a, b) in first.iter().zip(&second) {
-            assert_eq!(a.spec.name, b.spec.name);
-            for (ra, rb) in a.runs.iter().zip(&b.runs) {
-                assert_eq!(ra.global, rb.global);
-            }
-        }
-        std::fs::remove_dir_all(&dir).ok();
-        match saved {
-            Some(v) => std::env::set_var("TLA_WARM_CACHE", v),
-            None => std::env::remove_var("TLA_WARM_CACHE"),
-        }
-    }
-
-    #[test]
-    fn quiet_reads_env() {
-        // Tests share the process env; restore whatever was there.
-        let saved = std::env::var("TLA_QUIET").ok();
-        std::env::remove_var("TLA_QUIET");
-        assert!(!quiet());
-        std::env::set_var("TLA_QUIET", "0");
-        assert!(!quiet());
-        std::env::set_var("TLA_QUIET", "1");
-        assert!(quiet());
-        match saved {
-            Some(v) => std::env::set_var("TLA_QUIET", v),
-            None => std::env::remove_var("TLA_QUIET"),
-        }
     }
 }

@@ -115,7 +115,7 @@ impl HierarchyConfig {
 
     /// The paper's baseline with every capacity divided by `scale`
     /// (associativities, line size and all capacity *ratios* unchanged).
-    /// `scale = 8` is the configuration the bench harness uses by default.
+    /// `scale = 8` is the configuration `tla-cli` uses by default.
     ///
     /// # Panics
     ///

@@ -48,7 +48,7 @@ impl SimConfig {
         }
     }
 
-    /// The 1/8-scaled configuration the bench harness defaults to:
+    /// The 1/8-scaled configuration `tla-cli` and the paper figures default to:
     /// 4 KB L1I/D, 32 KB L2, 256 KB LLC — identical ratios, ~8x less work
     /// to exercise the same number of sets.
     pub fn scaled_down() -> Self {

@@ -42,9 +42,9 @@ pub use report::{Table, TableError};
 pub use run::{EngineMode, MixRun, RunResult, RunTelemetry, ThreadResult};
 pub use runner::{
     mpki_table, normalized_throughput, run_alone, run_alone_many, run_mix_suite,
-    run_mix_suite_warm_start, run_mix_suite_warm_start_cached, run_policy_reports,
-    run_policy_reports_analyzed, run_policy_reports_analyzed_io, run_policy_reports_io,
-    run_policy_reports_warm_start, run_policy_reports_warm_start_cached, SuiteResult, Table1Row,
+    run_policy_reports, run_policy_reports_analyzed, run_policy_reports_analyzed_io,
+    run_policy_reports_io, run_policy_reports_warm_start, run_policy_reports_warm_start_cached,
+    SuiteResult, Table1Row,
 };
 pub use tla_snapshot::SnapshotError;
 pub use tla_telemetry::{RunReport, Window};

@@ -1,5 +1,5 @@
-//! Experiment helpers shared by the bench harness: isolated runs, Table I
-//! MPKI measurement, and policy suites over mix lists.
+//! Experiment helpers behind `tla-cli` and the paper's figures: isolated
+//! runs, Table I MPKI measurement, and policy suites over mix lists.
 //!
 //! Every helper that executes more than one [`MixRun`] fans the batch out
 //! over [`tla_pool::scoped_map`] with [`SimConfig::effective_jobs`]
@@ -398,79 +398,6 @@ pub fn run_policy_reports_warm_start_cached(
     .collect()
 }
 
-/// Warm-start variant of [`run_mix_suite`]: warms each mix once (under
-/// the inclusive baseline, in parallel), then fans the whole
-/// `(spec, mix)` measurement grid out over the pool, each cell resuming
-/// its mix's shared warm image.
-///
-/// Shares [`run_policy_reports_warm_start`]'s baseline-warming
-/// methodology and its `warmup == 0` fallback to the straight-through
-/// helper.
-///
-/// # Errors
-///
-/// Fails only if a resume rejects a just-written checkpoint.
-pub fn run_mix_suite_warm_start(
-    cfg: &SimConfig,
-    mixes: &[Mix],
-    specs: &[PolicySpec],
-    llc_capacity_full_scale: Option<usize>,
-) -> Result<Vec<SuiteResult>, SnapshotError> {
-    run_mix_suite_warm_start_cached(cfg, mixes, specs, llc_capacity_full_scale, None)
-}
-
-/// [`run_mix_suite_warm_start`] with an optional [`WarmCache`]: each
-/// mix's warm image is looked up in (and stored to) the cache directory,
-/// so a suite re-run — e.g. consecutive bench invocations over the same
-/// figure grid — skips every warm-up it has already done. Results are
-/// bit-identical with and without the cache.
-///
-/// # Errors
-///
-/// Fails only if a resume rejects a warm checkpoint (cache corruption is
-/// handled by ignoring the bad file and re-warming).
-pub fn run_mix_suite_warm_start_cached(
-    cfg: &SimConfig,
-    mixes: &[Mix],
-    specs: &[PolicySpec],
-    llc_capacity_full_scale: Option<usize>,
-    warm_cache: Option<&WarmCache>,
-) -> Result<Vec<SuiteResult>, SnapshotError> {
-    if cfg.warmup_quota() == 0 {
-        return Ok(run_mix_suite(cfg, mixes, specs, llc_capacity_full_scale));
-    }
-    let checkpoints: Vec<Checkpoint> =
-        scoped_map(cfg.effective_jobs(), (0..mixes.len()).collect(), |m| {
-            warm_once_cached(
-                cfg,
-                &mixes[m].apps,
-                llc_capacity_full_scale,
-                None,
-                warm_cache,
-            )
-        });
-    let grid: Vec<(usize, usize)> = (0..specs.len())
-        .flat_map(|s| (0..mixes.len()).map(move |m| (s, m)))
-        .collect();
-    let runs: Vec<RunResult> = scoped_map(cfg.effective_jobs(), grid, |(s, m)| {
-        let mut run = MixRun::new(cfg, &mixes[m].apps).spec(&specs[s]);
-        if let Some(bytes) = llc_capacity_full_scale {
-            run = run.llc_capacity_full_scale(bytes);
-        }
-        run.resume(&checkpoints[m])
-    })
-    .into_iter()
-    .collect::<Result<_, _>>()?;
-    let mut runs = runs.into_iter();
-    Ok(specs
-        .iter()
-        .map(|spec| SuiteResult {
-            spec: spec.clone(),
-            runs: runs.by_ref().take(mixes.len()).collect(),
-        })
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -564,23 +491,6 @@ mod tests {
         for ((a, _), (b, _)) in warm.iter().zip(&straight) {
             assert_eq!(a.global, b.global);
             assert_eq!(a.threads[0].stats, b.threads[0].stats);
-        }
-    }
-
-    #[test]
-    fn warm_start_suite_keeps_grid_shape() {
-        let cfg = quick().warmup(10_000).instructions(5_000);
-        let mixes = &table2_mixes()[..2];
-        let specs = vec![PolicySpec::baseline(), PolicySpec::eci()];
-        let results = run_mix_suite_warm_start(&cfg, mixes, &specs, None).unwrap();
-        assert_eq!(results.len(), 2);
-        for (suite, spec) in results.iter().zip(&specs) {
-            assert_eq!(suite.spec.name, spec.name);
-            assert_eq!(suite.runs.len(), 2);
-            for run in &suite.runs {
-                assert_eq!(run.spec_name, spec.name);
-                assert!(run.throughput() > 0.0);
-            }
         }
     }
 

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! tla-cli list                                   # apps, mixes, policies
-//! tla-cli table1 [options]                       # isolated MPKI table
+//! tla-cli paper [--figure <id>] [options]        # the paper's tables/figures
 //! tla-cli run --mix lib,sje --policy qbs [opts]  # one run
 //! tla-cli compare --mix lib,sje [opts]           # all policies on one mix
 //! tla-cli analyze --mix lib,sje [opts]           # compare + MIN oracle,
@@ -15,18 +15,21 @@
 //!
 //! options: --scale <1|2|4|8>  --measure <n>  --warmup <n>  --seed <n>
 //!          --llc-mb <n>  --no-prefetch  --json <path>  --window <n>
-//!          --jobs <n>  --shard-jobs <n>
+//!          --jobs <n>  --shard-jobs <n>  --figure <id>
 //!          --baseline <path>  --gate <pct>  --target-ms <n>  --out <path>
 //!          --warm-start  --warm-image <path>  --sample-every <n>
 //!          --io <agents>  --io-ways <n>  --io-partition  --smoke
 //! ```
+//!
+//! Each subcommand accepts only the flags it reads (`COMMAND_FLAGS`).
 
 use std::process::ExitCode;
+use tla::bench::paper::{self, Figure};
 use tla::cache::CacheConfig;
 use tla::core::HierarchyConfig;
 use tla::io::{IoAgentSpec, IoMixConfig};
 use tla::sim::{
-    mpki_table, optimal_llc, run_policy_reports_analyzed_io, run_policy_reports_io,
+    optimal_llc, run_policy_reports_analyzed_io, run_policy_reports_io,
     run_policy_reports_warm_start_cached, Checkpoint, MixRun, PolicySpec, RunReport, RunResult,
     SimConfig, Table, WarmCache,
 };
@@ -37,11 +40,19 @@ use tla::workloads::{table2_mixes, SpecApp};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: tla-cli <list|table1|run|compare|analyze|bench|io-sweep|snapshot> [options]\n\
+        "usage: tla-cli <list|paper|run|compare|analyze|bench|io-sweep|snapshot> [options]\n\
          \n\
          commands:\n\
          \x20 list                    available apps, mixes and policies\n\
-         \x20 table1                  isolated L1/L2/LLC MPKI (Table I)\n\
+         \x20 paper [--figure <id>]   the paper's tables and figures, each\n\
+         \x20                         suite run straight through (every\n\
+         \x20                         figure in paper order without\n\
+         \x20                         --figure; ids: table1 fig2 fig5 fig6\n\
+         \x20                         fig7 fig8 fig9 fig10 fig11\n\
+         \x20                         victim-cache qbs-variants\n\
+         \x20                         replacement latency snoop-filter).\n\
+         \x20                         At --scale 1, Figs 2 and 10 cover all\n\
+         \x20                         105 mixes and Fig 11 100 random ones\n\
          \x20 run     --mix a,b ...   one simulation run\n\
          \x20 compare --mix a,b ...   every policy on one mix\n\
          \x20                         (--warm-start: warm once under the\n\
@@ -68,7 +79,7 @@ fn usage() -> ExitCode {
          \x20                         list a --warm-cache directory (reads\n\
          \x20                         only; nothing is evicted or touched)\n\
          \n\
-         options:\n\
+         options (each subcommand rejects the ones it does not read):\n\
          \x20 --mix <apps|MIX_nn>     comma-separated app names (see `list`)\n\
          \x20 --policy <name>         baseline, tlh-il1, tlh-dl1, tlh-l1, tlh-l2,\n\
          \x20                         tlh-l1-l2, eci, qbs, qbs-il1, qbs-dl1, qbs-l1,\n\
@@ -116,6 +127,7 @@ fn usage() -> ExitCode {
          \x20                         ways (static way partitioning;\n\
          \x20                         requires --io-ways)\n\
          \x20 --smoke                 io-sweep: small fixed sweep (CI mode)\n\
+         \x20 --figure <id>           paper: run only this figure\n\
          \n\
          bench options:\n\
          \x20 --json <path>           write the BENCH_*.json report\n\
@@ -155,6 +167,9 @@ struct Options {
     sample_every: u32,
     io: IoMixConfig,
     smoke: bool,
+    figure: Option<Figure>,
+    /// Every flag given, in order, for the per-subcommand check.
+    given: Vec<String>,
 }
 
 fn parse_policy(name: &str) -> Option<PolicySpec> {
@@ -196,11 +211,9 @@ fn parse_mix(spec: &str) -> Option<Vec<SpecApp>> {
         .collect()
 }
 
-fn parse_options(
-    args: &[String],
-    base_cfg: SimConfig,
-    window_needs_json: bool,
-) -> Result<Options, String> {
+/// Parses every flag any subcommand knows; [`validate`] then checks the
+/// combinations.
+fn parse_flags(args: &[String], base_cfg: SimConfig) -> Result<Options, String> {
     let mut opts = Options {
         mix: Vec::new(),
         policy: None,
@@ -218,9 +231,12 @@ fn parse_options(
         sample_every: DEFAULT_SAMPLE_EVERY,
         io: IoMixConfig::none(),
         smoke: false,
+        figure: None,
+        given: Vec::new(),
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
+        opts.given.push(arg.clone());
         let mut value = |name: &str| {
             it.next()
                 .cloned()
@@ -354,9 +370,17 @@ fn parse_options(
             "--smoke" => {
                 opts.smoke = true;
             }
+            "--figure" => {
+                opts.figure = Some(value("--figure")?.parse()?);
+            }
             other => return Err(format!("unknown option '{other}'")),
         }
     }
+    Ok(opts)
+}
+
+/// Checks flag values that depend on each other.
+fn validate(opts: &Options, window_needs_json: bool) -> Result<(), String> {
     if let Some(mb) = opts.llc_mb {
         // The same geometry `MixRun::llc_capacity_full_scale` builds, so
         // a bad size is an error here rather than a panic mid-run.
@@ -387,6 +411,85 @@ fn parse_options(
              (checkpoints do not cover device I/O agents)"
             .into());
     }
+    Ok(())
+}
+
+/// [`parse_flags`] then [`validate`], with no per-subcommand check.
+#[cfg(test)]
+fn parse_options(
+    args: &[String],
+    base_cfg: SimConfig,
+    window_needs_json: bool,
+) -> Result<Options, String> {
+    let opts = parse_flags(args, base_cfg)?;
+    validate(&opts, window_needs_json)?;
+    Ok(opts)
+}
+
+/// The flags each subcommand reads. [`parse_flags`] knows every flag,
+/// so [`parse_command`] checks this table to reject a flag the command
+/// would otherwise parse and silently drop.
+const COMMAND_FLAGS: &[(&str, &str)] = &[
+    ("list", ""),
+    ("paper", "--figure --scale --measure --warmup --seed --jobs"),
+    (
+        "run",
+        "--mix --policy --scale --measure --warmup --seed --llc-mb --no-prefetch --json \
+         --window --io --io-ways --io-partition",
+    ),
+    (
+        "compare",
+        "--mix --scale --measure --warmup --seed --llc-mb --no-prefetch --json --window \
+         --jobs --shard-jobs --warm-start --warm-cache --io --io-ways --io-partition",
+    ),
+    (
+        "analyze",
+        "--mix --scale --measure --warmup --seed --llc-mb --no-prefetch --json --window \
+         --jobs --shard-jobs --sample-every --io --io-ways --io-partition",
+    ),
+    (
+        "bench",
+        "--scale --measure --warmup --seed --no-prefetch --json --baseline --gate \
+         --target-ms --warm-image",
+    ),
+    (
+        "io-sweep",
+        "--mix --scale --measure --warmup --seed --llc-mb --no-prefetch --json --window \
+         --jobs --shard-jobs --smoke",
+    ),
+    (
+        "snapshot save",
+        "--mix --policy --scale --measure --warmup --seed --llc-mb --no-prefetch --window \
+         --out",
+    ),
+    ("snapshot resume", "--policy --json --window"),
+];
+
+/// Whether subcommand `cmd` reads `flag`, per [`COMMAND_FLAGS`].
+fn accepts(cmd: &str, flag: &str) -> Result<bool, String> {
+    COMMAND_FLAGS
+        .iter()
+        .find(|(name, _)| *name == cmd)
+        .map(|(_, flags)| flags.split_whitespace().any(|f| f == flag))
+        .ok_or_else(|| format!("unknown command '{cmd}'"))
+}
+
+/// Parses `args` for subcommand `cmd`, rejecting any flag outside the
+/// command's [`COMMAND_FLAGS`] entry.
+fn parse_command(cmd: &str, args: &[String], base_cfg: SimConfig) -> Result<Options, String> {
+    // An unknown command fails before its flags are parsed.
+    accepts(cmd, "")?;
+    // `analyze` always instruments and `snapshot save` instruments the
+    // checkpoint, so a bare --window is live there; everywhere else it
+    // only steers a --json report.
+    let window_needs_json = !matches!(cmd, "analyze" | "snapshot save");
+    let opts = parse_flags(args, base_cfg)?;
+    for flag in &opts.given {
+        if !accepts(cmd, flag)? {
+            return Err(format!("{cmd} does not accept {flag}"));
+        }
+    }
+    validate(&opts, window_needs_json)?;
     Ok(opts)
 }
 
@@ -497,18 +600,19 @@ fn cmd_list() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_table1(opts: &Options) -> ExitCode {
-    let mut t = Table::new(&["app", "category", "L1 MPKI", "L2 MPKI", "LLC MPKI"]);
-    for r in mpki_table(&opts.cfg) {
-        t.add_row(vec![
-            r.app.short_name().to_string(),
-            r.app.category().to_string(),
-            format!("{:.2}", r.l1_mpki),
-            format!("{:.2}", r.l2_mpki),
-            format!("{:.2}", r.llc_mpki),
-        ]);
+fn cmd_paper(opts: &Options) -> ExitCode {
+    let cfg = &opts.cfg;
+    println!(
+        "paper: scale 1/{}, {} warm-up + {} measured instructions/thread, seed {:#x}\n",
+        cfg.scale(),
+        cfg.warmup_quota(),
+        cfg.instruction_quota(),
+        cfg.seed_value()
+    );
+    let figures = opts.figure.map_or(Figure::ALL.to_vec(), |f| vec![f]);
+    for figure in figures {
+        print!("{}", paper::run(figure, cfg));
     }
-    print!("{t}");
     ExitCode::SUCCESS
 }
 
@@ -767,17 +871,6 @@ fn io_sweep_scenarios(smoke: bool) -> Vec<IoMixConfig> {
 }
 
 fn cmd_io_sweep(opts: &Options) -> ExitCode {
-    if !opts.io.is_trivial() {
-        eprintln!("io-sweep: the sweep supplies its own device scenarios; drop --io/--io-ways");
-        return ExitCode::FAILURE;
-    }
-    if opts.warm_start || opts.warm_cache.is_some() {
-        eprintln!(
-            "io-sweep: --warm-start/--warm-cache are not supported \
-             (checkpoints do not cover device I/O agents)"
-        );
-        return ExitCode::FAILURE;
-    }
     let mix = if opts.mix.is_empty() {
         vec![SpecApp::Sjeng]
     } else {
@@ -1376,10 +1469,6 @@ fn cmd_snapshot_save(opts: &Options) -> ExitCode {
         eprintln!("snapshot save: --out <path> is required");
         return ExitCode::FAILURE;
     };
-    if !opts.io.is_trivial() {
-        eprintln!("snapshot save: checkpoints do not cover device I/O agents; drop --io");
-        return ExitCode::FAILURE;
-    }
     let spec = opts.policy.clone().unwrap_or_else(PolicySpec::baseline);
     let mut run = MixRun::new(&opts.cfg, &opts.mix).spec(&spec);
     if let Some(mb) = opts.llc_mb {
@@ -1573,7 +1662,7 @@ fn cmd_snapshot(rest: &[String]) -> ExitCode {
         return usage();
     };
     match sub.as_str() {
-        "save" => match parse_options(args, sim_base_cfg(), false) {
+        "save" => match parse_command("snapshot save", args, sim_base_cfg()) {
             Ok(opts) => cmd_snapshot_save(&opts),
             Err(e) => {
                 eprintln!("error: {e}");
@@ -1603,7 +1692,7 @@ fn cmd_snapshot(rest: &[String]) -> ExitCode {
                 }
                 return cmd_snapshot_info(path);
             }
-            match parse_options(args, sim_base_cfg(), false) {
+            match parse_command("snapshot resume", args, sim_base_cfg()) {
                 Ok(opts) => cmd_snapshot_resume(path, &opts),
                 Err(e) => {
                     eprintln!("error: {e}");
@@ -1634,23 +1723,16 @@ fn main() -> ExitCode {
     } else {
         sim_base_cfg()
     };
-    // `analyze` always instruments, so a bare --window steers the report's
-    // time series without demanding --json; everywhere else it would be
-    // silently dead.
-    let opts = match parse_options(rest, base_cfg, cmd != "analyze") {
+    let opts = match parse_command(cmd, rest, base_cfg) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}");
             return usage();
         }
     };
-    if opts.smoke && cmd != "io-sweep" {
-        eprintln!("error: --smoke only applies to io-sweep");
-        return usage();
-    }
     match cmd.as_str() {
         "list" => cmd_list(),
-        "table1" => cmd_table1(&opts),
+        "paper" => cmd_paper(&opts),
         "run" => cmd_run(&opts),
         "compare" => cmd_compare(&opts),
         "analyze" => cmd_analyze(&opts),
@@ -1783,6 +1865,94 @@ mod tests {
         assert!(bad(&["--scale", "0"]).contains("--scale"));
         // The epoch-parallel engine and its worker knob are gone.
         assert!(bad(&["--engine-jobs", "2"]).contains("unknown option"));
+        assert!(bad(&["--figure", "nope"]).contains("valid: table1, fig2"));
+
+        // A flag the subcommand would parse and then ignore is an error.
+        let rejected = |cmd: &str, args: &[&str]| {
+            let v: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            parse_command(cmd, &v, sim_base_cfg()).unwrap_err()
+        };
+        assert!(rejected("table1", &["--mix", "lib,sje"]).contains("unknown command 'table1'"));
+        assert_eq!(
+            rejected("paper", &["--figure", "table1", "--mix", "lib,sje"]),
+            "paper does not accept --mix"
+        );
+        assert_eq!(
+            rejected("run", &["--mix", "lib,sje", "--warm-start"]),
+            "run does not accept --warm-start"
+        );
+        assert_eq!(
+            rejected("run", &["--mix", "lib,sje", "--out", "x"]),
+            "run does not accept --out"
+        );
+        assert_eq!(
+            rejected("io-sweep", &["--policy", "qbs"]),
+            "io-sweep does not accept --policy"
+        );
+        for flag in [
+            ["--mix", "lib"],
+            ["--policy", "qbs"],
+            ["--llc-mb", "2"],
+            ["--io", "dma"],
+            ["--io-ways", "2"],
+            ["--json", "out.json"],
+            ["--window", "5"],
+            ["--warm-cache", "dir"],
+        ] {
+            let mut args = flag.to_vec();
+            if flag[0] == "--window" {
+                args.extend(["--json", "out.json"]);
+            }
+            let e = rejected("paper", &args);
+            assert!(e.starts_with("paper does not accept"), "{e}");
+        }
+        for flag in ["--io-partition", "--warm-start"] {
+            assert!(rejected("paper", &[flag]).contains("does not accept"));
+        }
+        assert_eq!(
+            rejected("snapshot resume", &["--policy", "qbs", "--window", "5"]),
+            "--window only makes sense with --json"
+        );
+    }
+
+    /// Every `tla-cli` invocation in the CI workflow passes its
+    /// subcommand's flag check.
+    #[test]
+    fn ci_flags_are_accepted() {
+        let ci = std::fs::read_to_string(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/.github/workflows/ci.yml"
+        ))
+        .unwrap();
+        let joined = ci.replace("\\\n", " ");
+        let mut checked = 0;
+        for line in joined.lines() {
+            let words: Vec<&str> = line.split_whitespace().collect();
+            let Some(at) = words.iter().position(|w| w.ends_with("tla-cli")) else {
+                continue;
+            };
+            let mut rest = words[at + 1..]
+                .iter()
+                .copied()
+                .take_while(|w| *w != "|" && *w != ";")
+                .skip_while(|w| *w == "--");
+            let Some(cmd) = rest.next() else { continue };
+            let cmd = match cmd {
+                "snapshot" => match rest.next() {
+                    Some(sub @ ("save" | "resume")) => format!("snapshot {sub}"),
+                    _ => continue,
+                },
+                _ => cmd.to_string(),
+            };
+            for flag in rest.filter(|w| w.starts_with("--")) {
+                assert!(
+                    accepts(&cmd, flag).unwrap(),
+                    "ci.yml: {cmd} does not accept {flag}"
+                );
+            }
+            checked += 1;
+        }
+        assert!(checked >= 10, "only {checked} tla-cli invocations found");
     }
 
     #[test]

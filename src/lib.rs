@@ -25,8 +25,9 @@
 //!   run reports ([`tla_telemetry`]).
 //! * [`pool`] — the dependency-free scoped thread pool behind the parallel
 //!   experiment runner ([`tla_pool`]).
-//! * [`bench`] — the offline timing harness shared by the figure benches
-//!   and `tla-cli bench` ([`tla_bench`]).
+//! * [`bench`] — every table and figure of the paper's evaluation as
+//!   data (printed by `tla-cli paper`) and the offline micro-benchmark
+//!   timer ([`tla_bench`]).
 //!
 //! # Quickstart
 //!
