@@ -20,8 +20,9 @@
 //!
 //! [`MixRun`]: crate::MixRun
 
+use crate::config::SimConfig;
 use std::path::Path;
-use tla_cpu::Latencies;
+use tla_cpu::{CoreModelConfig, Latencies};
 use tla_snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use tla_workloads::SpecApp;
 
@@ -119,6 +120,51 @@ pub struct CheckpointInfo {
 }
 
 impl CheckpointInfo {
+    /// The meta section a warm-up of `apps` under `cfg` writes, before
+    /// the freeze point is known (`total_instr` is zero). `telemetry` is
+    /// `None` for a plain checkpoint and `Some(window)` for an
+    /// instrumented one.
+    pub(crate) fn new(
+        cfg: &SimConfig,
+        apps: &[SpecApp],
+        llc_capacity_full_scale: Option<usize>,
+        warm_spec: &str,
+        telemetry: Option<Option<u64>>,
+    ) -> CheckpointInfo {
+        CheckpointInfo {
+            apps: apps.to_vec(),
+            scale: cfg.scale(),
+            seed: cfg.seed_value(),
+            warmup: cfg.warmup_quota(),
+            instructions: cfg.instruction_quota(),
+            prefetch: cfg.prefetch_enabled(),
+            llc_capacity_full_scale,
+            warm_spec: warm_spec.to_string(),
+            total_instr: 0,
+            instrumented: telemetry.is_some(),
+            window: telemetry.flatten(),
+            latencies: cfg.core_config().latencies,
+        }
+    }
+
+    /// The [`SimConfig`] the checkpoint was warmed under, so a resume
+    /// needs no re-typed configuration. The LLC override is not part of a
+    /// `SimConfig`; pass `llc_capacity_full_scale` to
+    /// [`MixRun::llc_capacity_full_scale`](crate::MixRun::llc_capacity_full_scale).
+    pub fn sim_config(&self) -> SimConfig {
+        let cfg = SimConfig::scaled_down()
+            .with_scale(self.scale)
+            .warmup(self.warmup)
+            .instructions(self.instructions)
+            .seed(self.seed)
+            .prefetch(self.prefetch);
+        let core = CoreModelConfig {
+            latencies: self.latencies,
+            ..*cfg.core_config()
+        };
+        cfg.core_model(core)
+    }
+
     /// The mix label, e.g. `"lib+sje"`.
     pub fn mix_label(&self) -> String {
         let names: Vec<&str> = self.apps.iter().map(|a| a.short_name()).collect();

@@ -35,7 +35,8 @@ mod warmcache;
 pub use checkpoint::{Checkpoint, CheckpointInfo};
 pub use config::SimConfig;
 pub use oracle::{
-    belady, belady_bruteforce, belady_sharded, mix_reference_stream, optimal_llc, OracleResult,
+    belady, belady_bruteforce, belady_sharded, gap_to_opt, mix_reference_stream, optimal_llc,
+    OracleGap, OracleResult,
 };
 pub use policyspec::PolicySpec;
 pub use report::{Table, TableError};

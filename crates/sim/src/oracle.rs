@@ -31,8 +31,11 @@
 //! and [`belady_sharded`] feed it a slice.
 
 use crate::config::SimConfig;
+use crate::run::RunResult;
 use std::collections::HashMap;
 use tla_core::HierarchyConfig;
+use tla_telemetry::RunReport;
+use tla_types::counters::victim_rate;
 use tla_types::LineAddr;
 use tla_workloads::{SpecApp, TraceSource};
 
@@ -341,6 +344,46 @@ pub fn optimal_llc(
     let mut lists = NextUseLists::new(llc.sets(), llc.ways());
     for_each_mix_reference(cfg, apps, |line, measured| lists.push(line, measured));
     lists.replay(cfg.effective_shard_jobs())
+}
+
+/// Gap to the MIN oracle as a fraction of the optimal miss count:
+/// `(measured - opt) / opt`. An oracle with zero misses divides by one
+/// instead, so the gap degenerates to the absolute measured miss count
+/// and reports stay finite.
+pub fn gap_to_opt(measured_misses: u64, opt_misses: u64) -> f64 {
+    (measured_misses as f64 - opt_misses as f64) / (opt_misses.max(1) as f64)
+}
+
+/// One run measured against the MIN oracle: the three numbers a report
+/// carries beside the run's own statistics.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct OracleGap {
+    /// The oracle's measured-phase LLC misses.
+    pub opt_misses: u64,
+    /// [`gap_to_opt`] of the run's LLC misses.
+    pub gap_to_opt: f64,
+    /// The run's inclusion-victim rate
+    /// ([`tla_types::counters::victim_rate`] over its threads).
+    pub victim_rate: f64,
+}
+
+impl OracleGap {
+    /// Measures `run` against an oracle that missed `opt_misses` times.
+    pub fn new(run: &RunResult, opt_misses: u64) -> OracleGap {
+        OracleGap {
+            opt_misses,
+            gap_to_opt: gap_to_opt(run.llc_misses(), opt_misses),
+            victim_rate: victim_rate(run.threads.iter().map(|t| &t.stats)),
+        }
+    }
+
+    /// Fills the report's `opt_misses`, `gap_to_opt` and
+    /// `inclusion_victim_rate` fields.
+    pub fn attach(&self, report: &mut RunReport) {
+        report.opt_misses = Some(self.opt_misses);
+        report.gap_to_opt = Some(self.gap_to_opt);
+        report.inclusion_victim_rate = Some(self.victim_rate);
+    }
 }
 
 #[cfg(test)]

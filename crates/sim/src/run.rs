@@ -452,20 +452,13 @@ impl<'a> MixRun<'a> {
             self.io.is_trivial(),
             "checkpoints do not cover device I/O agents; run I/O mixes straight through"
         );
-        let info = CheckpointInfo {
-            apps: self.apps.clone(),
-            scale: self.cfg.scale(),
-            seed: self.cfg.seed_value(),
-            warmup: self.cfg.warmup_quota(),
-            instructions: self.cfg.instruction_quota(),
-            prefetch: self.cfg.prefetch_enabled(),
-            llc_capacity_full_scale: self.llc_capacity_full_scale,
-            warm_spec: self.spec.name.clone(),
-            total_instr: 0,
-            instrumented: telemetry.is_some(),
-            window: telemetry.flatten(),
-            latencies: self.cfg.core_config().latencies,
-        };
+        let info = CheckpointInfo::new(
+            self.cfg,
+            &self.apps,
+            self.llc_capacity_full_scale,
+            &self.spec.name,
+            telemetry,
+        );
         let mut engine = Engine::new(&self, telemetry, None);
         engine.run_to_warm();
         let info = CheckpointInfo {
@@ -1607,6 +1600,39 @@ mod tests {
             assert_eq!(a.stats, b.stats);
         }
         assert_eq!(resumed.spec_name, "QBS");
+    }
+
+    #[test]
+    fn checkpoint_info_rebuilds_its_config() {
+        // Every pinned axis off its default: the config read back from the
+        // meta section must pass the resume check and replay the run.
+        let base = warm_cfg().with_scale(4).seed(0xfeed).prefetch(false);
+        let core = tla_cpu::CoreModelConfig {
+            latencies: tla_cpu::Latencies {
+                memory: 200,
+                ..base.core_config().latencies
+            },
+            ..*base.core_config()
+        };
+        let cfg = base.core_model(core);
+        let mix = [SpecApp::Sjeng, SpecApp::Mcf];
+        let llc = 4 * 1024 * 1024;
+        let build = |cfg| {
+            MixRun::new(cfg, &mix)
+                .spec(&PolicySpec::qbs())
+                .llc_capacity_full_scale(llc)
+        };
+        let straight = build(&cfg).run();
+        let ck = build(&cfg).warm_checkpoint();
+        let info = ck.info().unwrap();
+        assert_eq!(info.llc_capacity_full_scale, Some(llc));
+        let rebuilt = info.sim_config();
+        let resumed = build(&rebuilt).resume(&ck).unwrap();
+        assert_eq!(resumed.global, straight.global);
+        for (a, b) in resumed.threads.iter().zip(&straight.threads) {
+            assert_eq!(a.cycles, b.cycles);
+            assert_eq!(a.stats, b.stats);
+        }
     }
 
     #[test]

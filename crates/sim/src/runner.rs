@@ -278,20 +278,13 @@ fn prewarm_info(
     llc_capacity_full_scale: Option<usize>,
     window: Option<Option<u64>>,
 ) -> CheckpointInfo {
-    CheckpointInfo {
-        apps: apps.to_vec(),
-        scale: cfg.scale(),
-        seed: cfg.seed_value(),
-        warmup: cfg.warmup_quota(),
-        instructions: cfg.instruction_quota(),
-        prefetch: cfg.prefetch_enabled(),
+    CheckpointInfo::new(
+        cfg,
+        apps,
         llc_capacity_full_scale,
-        warm_spec: PolicySpec::baseline().name,
-        total_instr: 0,
-        instrumented: window.is_some(),
-        window: window.flatten(),
-        latencies: cfg.core_config().latencies,
-    }
+        &PolicySpec::baseline().name,
+        window,
+    )
 }
 
 /// [`warm_once`] with an optional on-disk cache in front: a valid cached

@@ -14,6 +14,7 @@ use crate::json::{JsonError, JsonValue};
 use crate::reuse::{ReuseHistogram, ReuseProfiler};
 use crate::window::Window;
 use std::fmt;
+use tla_types::counters::victim_rate;
 use tla_types::{GlobalStats, IoAgentStats, IoStats, PerCoreStats};
 
 /// Version stamp written into every report; bump on breaking schema
@@ -290,17 +291,7 @@ impl RunReport {
     /// inclusion-victim misses, computed from the per-thread counters
     /// (the measured value behind the `inclusion_victim_rate` field).
     pub fn measured_victim_rate(&self) -> f64 {
-        let victims: u64 = self
-            .threads
-            .iter()
-            .map(|t| t.stats.misses_inclusion_victim)
-            .sum();
-        let misses: u64 = self.threads.iter().map(|t| t.stats.l2_misses).sum();
-        if misses == 0 {
-            0.0
-        } else {
-            victims as f64 / misses as f64
-        }
+        victim_rate(self.threads.iter().map(|t| &t.stats))
     }
 
     /// Encodes the report as a JSON tree.

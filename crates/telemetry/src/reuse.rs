@@ -252,10 +252,8 @@ impl ReuseProfiler {
     ///
     /// A zero `sample_every` is clamped to 1 (profile every set): the
     /// stride feeds `step_by`, and a panic deep inside a long analyzed
-    /// run is a far worse failure mode than a thorough profile. Front
-    /// ends reject 0 with a proper error before it gets here (see
-    /// `tla-cli`'s `--sample-every` validation), mirroring
-    /// [`WindowedSeries::new`](crate::WindowedSeries::new)'s `--window`
+    /// run is a far worse failure mode than a thorough profile, as in
+    /// [`WindowedSeries::new`](crate::WindowedSeries::new)'s window
     /// handling.
     ///
     /// # Panics

@@ -85,6 +85,20 @@ impl PerCoreStats {
     }
 }
 
+/// Fraction of L2 demand misses the attribution hooks classified as
+/// inclusion-victim misses, summed over `threads` (0 without L2 misses):
+/// a run's inclusion-victim rate.
+pub fn victim_rate<'a>(threads: impl IntoIterator<Item = &'a PerCoreStats>) -> f64 {
+    let (victims, misses) = threads.into_iter().fold((0u64, 0u64), |(v, m), s| {
+        (v + s.misses_inclusion_victim, m + s.l2_misses)
+    });
+    if misses == 0 {
+        0.0
+    } else {
+        victims as f64 / misses as f64
+    }
+}
+
 /// Whole-hierarchy message and event counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GlobalStats {

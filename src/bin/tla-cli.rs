@@ -1,27 +1,9 @@
 //! Command-line driver for the TLA simulator.
 //!
-//! ```text
-//! tla-cli list                                   # apps, mixes, policies
-//! tla-cli paper [--figure <id>] [options]        # the paper's tables/figures
-//! tla-cli run --mix lib,sje --policy qbs [opts]  # one run
-//! tla-cli compare --mix lib,sje [opts]           # all policies on one mix
-//! tla-cli analyze --mix lib,sje [opts]           # compare + MIN oracle,
-//!                                                # reuse and victim analytics
-//! tla-cli bench [opts]                           # throughput benchmark
-//! tla-cli io-sweep --mix sje [opts]              # app-vs-I/O pressure sweep
-//! tla-cli snapshot save --mix a,b --out f.tlas   # warm once, checkpoint
-//! tla-cli snapshot info f.tlas                   # inspect a checkpoint
-//! tla-cli snapshot resume f.tlas --policy qbs    # measure from a checkpoint
-//!
-//! options: --scale <1|2|4|8>  --measure <n>  --warmup <n>  --seed <n>
-//!          --llc-mb <n>  --no-prefetch  --json <path>  --window <n>
-//!          --jobs <n>  --shard-jobs <n>  --figure <id>
-//!          --baseline <path>  --gate <pct>  --target-ms <n>  --out <path>
-//!          --warm-start  --warm-image <path>  --sample-every <n>
-//!          --io <agents>  --io-ways <n>  --io-partition  --smoke
-//! ```
-//!
-//! Each subcommand accepts only the flags it reads (`COMMAND_FLAGS`).
+//! Every subcommand is one row of [`COMMANDS`] and every flag one row of
+//! [`FLAGS`]. [`parse_command`] matches a command line against the two
+//! tables, [`usage`] prints them, and each subcommand accepts only the
+//! flags its row lists. `tla-cli` with no arguments prints the usage.
 
 use std::process::ExitCode;
 use tla::bench::paper::{self, Figure};
@@ -30,127 +12,19 @@ use tla::core::HierarchyConfig;
 use tla::io::{IoAgentSpec, IoMixConfig};
 use tla::sim::{
     optimal_llc, run_policy_reports_analyzed_io, run_policy_reports_io,
-    run_policy_reports_warm_start_cached, Checkpoint, MixRun, PolicySpec, RunReport, RunResult,
-    SimConfig, Table, WarmCache,
+    run_policy_reports_warm_start_cached, Checkpoint, CheckpointInfo, MixRun, OracleGap,
+    PolicySpec, RunReport, RunResult, SimConfig, Table, WarmCache,
 };
 use tla::telemetry::json::JsonValue;
 use tla::telemetry::DEFAULT_SAMPLE_EVERY;
 use tla::types::CoreId;
 use tla::workloads::{table2_mixes, SpecApp};
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: tla-cli <list|paper|run|compare|analyze|bench|io-sweep|snapshot> [options]\n\
-         \n\
-         commands:\n\
-         \x20 list                    available apps, mixes and policies\n\
-         \x20 paper [--figure <id>]   the paper's tables and figures, each\n\
-         \x20                         suite run straight through (every\n\
-         \x20                         figure in paper order without\n\
-         \x20                         --figure; ids: table1 fig2 fig5 fig6\n\
-         \x20                         fig7 fig8 fig9 fig10 fig11\n\
-         \x20                         victim-cache qbs-variants\n\
-         \x20                         replacement latency snoop-filter).\n\
-         \x20                         At --scale 1, Figs 2 and 10 cover all\n\
-         \x20                         105 mixes and Fig 11 100 random ones\n\
-         \x20 run     --mix a,b ...   one simulation run\n\
-         \x20 compare --mix a,b ...   every policy on one mix\n\
-         \x20                         (--warm-start: warm once under the\n\
-         \x20                         baseline, fan measurement per policy)\n\
-         \x20 analyze --mix a,b ...   compare with the analytics layer:\n\
-         \x20                         Belady MIN oracle gap, reuse-distance\n\
-         \x20                         histograms, inclusion-victim rates\n\
-         \x20 bench                   simulator throughput over a fixed\n\
-         \x20                         policy x core-count matrix (plus the\n\
-         \x20                         io/* injection entries)\n\
-         \x20 io-sweep [--mix a,b]    app-vs-I/O pressure sweep: device\n\
-         \x20                         scenarios (nic ring, leaky dma,\n\
-         \x20                         injection-way limits, partitioning)\n\
-         \x20                         x the four management policies\n\
-         \x20                         (default mix: sje; --smoke for CI)\n\
-         \x20 snapshot save --mix a,b --out <f.tlas>\n\
-         \x20                         run the warm-up only and checkpoint it\n\
-         \x20                         (--window instruments the checkpoint)\n\
-         \x20 snapshot info <f.tlas>  describe a checkpoint\n\
-         \x20 snapshot resume <f.tlas> [--policy p] [--json out]\n\
-         \x20                         finish the measured phase from a\n\
-         \x20                         checkpoint (config comes from the file)\n\
-         \x20 snapshot cache-info <dir>\n\
-         \x20                         list a --warm-cache directory (reads\n\
-         \x20                         only; nothing is evicted or touched)\n\
-         \n\
-         options (each subcommand rejects the ones it does not read):\n\
-         \x20 --mix <apps|MIX_nn>     comma-separated app names (see `list`)\n\
-         \x20 --policy <name>         baseline, tlh-il1, tlh-dl1, tlh-l1, tlh-l2,\n\
-         \x20                         tlh-l1-l2, eci, qbs, qbs-il1, qbs-dl1, qbs-l1,\n\
-         \x20                         qbs-l2, non-inclusive, exclusive, vc<N>\n\
-         \x20                         (vc32 = the paper's victim cache; any\n\
-         \x20                         entry count up to 256 works, e.g. vc128)\n\
-         \x20 --scale <1|2|4|8>       cache down-scaling (default 8)\n\
-         \x20 --measure <n>           measured instructions/thread (default 300000)\n\
-         \x20 --warmup <n>            warm-up instructions/thread (default 800000)\n\
-         \x20 --seed <n>              master seed\n\
-         \x20 --llc-mb <n>            LLC capacity in MB at full scale\n\
-         \x20 --no-prefetch           disable the stream prefetcher\n\
-         \x20 --json <path>           write a machine-readable run report\n\
-         \x20 --window <n>            time-series window in instructions\n\
-         \x20                         (with --json; default 100000)\n\
-         \x20 --jobs <n>              worker threads for batch commands\n\
-         \x20                         (default: all cores; results are\n\
-         \x20                         bit-identical for any value)\n\
-         \x20 --shard-jobs <n>        worker threads for set-sharded passes\n\
-         \x20                         inside one run (the Belady oracle;\n\
-         \x20                         default 1, 0 = all cores; results are\n\
-         \x20                         bit-identical for any value)\n\
-         \x20 --out <path>            checkpoint file for snapshot save\n\
-         \x20 --warm-start            share one warm-up across compare's\n\
-         \x20                         policies via an in-memory checkpoint\n\
-         \x20 --warm-cache <dir>      persist compare's warm images to <dir>\n\
-         \x20                         keyed by configuration; later runs with\n\
-         \x20                         the same config skip the warm-up\n\
-         \x20                         entirely (implies --warm-start)\n\
-         \x20 --sample-every <n>      analyze: profile reuse distance in\n\
-         \x20                         every n-th LLC set (default 4)\n\
-         \x20 --io <a[,a...]>         run/compare/analyze: attach device\n\
-         \x20                         I/O agents injecting into the LLC\n\
-         \x20                         (DDIO-style). Agents: nic[:period\n\
-         \x20                         [:lines]] (ring buffer), dma[:period]\n\
-         \x20                         (leaky write-once stream); e.g.\n\
-         \x20                         --io dma:2,nic:4:512. Incompatible\n\
-         \x20                         with --warm-start/--warm-cache and\n\
-         \x20                         snapshots (checkpoints do not cover\n\
-         \x20                         device agents)\n\
-         \x20 --io-ways <n>           limit device injections to the first\n\
-         \x20                         n LLC ways (DDIO's inject-into-N-ways\n\
-         \x20                         model; must fit the LLC associativity)\n\
-         \x20 --io-partition          also keep app fills out of the device\n\
-         \x20                         ways (static way partitioning;\n\
-         \x20                         requires --io-ways)\n\
-         \x20 --smoke                 io-sweep: small fixed sweep (CI mode)\n\
-         \x20 --figure <id>           paper: run only this figure\n\
-         \n\
-         bench options:\n\
-         \x20 --json <path>           write the BENCH_*.json report\n\
-         \x20 --baseline <path>       committed BENCH_*.json to gate against\n\
-         \x20 --gate <pct>            max %% regression of an entry's\n\
-         \x20                         throughput ratio to 1core/baseline\n\
-         \x20                         before failing (default 10)\n\
-         \x20 --target-ms <n>         wall-clock budget per matrix entry\n\
-         \x20                         (default 800)\n\
-         \x20 --warm-image <f.tlas>   warm matching sim entries from a\n\
-         \x20                         frozen committed checkpoint (made\n\
-         \x20                         with `snapshot save`) instead of a\n\
-         \x20                         cold run, so regressions stay\n\
-         \x20                         bisectable across binary revisions\n\
-         \x20                         with identical warm state; entries\n\
-         \x20                         whose config does not match the\n\
-         \x20                         image fall back to cold runs"
-    );
-    ExitCode::FAILURE
-}
-
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Options {
+    /// The command's positional argument (a checkpoint or a cache
+    /// directory); empty for commands that take none.
+    arg: String,
     mix: Vec<SpecApp>,
     policy: Option<PolicySpec>,
     cfg: SimConfig,
@@ -163,13 +37,493 @@ struct Options {
     out: Option<String>,
     warm_start: bool,
     warm_cache: Option<String>,
-    warm_image: Option<String>,
-    sample_every: u32,
     io: IoMixConfig,
     smoke: bool,
+    /// Whether a warm-up or measured quota was given explicitly.
+    quotas_given: bool,
     figure: Option<Figure>,
-    /// Every flag given, in order, for the per-subcommand check.
-    given: Vec<String>,
+}
+
+/// One command-line flag.
+#[derive(Clone, Copy)]
+struct Flag {
+    name: &'static str,
+    /// Placeholder of the flag's value; `None` for a switch.
+    value: Option<&'static str>,
+    help: &'static str,
+    /// Applies the value (`""` for a switch) to the options.
+    set: fn(&mut Options, &str) -> Result<(), String>,
+}
+
+/// Parses a flag value, keeping the parser's own error text.
+fn num<T: std::str::FromStr>(v: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    v.parse().map_err(|e: T::Err| e.to_string())
+}
+
+/// [`num`] for a flag whose value must be non-zero.
+fn positive<T>(flag: &Flag, v: &str) -> Result<T, String>
+where
+    T: std::str::FromStr + Default + PartialEq,
+    T::Err: std::fmt::Display,
+{
+    let n = num(v)?;
+    if n == T::default() {
+        return Err(format!("{} must be positive", flag.name));
+    }
+    Ok(n)
+}
+
+const MIX: Flag = Flag {
+    name: "--mix",
+    value: Some("<apps|MIX_nn>"),
+    help: "comma-separated app names or a Table II mix (see `list`)",
+    set: |o, v| {
+        o.mix = parse_mix(v).ok_or_else(|| format!("unknown mix '{v}'"))?;
+        if o.mix.len() > CoreId::MAX_CORES {
+            return Err(format!(
+                "--mix has {} apps; at most {} cores are supported",
+                o.mix.len(),
+                CoreId::MAX_CORES
+            ));
+        }
+        Ok(())
+    },
+};
+const POLICY: Flag = Flag {
+    name: "--policy",
+    value: Some("<name>"),
+    help: "a policy named by `list`, or vc<N> for an N-entry victim cache (default baseline)",
+    set: |o, v| {
+        o.policy = Some(parse_policy(v).ok_or_else(|| format!("unknown policy '{v}'"))?);
+        Ok(())
+    },
+};
+const SCALE: Flag = Flag {
+    name: "--scale",
+    value: Some("<1|2|4|8>"),
+    help: "cache down-scaling divisor (default 8)",
+    set: |o, v| {
+        let v = num(v)?;
+        if !SimConfig::SCALES.contains(&v) {
+            return Err(format!("--scale must be 1, 2, 4 or 8, got {v}"));
+        }
+        o.cfg = o.cfg.clone().with_scale(v);
+        Ok(())
+    },
+};
+const MEASURE: Flag = Flag {
+    name: "--measure",
+    value: Some("<n>"),
+    help: "measured instructions per thread (default 300000)",
+    set: |o, v| {
+        o.cfg = o.cfg.clone().instructions(positive(&MEASURE, v)?);
+        o.quotas_given = true;
+        Ok(())
+    },
+};
+const WARMUP: Flag = Flag {
+    name: "--warmup",
+    value: Some("<n>"),
+    help: "warm-up instructions per thread (default 800000)",
+    set: |o, v| {
+        o.cfg = o.cfg.clone().warmup(num(v)?);
+        o.quotas_given = true;
+        Ok(())
+    },
+};
+const SEED: Flag = Flag {
+    name: "--seed",
+    value: Some("<n>"),
+    help: "master seed",
+    set: |o, v| {
+        o.cfg = o.cfg.clone().seed(num(v)?);
+        Ok(())
+    },
+};
+const LLC_MB: Flag = Flag {
+    name: "--llc-mb",
+    value: Some("<n>"),
+    help: "LLC capacity in MB at full scale",
+    set: |o, v| {
+        o.llc_mb = Some(num(v)?);
+        Ok(())
+    },
+};
+const NO_PREFETCH: Flag = Flag {
+    name: "--no-prefetch",
+    value: None,
+    help: "disable the stream prefetcher",
+    set: |o, _| {
+        o.cfg = o.cfg.clone().prefetch(false);
+        Ok(())
+    },
+};
+const JSON: Flag = Flag {
+    name: "--json",
+    value: Some("<path>"),
+    help: "write a machine-readable report",
+    set: |o, v| {
+        o.json = Some(v.into());
+        Ok(())
+    },
+};
+const WINDOW: Flag = Flag {
+    name: "--window",
+    value: Some("<n>"),
+    help: "time-series window in instructions (default 100000)",
+    set: |o, v| {
+        o.window = Some(positive(&WINDOW, v)?);
+        Ok(())
+    },
+};
+const JOBS: Flag = Flag {
+    name: "--jobs",
+    value: Some("<n>"),
+    help: "worker threads for batch work (default all cores; any value gives the same bytes)",
+    set: |o, v| {
+        o.cfg = o.cfg.clone().jobs(positive(&JOBS, v)?);
+        Ok(())
+    },
+};
+const SHARD_JOBS: Flag = Flag {
+    name: "--shard-jobs",
+    value: Some("<n>"),
+    help: "worker threads for the set-sharded MIN oracle (default 1, 0 = all cores)",
+    set: |o, v| {
+        // 0 is meaningful here: auto-detect the core count.
+        o.cfg = o.cfg.clone().shard_jobs(num(v)?);
+        Ok(())
+    },
+};
+const OUT: Flag = Flag {
+    name: "--out",
+    value: Some("<f.tlas>"),
+    help: "checkpoint file to write",
+    set: |o, v| {
+        o.out = Some(v.into());
+        Ok(())
+    },
+};
+const WARM_START: Flag = Flag {
+    name: "--warm-start",
+    value: None,
+    help: "warm once under the baseline and resume every policy from that image",
+    set: |o, _| {
+        o.warm_start = true;
+        Ok(())
+    },
+};
+const WARM_CACHE: Flag = Flag {
+    name: "--warm-cache",
+    value: Some("<dir>"),
+    help: "keep warm images in <dir>, keyed by configuration (implies a warm start)",
+    set: |o, v| {
+        o.warm_cache = Some(v.into());
+        // A persistent cache only makes sense on the warm-once path, so
+        // asking for one opts into it.
+        o.warm_start = true;
+        Ok(())
+    },
+};
+const IO: Flag = Flag {
+    name: "--io",
+    value: Some("<a[,a...]>"),
+    help: "DDIO-style device agents injecting into the LLC: nic[:period[:lines]], dma[:period]",
+    set: |o, v| {
+        for part in v.split(',') {
+            let spec = IoAgentSpec::parse(part.trim()).map_err(|e| format!("--io: {e}"))?;
+            o.io = o.io.clone().agent(spec);
+        }
+        Ok(())
+    },
+};
+const IO_WAYS: Flag = Flag {
+    name: "--io-ways",
+    value: Some("<n>"),
+    help: "limit device injections to the first n LLC ways",
+    set: |o, v| {
+        o.io = o.io.clone().inject_ways(positive(&IO_WAYS, v)?);
+        Ok(())
+    },
+};
+const IO_PARTITION: Flag = Flag {
+    name: "--io-partition",
+    value: None,
+    help: "also keep app fills out of the device ways (static partitioning)",
+    set: |o, _| {
+        o.io = o.io.clone().partition(true);
+        Ok(())
+    },
+};
+const SMOKE: Flag = Flag {
+    name: "--smoke",
+    value: None,
+    help: "three device scenarios at 20000 + 60000 instructions (CI mode)",
+    set: |o, _| {
+        o.smoke = true;
+        Ok(())
+    },
+};
+const FIGURE: Flag = Flag {
+    name: "--figure",
+    value: Some("<id>"),
+    help: "only this table or figure: table1, fig2, fig5..fig11, victim-cache, \
+           qbs-variants, replacement, latency, snoop-filter",
+    set: |o, v| {
+        o.figure = Some(v.parse()?);
+        Ok(())
+    },
+};
+const BASELINE: Flag = Flag {
+    name: "--baseline",
+    value: Some("<path>"),
+    help: "committed BENCH_*.json report to gate against",
+    set: |o, v| {
+        o.baseline = Some(v.into());
+        Ok(())
+    },
+};
+const GATE: Flag = Flag {
+    name: "--gate",
+    value: Some("<pct>"),
+    help: "max % drop of an entry's throughput ratio to 1core/baseline (default 10)",
+    set: |o, v| {
+        let v: f64 = num(v)?;
+        if !v.is_finite() || v <= 0.0 {
+            return Err("--gate must be positive".into());
+        }
+        o.gate_pct = v;
+        Ok(())
+    },
+};
+const TARGET_MS: Flag = Flag {
+    name: "--target-ms",
+    value: Some("<n>"),
+    help: "wall-clock budget per matrix entry in ms (default 800)",
+    set: |o, v| {
+        o.target_ms = positive(&TARGET_MS, v)?;
+        Ok(())
+    },
+};
+
+/// Every flag, in usage order.
+const FLAGS: &[Flag] = &[
+    MIX,
+    POLICY,
+    SCALE,
+    MEASURE,
+    WARMUP,
+    SEED,
+    LLC_MB,
+    NO_PREFETCH,
+    JSON,
+    WINDOW,
+    JOBS,
+    SHARD_JOBS,
+    OUT,
+    WARM_START,
+    WARM_CACHE,
+    IO,
+    IO_WAYS,
+    IO_PARTITION,
+    SMOKE,
+    FIGURE,
+    BASELINE,
+    GATE,
+    TARGET_MS,
+];
+
+/// Flags several commands read together.
+const QUOTAS: &[Flag] = &[SCALE, MEASURE, WARMUP, SEED];
+const HIERARCHY: &[Flag] = &[LLC_MB, NO_PREFETCH];
+const REPORT: &[Flag] = &[JSON, WINDOW];
+const WORKERS: &[Flag] = &[JOBS, SHARD_JOBS];
+const DEVICES: &[Flag] = &[IO, IO_WAYS, IO_PARTITION];
+
+/// One subcommand; `name` is two words for the `snapshot` family.
+struct Command {
+    name: &'static str,
+    /// Placeholder of the positional argument, if the command takes one.
+    arg: Option<&'static str>,
+    summary: &'static str,
+    /// The flags the command reads, in groups; any other is an error.
+    flags: &'static [&'static [Flag]],
+    /// The configuration the flags start from.
+    base: fn() -> SimConfig,
+    needs_mix: bool,
+    /// Whether a `--window` without `--json` is live (the command
+    /// instruments anyway).
+    bare_window: bool,
+    run: fn(&Options) -> Result<(), String>,
+}
+
+impl Command {
+    /// The flag called `name`, if this command reads it.
+    fn flag(&self, name: &str) -> Option<&'static Flag> {
+        self.flags
+            .iter()
+            .copied()
+            .flatten()
+            .find(|f| f.name == name)
+    }
+}
+
+/// The paper-flavoured default config of the simulation commands.
+fn sim_base_cfg() -> SimConfig {
+    SimConfig::scaled_down()
+        .warmup(800_000)
+        .instructions(300_000)
+}
+
+/// What a [`COMMANDS`] row does not say: no positional argument, no
+/// flags, the paper-flavoured base config, `--mix` optional and
+/// `--window` only with `--json`.
+const DEFAULTS: Command = Command {
+    name: "",
+    arg: None,
+    summary: "",
+    flags: &[],
+    base: sim_base_cfg,
+    needs_mix: false,
+    bare_window: false,
+    run: |_| Ok(()),
+};
+
+/// Every subcommand, in usage order.
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "list",
+        summary: "available apps, mixes and policies",
+        run: cmd_list,
+        ..DEFAULTS
+    },
+    Command {
+        name: "paper",
+        summary: "the paper's tables and figures, every suite simulated straight through \
+                  (all, in order, by default; at scale 1, Figs 2 and 10 cover all 105 mixes \
+                  and Fig 11 100 random ones)",
+        flags: &[&[FIGURE, JOBS], QUOTAS],
+        run: cmd_paper,
+        ..DEFAULTS
+    },
+    Command {
+        name: "run",
+        summary: "simulate one mix under one policy",
+        flags: &[&[MIX, POLICY], QUOTAS, HIERARCHY, REPORT, DEVICES],
+        needs_mix: true,
+        run: cmd_run,
+        ..DEFAULTS
+    },
+    Command {
+        name: "compare",
+        summary: "every policy on one mix, with its gap to the Belady MIN oracle",
+        flags: &[
+            &[MIX, WARM_START, WARM_CACHE],
+            QUOTAS,
+            HIERARCHY,
+            REPORT,
+            WORKERS,
+            DEVICES,
+        ],
+        needs_mix: true,
+        run: cmd_compare,
+        ..DEFAULTS
+    },
+    Command {
+        name: "analyze",
+        summary: "every policy with the analytics layer: MIN-oracle gap, reuse-distance \
+                  histograms, inclusion-victim rates",
+        flags: &[&[MIX], QUOTAS, HIERARCHY, REPORT, WORKERS, DEVICES],
+        needs_mix: true,
+        bare_window: true,
+        run: cmd_analyze,
+        ..DEFAULTS
+    },
+    Command {
+        name: "bench",
+        summary: "simulator throughput over a fixed policy x core-count matrix plus device \
+                  injection entries (no warm-up, 1000000 measured instructions by default)",
+        flags: &[&[NO_PREFETCH, JSON, BASELINE, GATE, TARGET_MS], QUOTAS],
+        // Throughput, not policy fidelity: long measured runs, no warm-up.
+        base: || SimConfig::scaled_down().warmup(0).instructions(1_000_000),
+        run: cmd_bench,
+        ..DEFAULTS
+    },
+    Command {
+        name: "io-sweep",
+        summary: "app-vs-I/O pressure sweep: device scenarios (nic ring, leaky dma, \
+                  injection-way limits, partitioning) x four policies (default mix sje)",
+        flags: &[&[MIX, SMOKE], QUOTAS, HIERARCHY, REPORT, WORKERS],
+        run: cmd_io_sweep,
+        ..DEFAULTS
+    },
+    Command {
+        name: "snapshot save",
+        summary: "warm up only and write a checkpoint (a window instruments it)",
+        flags: &[&[MIX, POLICY, WINDOW, OUT], QUOTAS, HIERARCHY],
+        needs_mix: true,
+        bare_window: true,
+        run: cmd_snapshot_save,
+        ..DEFAULTS
+    },
+    Command {
+        name: "snapshot info",
+        arg: Some("<f.tlas>"),
+        summary: "describe a checkpoint",
+        run: cmd_snapshot_info,
+        ..DEFAULTS
+    },
+    Command {
+        name: "snapshot resume",
+        arg: Some("<f.tlas>"),
+        summary: "finish the measured phase from a checkpoint (the config comes from the file)",
+        flags: &[&[POLICY], REPORT],
+        run: cmd_snapshot_resume,
+        ..DEFAULTS
+    },
+    Command {
+        name: "snapshot cache-info",
+        arg: Some("<dir>"),
+        summary: "show the images of a warm-cache directory (read-only)",
+        run: cmd_snapshot_cache_info,
+        ..DEFAULTS
+    },
+];
+
+/// The usage text, generated from [`COMMANDS`] and [`FLAGS`].
+fn usage_text() -> String {
+    // One row per entry: its name in a 29-column gutter, then its text
+    // word-wrapped at 79 columns.
+    let row = |head: String, text: &str| {
+        let (mut out, mut line) = (String::new(), format!("  {head:27}"));
+        for word in text.split(' ') {
+            if line.len() + 1 + word.len() > 79 && line.len() > 29 {
+                out += &line;
+                out += "\n";
+                line = " ".repeat(29);
+            }
+            line += " ";
+            line += word;
+        }
+        out + &line + "\n"
+    };
+    let mut s = String::from("usage: tla-cli <command> [options]\n\ncommands:\n");
+    for c in COMMANDS {
+        s += &row(format!("{} {}", c.name, c.arg.unwrap_or("")), c.summary);
+    }
+    s += "\noptions (each command rejects the ones it does not read):\n";
+    for f in FLAGS {
+        s += &row(format!("{} {}", f.name, f.value.unwrap_or("")), f.help);
+    }
+    s
+}
+
+fn usage() -> ExitCode {
+    eprint!("{}", usage_text());
+    ExitCode::FAILURE
 }
 
 fn parse_policy(name: &str) -> Option<PolicySpec> {
@@ -211,174 +565,6 @@ fn parse_mix(spec: &str) -> Option<Vec<SpecApp>> {
         .collect()
 }
 
-/// Parses every flag any subcommand knows; [`validate`] then checks the
-/// combinations.
-fn parse_flags(args: &[String], base_cfg: SimConfig) -> Result<Options, String> {
-    let mut opts = Options {
-        mix: Vec::new(),
-        policy: None,
-        cfg: base_cfg,
-        llc_mb: None,
-        json: None,
-        window: None,
-        baseline: None,
-        gate_pct: 10.0,
-        target_ms: 800,
-        out: None,
-        warm_start: false,
-        warm_cache: None,
-        warm_image: None,
-        sample_every: DEFAULT_SAMPLE_EVERY,
-        io: IoMixConfig::none(),
-        smoke: false,
-        figure: None,
-        given: Vec::new(),
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        opts.given.push(arg.clone());
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--mix" => {
-                let v = value("--mix")?;
-                opts.mix = parse_mix(&v).ok_or_else(|| format!("unknown mix '{v}'"))?;
-                if opts.mix.len() > CoreId::MAX_CORES {
-                    return Err(format!(
-                        "--mix has {} apps; at most {} cores are supported",
-                        opts.mix.len(),
-                        CoreId::MAX_CORES
-                    ));
-                }
-            }
-            "--policy" => {
-                let v = value("--policy")?;
-                opts.policy =
-                    Some(parse_policy(&v).ok_or_else(|| format!("unknown policy '{v}'"))?);
-            }
-            "--scale" => {
-                let v: u64 = value("--scale")?.parse().map_err(|e| format!("{e}"))?;
-                if !SimConfig::SCALES.contains(&v) {
-                    return Err(format!("--scale must be 1, 2, 4 or 8, got {v}"));
-                }
-                opts.cfg = opts.cfg.with_scale(v);
-            }
-            "--measure" => {
-                let v: u64 = value("--measure")?.parse().map_err(|e| format!("{e}"))?;
-                if v == 0 {
-                    return Err("--measure must be positive".into());
-                }
-                opts.cfg = opts.cfg.instructions(v);
-            }
-            "--warmup" => {
-                let v: u64 = value("--warmup")?.parse().map_err(|e| format!("{e}"))?;
-                opts.cfg = opts.cfg.warmup(v);
-            }
-            "--seed" => {
-                let v: u64 = value("--seed")?.parse().map_err(|e| format!("{e}"))?;
-                opts.cfg = opts.cfg.seed(v);
-            }
-            "--llc-mb" => {
-                let v: usize = value("--llc-mb")?.parse().map_err(|e| format!("{e}"))?;
-                opts.llc_mb = Some(v);
-            }
-            "--no-prefetch" => {
-                opts.cfg = opts.cfg.prefetch(false);
-            }
-            "--json" => {
-                opts.json = Some(value("--json")?);
-            }
-            "--window" => {
-                let v: u64 = value("--window")?.parse().map_err(|e| format!("{e}"))?;
-                if v == 0 {
-                    return Err("--window must be positive".into());
-                }
-                opts.window = Some(v);
-            }
-            "--jobs" => {
-                let v: usize = value("--jobs")?.parse().map_err(|e| format!("{e}"))?;
-                if v == 0 {
-                    return Err("--jobs must be positive".into());
-                }
-                opts.cfg = opts.cfg.jobs(v);
-            }
-            "--shard-jobs" => {
-                let v: usize = value("--shard-jobs")?.parse().map_err(|e| format!("{e}"))?;
-                // 0 is meaningful here: auto-detect the core count.
-                opts.cfg = opts.cfg.shard_jobs(v);
-            }
-            "--baseline" => {
-                opts.baseline = Some(value("--baseline")?);
-            }
-            "--gate" => {
-                let v: f64 = value("--gate")?.parse().map_err(|e| format!("{e}"))?;
-                if !v.is_finite() || v <= 0.0 {
-                    return Err("--gate must be positive".into());
-                }
-                opts.gate_pct = v;
-            }
-            "--target-ms" => {
-                let v: u64 = value("--target-ms")?.parse().map_err(|e| format!("{e}"))?;
-                if v == 0 {
-                    return Err("--target-ms must be positive".into());
-                }
-                opts.target_ms = v;
-            }
-            "--out" => {
-                opts.out = Some(value("--out")?);
-            }
-            "--warm-start" => {
-                opts.warm_start = true;
-            }
-            "--warm-cache" => {
-                opts.warm_cache = Some(value("--warm-cache")?);
-                // A persistent cache only makes sense on the warm-once
-                // path, so asking for one opts into it.
-                opts.warm_start = true;
-            }
-            "--warm-image" => {
-                opts.warm_image = Some(value("--warm-image")?);
-            }
-            "--sample-every" => {
-                let v: u32 = value("--sample-every")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?;
-                if v == 0 {
-                    return Err("--sample-every must be positive".into());
-                }
-                opts.sample_every = v;
-            }
-            "--io" => {
-                for part in value("--io")?.split(',') {
-                    let spec = IoAgentSpec::parse(part.trim()).map_err(|e| format!("--io: {e}"))?;
-                    opts.io = opts.io.clone().agent(spec);
-                }
-            }
-            "--io-ways" => {
-                let v: usize = value("--io-ways")?.parse().map_err(|e| format!("{e}"))?;
-                if v == 0 {
-                    return Err("--io-ways must be positive".into());
-                }
-                opts.io = opts.io.clone().inject_ways(v);
-            }
-            "--io-partition" => {
-                opts.io = opts.io.clone().partition(true);
-            }
-            "--smoke" => {
-                opts.smoke = true;
-            }
-            "--figure" => {
-                opts.figure = Some(value("--figure")?.parse()?);
-            }
-            other => return Err(format!("unknown option '{other}'")),
-        }
-    }
-    Ok(opts)
-}
-
 /// Checks flag values that depend on each other.
 fn validate(opts: &Options, window_needs_json: bool) -> Result<(), String> {
     if let Some(mb) = opts.llc_mb {
@@ -411,92 +597,75 @@ fn validate(opts: &Options, window_needs_json: bool) -> Result<(), String> {
              (checkpoints do not cover device I/O agents)"
             .into());
     }
+    if opts.smoke && opts.quotas_given {
+        return Err("--smoke fixes its own quotas; drop --warmup/--measure".into());
+    }
     Ok(())
 }
 
-/// [`parse_flags`] then [`validate`], with no per-subcommand check.
-#[cfg(test)]
-fn parse_options(
-    args: &[String],
-    base_cfg: SimConfig,
-    window_needs_json: bool,
-) -> Result<Options, String> {
-    let opts = parse_flags(args, base_cfg)?;
-    validate(&opts, window_needs_json)?;
-    Ok(opts)
-}
-
-/// The flags each subcommand reads. [`parse_flags`] knows every flag,
-/// so [`parse_command`] checks this table to reject a flag the command
-/// would otherwise parse and silently drop.
-const COMMAND_FLAGS: &[(&str, &str)] = &[
-    ("list", ""),
-    ("paper", "--figure --scale --measure --warmup --seed --jobs"),
-    (
-        "run",
-        "--mix --policy --scale --measure --warmup --seed --llc-mb --no-prefetch --json \
-         --window --io --io-ways --io-partition",
-    ),
-    (
-        "compare",
-        "--mix --scale --measure --warmup --seed --llc-mb --no-prefetch --json --window \
-         --jobs --shard-jobs --warm-start --warm-cache --io --io-ways --io-partition",
-    ),
-    (
-        "analyze",
-        "--mix --scale --measure --warmup --seed --llc-mb --no-prefetch --json --window \
-         --jobs --shard-jobs --sample-every --io --io-ways --io-partition",
-    ),
-    (
-        "bench",
-        "--scale --measure --warmup --seed --no-prefetch --json --baseline --gate \
-         --target-ms --warm-image",
-    ),
-    (
-        "io-sweep",
-        "--mix --scale --measure --warmup --seed --llc-mb --no-prefetch --json --window \
-         --jobs --shard-jobs --smoke",
-    ),
-    (
-        "snapshot save",
-        "--mix --policy --scale --measure --warmup --seed --llc-mb --no-prefetch --window \
-         --out",
-    ),
-    ("snapshot resume", "--policy --json --window"),
-];
-
-/// Whether subcommand `cmd` reads `flag`, per [`COMMAND_FLAGS`].
-fn accepts(cmd: &str, flag: &str) -> Result<bool, String> {
-    COMMAND_FLAGS
+/// The [`COMMANDS`] row `args` starts with, and the arguments after its
+/// name.
+fn find_command(args: &[String]) -> Result<(&'static Command, &[String]), String> {
+    let words = |n: usize| args.iter().take(n).cloned().collect::<Vec<_>>().join(" ");
+    COMMANDS
         .iter()
-        .find(|(name, _)| *name == cmd)
-        .map(|(_, flags)| flags.split_whitespace().any(|f| f == flag))
-        .ok_or_else(|| format!("unknown command '{cmd}'"))
+        .find_map(|c| {
+            let n = c.name.split(' ').count();
+            (words(n) == c.name).then(|| (c, &args[n..]))
+        })
+        .ok_or_else(|| {
+            // Name both words when the first one opens a command family.
+            let first = words(1);
+            let family = COMMANDS
+                .iter()
+                .any(|c| c.name.starts_with(&format!("{first} ")));
+            format!("unknown command '{}'", words(if family { 2 } else { 1 }))
+        })
 }
 
-/// Parses `args` for subcommand `cmd`, rejecting any flag outside the
-/// command's [`COMMAND_FLAGS`] entry.
-fn parse_command(cmd: &str, args: &[String], base_cfg: SimConfig) -> Result<Options, String> {
-    // An unknown command fails before its flags are parsed.
-    accepts(cmd, "")?;
-    // `analyze` always instruments and `snapshot save` instruments the
-    // checkpoint, so a bare --window is live there; everywhere else it
-    // only steers a --json report.
-    let window_needs_json = !matches!(cmd, "analyze" | "snapshot save");
-    let opts = parse_flags(args, base_cfg)?;
-    for flag in &opts.given {
-        if !accepts(cmd, flag)? {
-            return Err(format!("{cmd} does not accept {flag}"));
-        }
+/// Parses a command line (without the program name): matches the
+/// command, takes its positional argument, applies each flag the command
+/// reads, and checks the combination.
+fn parse_command(args: &[String]) -> Result<(&'static Command, Options), String> {
+    let (cmd, rest) = find_command(args)?;
+    let mut opts = Options {
+        cfg: (cmd.base)(),
+        gate_pct: 10.0,
+        target_ms: 800,
+        ..Options::default()
+    };
+    let mut rest = rest.iter();
+    if let Some(arg) = cmd.arg {
+        opts.arg = rest
+            .next()
+            .ok_or_else(|| format!("{} needs {arg}", cmd.name))?
+            .clone();
     }
-    validate(&opts, window_needs_json)?;
-    Ok(opts)
+    while let Some(name) = rest.next() {
+        let Some(flag) = cmd.flag(name) else {
+            return Err(if FLAGS.iter().any(|f| f.name == name) {
+                format!("{} does not accept {name}", cmd.name)
+            } else {
+                format!("unknown option '{name}'")
+            });
+        };
+        let value = match flag.value {
+            Some(_) => rest.next().ok_or_else(|| format!("{name} needs a value"))?,
+            None => "",
+        };
+        (flag.set)(&mut opts, value)?;
+    }
+    validate(&opts, !cmd.bare_window)?;
+    if cmd.needs_mix && opts.mix.is_empty() {
+        return Err(format!("{}: {} is required", cmd.name, MIX.name));
+    }
+    Ok((cmd, opts))
 }
 
 /// Time-series window used for `--json` when `--window` is not given.
 const DEFAULT_WINDOW: u64 = 100_000;
 
-fn print_run(opts: &Options, spec: &PolicySpec) -> (f64, Option<RunReport>) {
+fn print_run(opts: &Options, spec: &PolicySpec) -> Option<RunReport> {
     let mut run = MixRun::new(&opts.cfg, &opts.mix)
         .spec(spec)
         .io(opts.io.clone());
@@ -512,7 +681,7 @@ fn print_run(opts: &Options, spec: &PolicySpec) -> (f64, Option<RunReport>) {
     };
     print_result(&spec.name, &r);
     print_io_result(&r);
-    (r.throughput(), report)
+    report
 }
 
 /// One-line device-I/O summary after a run's per-thread table; silent
@@ -563,20 +732,24 @@ fn print_result(name: &str, r: &tla::sim::RunResult) {
     );
 }
 
-fn write_json(path: &str, text: &str) -> ExitCode {
-    match std::fs::write(path, text) {
-        Ok(()) => {
-            eprintln!("report written to {path}");
-            ExitCode::SUCCESS
+fn write_json(path: &str, text: &str) -> Result<(), String> {
+    std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
+    eprintln!("report written to {path}");
+    Ok(())
+}
+
+/// Writes `reports` as one JSON array when `--json` asked for it.
+fn write_reports(opts: &Options, reports: &[RunReport]) -> Result<(), String> {
+    match &opts.json {
+        Some(path) => {
+            let doc = JsonValue::array(reports.iter().map(RunReport::to_json));
+            write_json(path, &doc.to_pretty())
         }
-        Err(e) => {
-            eprintln!("error: cannot write {path}: {e}");
-            ExitCode::FAILURE
-        }
+        None => Ok(()),
     }
 }
 
-fn cmd_list() -> ExitCode {
+fn cmd_list(_: &Options) -> Result<(), String> {
     println!("apps (SPEC CPU2006 models):");
     for app in SpecApp::ALL {
         println!(
@@ -597,10 +770,10 @@ fn cmd_list() -> ExitCode {
         tla::cache::MAX_WAYS
     );
     println!("\nprobe kernel: {}", tla::cache::kernel_name());
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_paper(opts: &Options) -> ExitCode {
+fn cmd_paper(opts: &Options) -> Result<(), String> {
     let cfg = &opts.cfg;
     println!(
         "paper: scale 1/{}, {} warm-up + {} measured instructions/thread, seed {:#x}\n",
@@ -613,20 +786,15 @@ fn cmd_paper(opts: &Options) -> ExitCode {
     for figure in figures {
         print!("{}", paper::run(figure, cfg));
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_run(opts: &Options) -> ExitCode {
-    if opts.mix.is_empty() {
-        eprintln!("run: --mix is required");
-        return ExitCode::FAILURE;
-    }
+fn cmd_run(opts: &Options) -> Result<(), String> {
     let spec = opts.policy.clone().unwrap_or_else(PolicySpec::baseline);
-    let (_, report) = print_run(opts, &spec);
-    if let (Some(path), Some(report)) = (&opts.json, report) {
-        return write_json(path, &report.to_json_string());
+    match (&opts.json, print_run(opts, &spec)) {
+        (Some(path), Some(report)) => write_json(path, &report.to_json_string()),
+        _ => Ok(()),
     }
-    ExitCode::SUCCESS
 }
 
 /// The 7-policy suite `compare` and `analyze` sweep: the paper's headline
@@ -643,35 +811,7 @@ fn compare_specs() -> [PolicySpec; 7] {
     ]
 }
 
-/// Gap to the MIN oracle as a fraction of the optimal miss count:
-/// `(measured - opt) / opt`. An oracle with zero misses divides by one
-/// instead, so the gap degenerates to the absolute measured miss count
-/// and the JSON stays finite.
-fn gap_to_opt(measured_misses: u64, opt_misses: u64) -> f64 {
-    (measured_misses as f64 - opt_misses as f64) / (opt_misses.max(1) as f64)
-}
-
-/// Fraction of L2 misses the attribution hooks charged to LLC-caused
-/// back-invalidates (the paper's inclusion victims), summed over cores.
-fn victim_rate(r: &RunResult) -> f64 {
-    let victims: u64 = r
-        .threads
-        .iter()
-        .map(|t| t.stats.misses_inclusion_victim)
-        .sum();
-    let l2_misses: u64 = r.threads.iter().map(|t| t.stats.l2_misses).sum();
-    if l2_misses == 0 {
-        0.0
-    } else {
-        victims as f64 / l2_misses as f64
-    }
-}
-
-fn cmd_compare(opts: &Options) -> ExitCode {
-    if opts.mix.is_empty() {
-        eprintln!("compare: --mix is required");
-        return ExitCode::FAILURE;
-    }
+fn cmd_compare(opts: &Options) -> Result<(), String> {
     let specs = compare_specs();
     // All policies run in parallel (bit-identical to serial, `--jobs`
     // workers); printing happens afterwards, in spec order.
@@ -680,33 +820,23 @@ fn cmd_compare(opts: &Options) -> ExitCode {
         .as_ref()
         .map(|_| opts.window.unwrap_or(DEFAULT_WINDOW));
     let llc = opts.llc_mb.map(|mb| mb * 1024 * 1024);
-    let warm_cache = match &opts.warm_cache {
-        Some(dir) => match WarmCache::open(dir) {
-            Ok(cache) => Some(cache),
-            Err(e) => {
-                eprintln!("error: cannot open warm cache {dir}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
+    let warm_cache = opts
+        .warm_cache
+        .as_ref()
+        .map(|dir| WarmCache::open(dir).map_err(|e| format!("cannot open warm cache {dir}: {e}")))
+        .transpose()?;
     let results = if opts.warm_start {
         // Warm once under the baseline (or pull the warm image from the
         // cache directory), fan the measured phases out.
-        match run_policy_reports_warm_start_cached(
+        run_policy_reports_warm_start_cached(
             &opts.cfg,
             &opts.mix,
             &specs,
             llc,
             window,
             warm_cache.as_ref(),
-        ) {
-            Ok(results) => results,
-            Err(e) => {
-                eprintln!("error: warm-start resume failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        )
+        .map_err(|e| format!("warm-start resume failed: {e}"))?
     } else {
         run_policy_reports_io(&opts.cfg, &opts.mix, &specs, llc, window, &opts.io)
     };
@@ -720,35 +850,25 @@ fn cmd_compare(opts: &Options) -> ExitCode {
         print_io_result(&r);
         let tp = r.throughput();
         let base = *baseline.get_or_insert(tp);
-        let gap = gap_to_opt(r.llc_misses(), opt.misses);
+        let gap = OracleGap::new(&r, opt.misses);
         println!(
             "  -> {:+.1}% vs baseline; gap-to-opt {:+.1}% ({} vs {} optimal), \
              inclusion-victim rate {:.2}%\n",
             (tp / base - 1.0) * 100.0,
-            gap * 100.0,
+            gap.gap_to_opt * 100.0,
             r.llc_misses(),
             opt.misses,
-            victim_rate(&r) * 100.0,
+            gap.victim_rate * 100.0,
         );
         if let Some(mut report) = report {
-            report.opt_misses = Some(opt.misses);
-            report.gap_to_opt = Some(gap);
-            report.inclusion_victim_rate = Some(report.measured_victim_rate());
+            gap.attach(&mut report);
             reports.push(report);
         }
     }
-    if let Some(path) = &opts.json {
-        let doc = JsonValue::array(reports.iter().map(RunReport::to_json));
-        return write_json(path, &doc.to_pretty());
-    }
-    ExitCode::SUCCESS
+    write_reports(opts, &reports)
 }
 
-fn cmd_analyze(opts: &Options) -> ExitCode {
-    if opts.mix.is_empty() {
-        eprintln!("analyze: --mix is required");
-        return ExitCode::FAILURE;
-    }
+fn cmd_analyze(opts: &Options) -> Result<(), String> {
     let specs = compare_specs();
     let llc = opts.llc_mb.map(|mb| mb * 1024 * 1024);
     // Analyze always instruments (the analytics ride on the telemetry
@@ -761,7 +881,7 @@ fn cmd_analyze(opts: &Options) -> ExitCode {
         &specs,
         llc,
         Some(window),
-        opts.sample_every,
+        DEFAULT_SAMPLE_EVERY,
         &opts.io,
     );
     println!(
@@ -792,18 +912,15 @@ fn cmd_analyze(opts: &Options) -> ExitCode {
     let pct = |p: Option<u64>| p.map_or_else(|| "-".into(), |v| v.to_string());
     let mut reports = Vec::new();
     for (r, mut report) in results {
-        report.opt_misses = Some(opt.misses);
-        report.gap_to_opt = Some(gap_to_opt(r.llc_misses(), opt.misses));
+        let gap = OracleGap::new(&r, opt.misses);
+        gap.attach(&mut report);
         let reuse = report.reuse.as_ref().expect("analyzed runs carry reuse");
         let mut row = vec![
             r.spec_name.clone(),
             r.llc_misses().to_string(),
             opt.misses.to_string(),
-            format!("{:+.1}%", report.gap_to_opt.unwrap_or(0.0) * 100.0),
-            format!(
-                "{:.2}%",
-                report.inclusion_victim_rate.unwrap_or(0.0) * 100.0
-            ),
+            format!("{:+.1}%", gap.gap_to_opt * 100.0),
+            format!("{:.2}%", gap.victim_rate * 100.0),
             pct(reuse.global.percentile(50.0)),
             pct(reuse.global.percentile(90.0)),
         ];
@@ -820,13 +937,9 @@ fn cmd_analyze(opts: &Options) -> ExitCode {
     println!(
         "reuse distances sampled in every {}th LLC set; percentiles are \
          log-bucket upper bounds in lines",
-        opts.sample_every
+        DEFAULT_SAMPLE_EVERY
     );
-    if let Some(path) = &opts.json {
-        let doc = JsonValue::array(reports.iter().map(RunReport::to_json));
-        return write_json(path, &doc.to_pretty());
-    }
-    ExitCode::SUCCESS
+    write_reports(opts, &reports)
 }
 
 /// The policy axis of `io-sweep`: the inclusive LRU baseline plus the
@@ -870,7 +983,7 @@ fn io_sweep_scenarios(smoke: bool) -> Vec<IoMixConfig> {
     ]
 }
 
-fn cmd_io_sweep(opts: &Options) -> ExitCode {
+fn cmd_io_sweep(opts: &Options) -> Result<(), String> {
     let mix = if opts.mix.is_empty() {
         vec![SpecApp::Sjeng]
     } else {
@@ -920,7 +1033,7 @@ fn cmd_io_sweep(opts: &Options) -> ExitCode {
     for io in &scenarios {
         let results = run_policy_reports_io(&cfg, &mix, &specs, llc, window, io);
         for (spec, (r, report)) in specs.iter().zip(results) {
-            let gap = gap_to_opt(r.llc_misses(), opt.misses);
+            let gap = OracleGap::new(&r, opt.misses);
             let (io_victims, injections) = r.io.as_ref().map_or_else(
                 || ("-".to_string(), "-".to_string()),
                 |(s, _)| (s.victim_misses_io.to_string(), s.injections.to_string()),
@@ -929,26 +1042,20 @@ fn cmd_io_sweep(opts: &Options) -> ExitCode {
                 io.label(),
                 spec.name.clone(),
                 r.llc_misses().to_string(),
-                format!("{:+.1}%", gap * 100.0),
-                format!("{:.2}%", victim_rate(&r) * 100.0),
+                format!("{:+.1}%", gap.gap_to_opt * 100.0),
+                format!("{:.2}%", gap.victim_rate * 100.0),
                 io_victims,
                 injections,
                 format!("{:.3}", r.throughput()),
             ]);
             if let Some(mut report) = report {
-                report.opt_misses = Some(opt.misses);
-                report.gap_to_opt = Some(gap);
-                report.inclusion_victim_rate = Some(report.measured_victim_rate());
+                gap.attach(&mut report);
                 reports.push(report);
             }
         }
     }
     print!("{table}");
-    if let Some(path) = &opts.json {
-        let doc = JsonValue::array(reports.iter().map(RunReport::to_json));
-        return write_json(path, &doc.to_pretty());
-    }
-    ExitCode::SUCCESS
+    write_reports(opts, &reports)
 }
 
 /// One bench-matrix workload: a full hierarchy simulation of `apps` under
@@ -967,44 +1074,22 @@ impl BenchJob {
         self.apps.len()
     }
 
-    /// Runs the entry to its result: resumed from the warm image when one
-    /// is given and this entry's configuration matches it (policy is a
-    /// free axis of a checkpoint, so every matching entry times the
-    /// measured phase over identical warm state), cold otherwise. The bool
-    /// reports whether the image was used.
-    fn result(&self, cfg: &SimConfig, warm: Option<&Checkpoint>) -> (RunResult, bool) {
-        let build = || {
-            MixRun::new(cfg, &self.apps)
-                .spec(&self.spec)
-                .io(self.io.clone())
-        };
-        if let Some(ck) = warm {
-            // Checkpoints never cover I/O mixes, so io entries go cold
-            // without even asking.
-            if self.io.is_trivial() {
-                if let Ok(r) = build().resume(ck) {
-                    return (r, true);
-                }
-            }
-        }
-        (build().run(), false)
+    /// Runs the entry once, cold.
+    fn run(&self, cfg: &SimConfig) -> RunResult {
+        MixRun::new(cfg, &self.apps)
+            .spec(&self.spec)
+            .io(self.io.clone())
+            .run()
     }
 
-    /// Memory accesses of one run, plus whether the warm image was used.
-    /// This costs one untimed run, which doubles as warm-up.
-    fn accesses(&self, cfg: &SimConfig, warm: Option<&Checkpoint>) -> (u64, bool) {
-        let (r, warmed) = self.result(cfg, warm);
-        let accesses = r
+    /// Memory accesses of one run. This costs one untimed run, which
+    /// doubles as warm-up.
+    fn accesses(&self, cfg: &SimConfig) -> u64 {
+        self.run(cfg)
             .threads
             .iter()
-            .map(|t| t.stats.l1i_accesses + t.stats.l1d_accesses)
-            .sum();
-        (accesses, warmed)
-    }
-
-    /// Executes the job once, discarding results (timing-loop body).
-    fn run_once(&self, cfg: &SimConfig, warm: Option<&Checkpoint>) {
-        let _ = self.result(cfg, warm);
+            .map(|t| t.stats.l1_accesses())
+            .sum()
     }
 }
 
@@ -1113,14 +1198,11 @@ struct BenchEntry {
     /// Probe kernel the run dispatched to (`avx2`, `scalar4`, ...), so a
     /// committed baseline records which kernel produced its numbers.
     kernel: &'static str,
-    /// Whether the entry timed resumes from a `--warm-image` checkpoint
-    /// instead of cold runs (only meaningful when one was given).
-    warmed_from_image: bool,
 }
 
 impl BenchEntry {
     fn to_json(&self) -> JsonValue {
-        let mut pairs = vec![
+        JsonValue::object([
             ("name", JsonValue::Str(self.name.clone())),
             ("cores", JsonValue::Int(self.cores as u64)),
             ("accesses", JsonValue::Int(self.accesses)),
@@ -1133,11 +1215,7 @@ impl BenchEntry {
             ),
             ("calibration_ratio", JsonValue::Num(self.calibration_ratio)),
             ("kernel", JsonValue::Str(self.kernel.into())),
-        ];
-        if self.warmed_from_image {
-            pairs.push(("warmed_from_image", JsonValue::Bool(true)));
-        }
-        JsonValue::object(pairs)
+        ])
     }
 }
 
@@ -1247,7 +1325,7 @@ fn bench_gate(entries: &[BenchEntry], baseline_path: &str, gate_pct: f64) -> Res
     }
 }
 
-fn cmd_bench(opts: &Options) -> ExitCode {
+fn cmd_bench(opts: &Options) -> Result<(), String> {
     let cfg = &opts.cfg;
     eprintln!(
         "bench: measure={} warmup={} seed={} scale=1/{} target={}ms per entry, kernel={}",
@@ -1261,43 +1339,9 @@ fn cmd_bench(opts: &Options) -> ExitCode {
     let t_total = std::time::Instant::now();
     let matrix = bench_matrix();
 
-    // The optional frozen warm image: loaded once, resumed by every
-    // matching sim entry (the whole point — identical warm state across
-    // binary revisions, so relative regressions are bisectable).
-    let warm_image = match &opts.warm_image {
-        Some(path) => match Checkpoint::load(path) {
-            Ok(ck) => Some(ck),
-            Err(e) => {
-                eprintln!("error: cannot load --warm-image {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
-    let warm = warm_image.as_ref();
-
-    // One untimed run per entry pins the deterministic access count,
-    // doubles as warm-up before the timed rounds, and decides whether the
-    // warm image covers the entry.
-    let mut warmed = Vec::with_capacity(matrix.len());
-    let accesses: Vec<u64> = matrix
-        .iter()
-        .map(|(name, job)| {
-            let (accesses, from_image) = job.accesses(cfg, warm);
-            if warm.is_some() {
-                eprintln!(
-                    "bench: {name}: {}",
-                    if from_image {
-                        "warmed from image"
-                    } else {
-                        "cold (image does not cover this entry)"
-                    }
-                );
-            }
-            warmed.push(from_image);
-            accesses
-        })
-        .collect();
+    // One untimed run per entry pins the deterministic access count and
+    // doubles as warm-up before the timed rounds.
+    let accesses: Vec<u64> = matrix.iter().map(|(_, job)| job.accesses(cfg)).collect();
 
     // The timing budget is split into rounds interleaved across the whole
     // matrix rather than spent contiguously per entry, and inside each
@@ -1330,10 +1374,10 @@ fn cmd_bench(opts: &Options) -> ExitCode {
             let mut pairs = 0u32;
             loop {
                 let t0 = std::time::Instant::now();
-                cal_job.run_once(cfg, warm);
+                cal_job.run(cfg);
                 best_cal = best_cal.min(t0.elapsed().as_nanos());
                 let t0 = std::time::Instant::now();
-                job.run_once(cfg, warm);
+                job.run(cfg);
                 let entry_nanos = t0.elapsed().as_nanos();
                 best_entry = best_entry.min(entry_nanos);
                 iters[i] += 1;
@@ -1381,7 +1425,6 @@ fn cmd_bench(opts: &Options) -> ExitCode {
             accesses_per_sec_mean,
             calibration_ratio,
             kernel: tla::cache::kernel_name(),
-            warmed_from_image: warmed[i],
         });
     }
     print!("{table}");
@@ -1392,13 +1435,12 @@ fn cmd_bench(opts: &Options) -> ExitCode {
         rss.map_or_else(|| "n/a".into(), |kb| format!("{kb} kB"))
     );
 
-    let mut code = ExitCode::SUCCESS;
-    if let Some(path) = &opts.baseline {
-        if let Err(e) = bench_gate(&entries, path, opts.gate_pct) {
-            eprintln!("error: {e}");
-            code = ExitCode::FAILURE;
-        }
-    }
+    // The report is written whatever the gate says, so a failing run
+    // still leaves its numbers behind.
+    let gate = opts
+        .baseline
+        .as_ref()
+        .map_or(Ok(()), |path| bench_gate(&entries, path, opts.gate_pct));
     if let Some(path) = &opts.json {
         let doc = JsonValue::object([
             ("schema", JsonValue::Str(BENCH_SCHEMA.into())),
@@ -1410,12 +1452,6 @@ fn cmd_bench(opts: &Options) -> ExitCode {
                     ("seed", JsonValue::Int(cfg.seed_value())),
                     ("scale", JsonValue::Int(cfg.scale())),
                     ("target_ms", JsonValue::Int(opts.target_ms)),
-                    (
-                        "warm_image",
-                        opts.warm_image
-                            .as_deref()
-                            .map_or(JsonValue::Null, |p| JsonValue::Str(p.into())),
-                    ),
                 ]),
             ),
             ("rounds", JsonValue::Int(rounds)),
@@ -1426,49 +1462,21 @@ fn cmd_bench(opts: &Options) -> ExitCode {
                 JsonValue::array(entries.iter().map(BenchEntry::to_json)),
             ),
         ]);
-        match std::fs::write(path, doc.to_pretty()) {
-            Ok(()) => eprintln!("report written to {path}"),
-            Err(e) => {
-                eprintln!("error: cannot write {path}: {e}");
-                code = ExitCode::FAILURE;
+        if let Err(e) = write_json(path, &doc.to_pretty()) {
+            if let Err(g) = &gate {
+                eprintln!("error: {g}");
             }
+            return Err(e);
         }
     }
-    code
+    gate
 }
 
-/// The paper-flavoured default config of the simulation commands.
-fn sim_base_cfg() -> SimConfig {
-    SimConfig::scaled_down()
-        .warmup(800_000)
-        .instructions(300_000)
-}
-
-/// Rebuilds the [`SimConfig`] a checkpoint was warmed under from its meta
-/// section, so `snapshot resume` needs no re-typed flags.
-fn cfg_from_info(info: &tla::sim::CheckpointInfo) -> SimConfig {
-    let cfg = SimConfig::scaled_down()
-        .with_scale(info.scale)
-        .warmup(info.warmup)
-        .instructions(info.instructions)
-        .seed(info.seed)
-        .prefetch(info.prefetch);
-    let core = tla::cpu::CoreModelConfig {
-        latencies: info.latencies,
-        ..*cfg.core_config()
-    };
-    cfg.core_model(core)
-}
-
-fn cmd_snapshot_save(opts: &Options) -> ExitCode {
-    if opts.mix.is_empty() {
-        eprintln!("snapshot save: --mix is required");
-        return ExitCode::FAILURE;
-    }
-    let Some(path) = &opts.out else {
-        eprintln!("snapshot save: --out <path> is required");
-        return ExitCode::FAILURE;
-    };
+fn cmd_snapshot_save(opts: &Options) -> Result<(), String> {
+    let path = opts
+        .out
+        .as_ref()
+        .ok_or_else(|| format!("snapshot save: {} is required", OUT.name))?;
     let spec = opts.policy.clone().unwrap_or_else(PolicySpec::baseline);
     let mut run = MixRun::new(&opts.cfg, &opts.mix).spec(&spec);
     if let Some(mb) = opts.llc_mb {
@@ -1478,17 +1486,12 @@ fn cmd_snapshot_save(opts: &Options) -> ExitCode {
         Some(w) => run.warm_checkpoint_instrumented(Some(w)),
         None => run.warm_checkpoint(),
     };
-    let info = match checkpoint.info() {
-        Ok(info) => info,
-        Err(e) => {
-            eprintln!("error: just-written checkpoint is invalid: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = checkpoint.save(path) {
-        eprintln!("error: cannot write {path}: {e}");
-        return ExitCode::FAILURE;
-    }
+    let info = checkpoint
+        .info()
+        .map_err(|e| format!("just-written checkpoint is invalid: {e}"))?;
+    checkpoint
+        .save(path)
+        .map_err(|e| format!("cannot write {path}: {e}"))?;
     eprintln!(
         "checkpoint written to {path}: mix {} warmed {} instr/thread under {} \
          ({} global instr, {} bytes{})",
@@ -1503,24 +1506,19 @@ fn cmd_snapshot_save(opts: &Options) -> ExitCode {
             ""
         },
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_snapshot_info(path: &str) -> ExitCode {
-    let checkpoint = match Checkpoint::load(path) {
-        Ok(ck) => ck,
-        Err(e) => {
-            eprintln!("error: {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let info = match checkpoint.info() {
-        Ok(info) => info,
-        Err(e) => {
-            eprintln!("error: {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+/// Loads and validates the checkpoint at `path`.
+fn load_checkpoint(path: &str) -> Result<(Checkpoint, CheckpointInfo), String> {
+    let checkpoint = Checkpoint::load(path).map_err(|e| format!("{path}: {e}"))?;
+    let info = checkpoint.info().map_err(|e| format!("{path}: {e}"))?;
+    Ok((checkpoint, info))
+}
+
+fn cmd_snapshot_info(opts: &Options) -> Result<(), String> {
+    let path = &opts.arg;
+    let (checkpoint, info) = load_checkpoint(path)?;
     println!("checkpoint: {path} ({} bytes)", checkpoint.as_bytes().len());
     println!("  mix:          {}", info.mix_label());
     println!("  cores:        {}", info.apps.len());
@@ -1539,25 +1537,13 @@ fn cmd_snapshot_info(path: &str) -> ExitCode {
         (true, None) => println!("  telemetry:    instrumented, no time series"),
         _ => println!("  telemetry:    none"),
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_snapshot_resume(path: &str, opts: &Options) -> ExitCode {
-    let checkpoint = match Checkpoint::load(path) {
-        Ok(ck) => ck,
-        Err(e) => {
-            eprintln!("error: {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let info = match checkpoint.info() {
-        Ok(info) => info,
-        Err(e) => {
-            eprintln!("error: {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let cfg = cfg_from_info(&info);
+fn cmd_snapshot_resume(opts: &Options) -> Result<(), String> {
+    let path = &opts.arg;
+    let (checkpoint, info) = load_checkpoint(path)?;
+    let cfg = info.sim_config();
     let spec = opts.policy.clone().unwrap_or_else(PolicySpec::baseline);
     let build = || {
         let mut run = MixRun::new(&cfg, &info.apps).spec(&spec);
@@ -1568,56 +1554,31 @@ fn cmd_snapshot_resume(path: &str, opts: &Options) -> ExitCode {
         }
         run
     };
+    let failed = |e| format!("cannot resume {path}: {e}");
     if let Some(json_path) = &opts.json {
         let window = opts.window.or(info.window);
-        match build().resume_report(&checkpoint, window) {
-            Ok((result, report)) => {
-                print_result(&spec.name, &result);
-                write_json(json_path, &report.to_json_string())
-            }
-            Err(e) => {
-                eprintln!("error: cannot resume {path}: {e}");
-                ExitCode::FAILURE
-            }
-        }
+        let (result, report) = build().resume_report(&checkpoint, window).map_err(failed)?;
+        print_result(&spec.name, &result);
+        write_json(json_path, &report.to_json_string())
     } else {
-        match build().resume(&checkpoint) {
-            Ok(result) => {
-                print_result(&spec.name, &result);
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: cannot resume {path}: {e}");
-                ExitCode::FAILURE
-            }
-        }
+        print_result(&spec.name, &build().resume(&checkpoint).map_err(failed)?);
+        Ok(())
     }
 }
 
 /// Lists a warm-cache directory without modifying it (the cache never
 /// evicts; this command never writes).
-fn cmd_snapshot_cache_info(dir: &str) -> ExitCode {
+fn cmd_snapshot_cache_info(opts: &Options) -> Result<(), String> {
+    let dir = &opts.arg;
     if !std::path::Path::new(dir).is_dir() {
-        eprintln!("error: {dir}: not a directory");
-        return ExitCode::FAILURE;
+        return Err(format!("{dir}: not a directory"));
     }
-    let cache = match WarmCache::open(dir) {
-        Ok(cache) => cache,
-        Err(e) => {
-            eprintln!("error: {dir}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let entries = match cache.entries() {
-        Ok(entries) => entries,
-        Err(e) => {
-            eprintln!("error: {dir}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let entries = WarmCache::open(dir)
+        .and_then(|cache| cache.entries())
+        .map_err(|e| format!("{dir}: {e}"))?;
     if entries.is_empty() {
         println!("warm cache {dir}: empty");
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
     let mut t = Table::new(&["file", "mix", "warmed under", "warmup", "seed", "size"]);
     let mut total = 0u64;
@@ -1653,107 +1614,47 @@ fn cmd_snapshot_cache_info(dir: &str) -> ExitCode {
         "warm cache {dir}: {} image(s), {total} bytes total",
         entries.len()
     );
-    ExitCode::SUCCESS
-}
-
-fn cmd_snapshot(rest: &[String]) -> ExitCode {
-    let Some((sub, args)) = rest.split_first() else {
-        eprintln!("error: snapshot needs a subcommand (save|info|resume|cache-info)");
-        return usage();
-    };
-    match sub.as_str() {
-        "save" => match parse_command("snapshot save", args, sim_base_cfg()) {
-            Ok(opts) => cmd_snapshot_save(&opts),
-            Err(e) => {
-                eprintln!("error: {e}");
-                usage()
-            }
-        },
-        "cache-info" => {
-            let Some((dir, extra)) = args.split_first() else {
-                eprintln!("error: snapshot cache-info needs a cache directory");
-                return usage();
-            };
-            if !extra.is_empty() {
-                eprintln!("error: snapshot cache-info takes no options");
-                return usage();
-            }
-            cmd_snapshot_cache_info(dir)
-        }
-        "info" | "resume" => {
-            let Some((path, args)) = args.split_first() else {
-                eprintln!("error: snapshot {sub} needs a checkpoint path");
-                return usage();
-            };
-            if sub == "info" {
-                if !args.is_empty() {
-                    eprintln!("error: snapshot info takes no options");
-                    return usage();
-                }
-                return cmd_snapshot_info(path);
-            }
-            match parse_command("snapshot resume", args, sim_base_cfg()) {
-                Ok(opts) => cmd_snapshot_resume(path, &opts),
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    usage()
-                }
-            }
-        }
-        other => {
-            eprintln!("error: unknown snapshot subcommand '{other}'");
-            usage()
-        }
-    }
+    Ok(())
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some((cmd, rest)) = args.split_first() else {
+    if args.is_empty() {
         return usage();
-    };
-    if cmd == "snapshot" {
-        return cmd_snapshot(rest);
     }
-    // `bench` wants long measured runs with no warm-up (throughput, not
-    // policy fidelity); the simulation commands keep the paper-flavoured
-    // warm-up defaults. Either way the flags can override.
-    let base_cfg = if cmd == "bench" {
-        SimConfig::scaled_down().warmup(0).instructions(1_000_000)
-    } else {
-        sim_base_cfg()
-    };
-    let opts = match parse_command(cmd, rest, base_cfg) {
-        Ok(o) => o,
+    let (cmd, opts) = match parse_command(&args) {
+        Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("error: {e}");
             return usage();
         }
     };
-    match cmd.as_str() {
-        "list" => cmd_list(),
-        "paper" => cmd_paper(&opts),
-        "run" => cmd_run(&opts),
-        "compare" => cmd_compare(&opts),
-        "analyze" => cmd_analyze(&opts),
-        "bench" => cmd_bench(&opts),
-        "io-sweep" => cmd_io_sweep(&opts),
-        _ => usage(),
+    match (cmd.run)(&opts) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tla::sim::gap_to_opt;
 
-    fn parse_options(args: &[String]) -> Result<Options, String> {
-        super::parse_options(
-            args,
-            SimConfig::scaled_down()
-                .warmup(800_000)
-                .instructions(300_000),
-            true,
-        )
+    /// Parses `tla-cli <cmd> <args...>`; `cmd` may be two words.
+    fn parse(cmd: &str, args: &[&str]) -> Result<Options, String> {
+        let argv: Vec<String> = cmd
+            .split(' ')
+            .chain(args.iter().copied())
+            .map(String::from)
+            .collect();
+        parse_command(&argv).map(|(_, opts)| opts)
+    }
+
+    fn bad(cmd: &str, args: &[&str]) -> String {
+        parse(cmd, args).unwrap_err()
     }
 
     #[test]
@@ -1800,27 +1701,27 @@ mod tests {
 
     #[test]
     fn options_parse_and_validate() {
-        let args: Vec<String> = [
-            "--mix",
-            "MIX_00",
-            "--policy",
-            "qbs",
-            "--scale",
-            "4",
-            "--measure",
-            "1000",
-            "--warmup",
-            "2000",
-            "--seed",
-            "5",
-            "--llc-mb",
-            "4",
-            "--no-prefetch",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let o = parse_options(&args).unwrap();
+        let o = parse(
+            "run",
+            &[
+                "--mix",
+                "MIX_00",
+                "--policy",
+                "qbs",
+                "--scale",
+                "4",
+                "--measure",
+                "1000",
+                "--warmup",
+                "2000",
+                "--seed",
+                "5",
+                "--llc-mb",
+                "4",
+                "--no-prefetch",
+            ],
+        )
+        .unwrap();
         assert_eq!(o.mix.len(), 2);
         assert_eq!(o.policy.as_ref().unwrap().name, "QBS");
         assert_eq!(o.cfg.scale(), 4);
@@ -1833,60 +1734,79 @@ mod tests {
 
     #[test]
     fn bad_options_error() {
-        let bad = |args: &[&str]| {
-            let v: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-            parse_options(&v).unwrap_err()
-        };
-        assert!(bad(&["--mix"]).contains("--mix"));
-        assert!(bad(&["--policy", "bogus"]).contains("unknown policy"));
-        assert!(bad(&["--whatever"]).contains("unknown option"));
-        assert!(bad(&["--mix", "xyz"]).contains("unknown mix"));
-        assert!(bad(&["--jobs", "0"]).contains("positive"));
-        assert!(bad(&["--jobs"]).contains("--jobs"));
+        assert!(bad("run", &["--mix"]).contains("--mix"));
+        assert!(bad("run", &["--policy", "bogus"]).contains("unknown policy"));
+        assert!(bad("run", &["--whatever"]).contains("unknown option"));
+        assert!(bad("run", &["--mix", "xyz"]).contains("unknown mix"));
+        assert!(bad("compare", &["--jobs", "0"]).contains("positive"));
+        assert!(bad("compare", &["--jobs"]).contains("--jobs"));
         // Both used to panic deep in the simulator's config builders.
         let too_many = vec!["lib"; CoreId::MAX_CORES + 1].join(",");
-        assert!(bad(&["--mix", &too_many]).contains("at most 64 cores"));
+        assert!(bad("run", &["--mix", &too_many]).contains("at most 64 cores"));
         let max = vec!["lib"; CoreId::MAX_CORES].join(",");
-        let v = ["--mix".to_string(), max];
-        assert_eq!(parse_options(&v).unwrap().mix.len(), CoreId::MAX_CORES);
-        assert!(bad(&["--measure", "0"]).contains("--measure must be positive"));
+        let o = parse("run", &["--mix", &max]).unwrap();
+        assert_eq!(o.mix.len(), CoreId::MAX_CORES);
+        assert!(bad("run", &["--measure", "0"]).contains("--measure must be positive"));
         // Geometry flags are checked up front instead of panicking in the
         // cache builders (384 sets at 3 MB / scale 8 is no power of two).
-        let e = bad(&["--llc-mb", "3"]);
+        let e = bad("run", &["--llc-mb", "3"]);
         assert!(
             e.contains("--llc-mb 3") && e.contains("not a power of two"),
             "{e}"
         );
-        assert!(bad(&["--llc-mb", "0"]).contains("--llc-mb 0"));
-        assert!(bad(&["--llc-mb", "100000"]).contains("--llc-mb 100000"));
-        assert!(bad(&["--llc-mb", &usize::MAX.to_string()]).contains("overflows"));
-        assert!(bad(&["--scale", "1", "--llc-mb", "3"]).contains("scale 1"));
-        assert!(bad(&["--scale", "3"]).contains("--scale must be 1, 2, 4 or 8"));
-        assert!(bad(&["--scale", "0"]).contains("--scale"));
-        // The epoch-parallel engine and its worker knob are gone.
-        assert!(bad(&["--engine-jobs", "2"]).contains("unknown option"));
-        assert!(bad(&["--figure", "nope"]).contains("valid: table1, fig2"));
+        assert!(bad("run", &["--llc-mb", "0"]).contains("--llc-mb 0"));
+        assert!(bad("run", &["--llc-mb", "100000"]).contains("--llc-mb 100000"));
+        assert!(bad("run", &["--llc-mb", &usize::MAX.to_string()]).contains("overflows"));
+        assert!(bad("run", &["--scale", "1", "--llc-mb", "3"]).contains("scale 1"));
+        assert!(bad("run", &["--scale", "3"]).contains("--scale must be 1, 2, 4 or 8"));
+        assert!(bad("run", &["--scale", "0"]).contains("--scale"));
+        // The epoch-parallel engine and its worker knob are gone, and so
+        // are the bench warm image and the reuse sampling knob.
+        assert!(bad("compare", &["--engine-jobs", "2"]).contains("unknown option"));
+        assert!(bad("bench", &["--warm-image", "w.tlas"]).contains("unknown option"));
+        assert!(bad("analyze", &["--sample-every", "8"]).contains("unknown option"));
+        assert!(bad("paper", &["--figure", "nope"]).contains("valid: table1, fig2"));
+        // Commands that simulate a mix need one.
+        assert_eq!(bad("run", &[]), "run: --mix is required");
+        assert_eq!(
+            bad("snapshot save", &[]),
+            "snapshot save: --mix is required"
+        );
+        // --smoke fixes the quotas, so a given quota would be dropped.
+        for quota in ["--warmup", "--measure"] {
+            assert_eq!(
+                bad("io-sweep", &["--smoke", quota, "1000"]),
+                "--smoke fixes its own quotas; drop --warmup/--measure"
+            );
+        }
+        assert!(parse("io-sweep", &["--smoke", "--seed", "3"]).is_ok());
 
         // A flag the subcommand would parse and then ignore is an error.
-        let rejected = |cmd: &str, args: &[&str]| {
-            let v: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-            parse_command(cmd, &v, sim_base_cfg()).unwrap_err()
-        };
-        assert!(rejected("table1", &["--mix", "lib,sje"]).contains("unknown command 'table1'"));
+        assert!(bad("table1", &["--mix", "lib,sje"]).contains("unknown command 'table1'"));
+        assert_eq!(bad("snapshot", &[]), "unknown command 'snapshot'");
         assert_eq!(
-            rejected("paper", &["--figure", "table1", "--mix", "lib,sje"]),
+            bad("snapshot", &["nope"]),
+            "unknown command 'snapshot nope'"
+        );
+        assert_eq!(bad("snapshot info", &[]), "snapshot info needs <f.tlas>");
+        assert_eq!(
+            bad("snapshot info", &["f.tlas", "--json", "x"]),
+            "snapshot info does not accept --json"
+        );
+        assert_eq!(
+            bad("paper", &["--figure", "table1", "--mix", "lib,sje"]),
             "paper does not accept --mix"
         );
         assert_eq!(
-            rejected("run", &["--mix", "lib,sje", "--warm-start"]),
+            bad("run", &["--mix", "lib,sje", "--warm-start"]),
             "run does not accept --warm-start"
         );
         assert_eq!(
-            rejected("run", &["--mix", "lib,sje", "--out", "x"]),
+            bad("run", &["--mix", "lib,sje", "--out", "x"]),
             "run does not accept --out"
         );
         assert_eq!(
-            rejected("io-sweep", &["--policy", "qbs"]),
+            bad("io-sweep", &["--policy", "qbs"]),
             "io-sweep does not accept --policy"
         );
         for flag in [
@@ -1903,20 +1823,25 @@ mod tests {
             if flag[0] == "--window" {
                 args.extend(["--json", "out.json"]);
             }
-            let e = rejected("paper", &args);
+            let e = bad("paper", &args);
             assert!(e.starts_with("paper does not accept"), "{e}");
         }
         for flag in ["--io-partition", "--warm-start"] {
-            assert!(rejected("paper", &[flag]).contains("does not accept"));
+            assert!(bad("paper", &[flag]).contains("does not accept"));
         }
         assert_eq!(
-            rejected("snapshot resume", &["--policy", "qbs", "--window", "5"]),
+            bad(
+                "snapshot resume",
+                &["f.tlas", "--policy", "qbs", "--window", "5"]
+            ),
             "--window only makes sense with --json"
         );
     }
 
-    /// Every `tla-cli` invocation in the CI workflow passes its
-    /// subcommand's flag check.
+    /// Every `tla-cli` invocation in the CI workflow parses, positional
+    /// argument and values included; the ones CI runs under `if` (to
+    /// check the error path) fail on a value, not on an unknown or
+    /// unaccepted flag.
     #[test]
     fn ci_flags_are_accepted() {
         let ci = std::fs::read_to_string(concat!(
@@ -1931,142 +1856,166 @@ mod tests {
             let Some(at) = words.iter().position(|w| w.ends_with("tla-cli")) else {
                 continue;
             };
-            let mut rest = words[at + 1..]
+            let argv: Vec<String> = words[at + 1..]
                 .iter()
-                .copied()
-                .take_while(|w| *w != "|" && *w != ";")
-                .skip_while(|w| *w == "--");
-            let Some(cmd) = rest.next() else { continue };
-            let cmd = match cmd {
-                "snapshot" => match rest.next() {
-                    Some(sub @ ("save" | "resume")) => format!("snapshot {sub}"),
-                    _ => continue,
-                },
-                _ => cmd.to_string(),
-            };
-            for flag in rest.filter(|w| w.starts_with("--")) {
-                assert!(
-                    accepts(&cmd, flag).unwrap(),
-                    "ci.yml: {cmd} does not accept {flag}"
-                );
+                .skip_while(|w| **w == "--")
+                .take_while(|w| !w.starts_with(['|', '>', ';']) && !w.starts_with("2>"))
+                .map(|w| w.to_string())
+                .collect();
+            let expect_error = words[0] == "if";
+            match parse_command(&argv) {
+                Ok(_) => assert!(!expect_error, "ci.yml expects an error from: {line}"),
+                Err(e) => assert!(
+                    expect_error
+                        && !e.contains("unknown option")
+                        && !e.contains("unknown command")
+                        && !e.contains("does not accept"),
+                    "ci.yml: {e}: {line}"
+                ),
             }
             checked += 1;
         }
         assert!(checked >= 10, "only {checked} tla-cli invocations found");
     }
 
+    /// The two tables and the usage generated from them agree.
+    #[test]
+    fn flag_and_command_tables_agree() {
+        let reads = |c: &Command, f: &Flag| c.flag(f.name).is_some();
+        for f in FLAGS {
+            assert!(
+                COMMANDS.iter().any(|c| reads(c, f)),
+                "no command reads {}",
+                f.name
+            );
+        }
+        for c in COMMANDS {
+            for g in c.flags.iter().copied().flatten() {
+                assert!(
+                    FLAGS.iter().any(|f| f.name == g.name),
+                    "{} reads {}, which is missing from FLAGS",
+                    c.name,
+                    g.name
+                );
+            }
+        }
+        let usage = usage_text();
+        let tokens: Vec<&str> = usage.split_whitespace().collect();
+        let count = |name: &str| {
+            let n = name.split(' ').count();
+            tokens.windows(n).filter(|w| w.join(" ") == name).count()
+        };
+        for name in COMMANDS
+            .iter()
+            .map(|c| c.name)
+            .chain(FLAGS.iter().map(|f| f.name))
+        {
+            assert_eq!(count(name), 1, "{name} must appear once in the usage");
+        }
+        // Any flag a command does not read fails with the command's name.
+        for c in COMMANDS {
+            for f in FLAGS.iter().filter(|f| !reads(c, f)) {
+                let mut argv: Vec<String> = c.name.split(' ').map(String::from).collect();
+                argv.extend(c.arg.map(|_| "x".to_string()));
+                argv.push(f.name.to_string());
+                argv.extend(f.value.map(|_| "1".to_string()));
+                assert_eq!(
+                    parse_command(&argv).map(|_| ()).unwrap_err(),
+                    format!("{} does not accept {}", c.name, f.name)
+                );
+            }
+        }
+    }
+
     #[test]
     fn io_options_parse() {
-        let parse = |args: &[&str]| {
-            let v: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-            parse_options(&v)
-        };
-        let o = parse(&["--io", "dma:2,nic:4:512", "--io-ways", "2"]).unwrap();
+        let run = |args: &[&str]| parse("run", &[&["--mix", "lib"], args].concat());
+        let o = run(&["--io", "dma:2,nic:4:512", "--io-ways", "2"]).unwrap();
         assert_eq!(o.io.agents.len(), 2);
         assert_eq!(o.io.label(), "dma:2+nic:4:512/w2");
         assert_eq!(o.io.inject_ways, Some(2));
         assert!(!o.io.partition);
-        let o = parse(&["--io", "dma", "--io-ways", "4", "--io-partition"]).unwrap();
+        let o = run(&["--io", "dma", "--io-ways", "4", "--io-partition"]).unwrap();
         assert!(o.io.partition);
         // No --io at all stays trivial, so non-io output is byte-identical.
-        let o = parse(&[]).unwrap();
+        let o = run(&[]).unwrap();
         assert!(o.io.is_trivial());
-        assert!(!o.smoke);
-        let o = parse(&["--smoke"]).unwrap();
-        assert!(o.smoke);
+        assert!(!parse("io-sweep", &[]).unwrap().smoke);
+        assert!(parse("io-sweep", &["--smoke"]).unwrap().smoke);
     }
 
     #[test]
     fn io_options_validate() {
-        let bad = |args: &[&str]| {
-            let v: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-            parse_options(&v).unwrap_err()
-        };
-        assert!(bad(&["--io", "tape:3"]).contains("--io"));
-        assert!(bad(&["--io-ways", "0"]).contains("positive"));
-        assert!(bad(&["--io-partition"]).contains("requires --io-ways"));
-        assert!(bad(&["--io", "dma", "--warm-start"]).contains("warm-start"));
-        assert!(bad(&["--io", "dma", "--warm-cache", "d"]).contains("warm"));
+        assert!(bad("run", &["--io", "tape:3"]).contains("--io"));
+        assert!(bad("run", &["--io-ways", "0"]).contains("positive"));
+        assert!(bad("run", &["--io-partition"]).contains("requires --io-ways"));
+        assert!(bad("compare", &["--io", "dma", "--warm-start"]).contains("warm-start"));
+        assert!(bad("compare", &["--io", "dma", "--warm-cache", "d"]).contains("warm"));
     }
 
     #[test]
     fn jobs_option_parses() {
-        let args: Vec<String> = ["--jobs", "4"].iter().map(|s| s.to_string()).collect();
-        let o = parse_options(&args).unwrap();
+        let o = parse("io-sweep", &["--jobs", "4"]).unwrap();
         assert_eq!(o.cfg.jobs_override(), Some(4));
         assert_eq!(o.cfg.effective_jobs(), 4);
-        let o = parse_options(&[]).unwrap();
+        let o = parse("io-sweep", &[]).unwrap();
         assert_eq!(o.cfg.jobs_override(), None);
     }
 
     #[test]
     fn shard_jobs_option_parses() {
-        let args: Vec<String> = ["--shard-jobs", "3"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let o = parse_options(&args).unwrap();
+        let o = parse("io-sweep", &["--shard-jobs", "3"]).unwrap();
         assert_eq!(o.cfg.shard_jobs_override(), Some(3));
         assert_eq!(o.cfg.effective_shard_jobs(), 3);
         // 0 opts into auto-detection rather than erroring.
-        let args: Vec<String> = ["--shard-jobs", "0"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let o = parse_options(&args).unwrap();
+        let o = parse("io-sweep", &["--shard-jobs", "0"]).unwrap();
         assert_eq!(o.cfg.shard_jobs_override(), Some(0));
         assert!(o.cfg.effective_shard_jobs() >= 1);
-        let o = parse_options(&[]).unwrap();
+        let o = parse("io-sweep", &[]).unwrap();
         assert_eq!(o.cfg.shard_jobs_override(), None);
     }
 
     #[test]
     fn json_and_window_options_parse() {
-        let parse = |args: &[&str]| {
-            let v: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-            parse_options(&v)
-        };
-        let o = parse(&[
-            "--mix", "lib,sje", "--json", "out.json", "--window", "50000",
-        ])
-        .unwrap();
+        let run = |args: &[&str]| parse("run", &[&["--mix", "lib,sje"], args].concat());
+        let o = run(&["--json", "out.json", "--window", "50000"]).unwrap();
         assert_eq!(o.json.as_deref(), Some("out.json"));
         assert_eq!(o.window, Some(50_000));
-        let o = parse(&["--json", "out.json"]).unwrap();
+        let o = run(&["--json", "out.json"]).unwrap();
         assert_eq!(o.window, None);
-        let err = parse(&["--window", "50000"]).unwrap_err();
+        let err = run(&["--window", "50000"]).unwrap_err();
         assert!(err.contains("--json"));
-        let err = parse(&["--json", "o", "--window", "0"]).unwrap_err();
+        let err = run(&["--json", "o", "--window", "0"]).unwrap_err();
         assert!(err.contains("positive"));
     }
 
     #[test]
     fn bench_options_parse() {
-        let parse = |args: &[&str]| {
-            let v: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-            parse_options(&v)
-        };
-        let o = parse(&[
-            "--baseline",
-            "BENCH_pr3.json",
-            "--gate",
-            "5",
-            "--target-ms",
-            "100",
-        ])
+        let o = parse(
+            "bench",
+            &[
+                "--baseline",
+                "BENCH_pr3.json",
+                "--gate",
+                "5",
+                "--target-ms",
+                "100",
+            ],
+        )
         .unwrap();
         assert_eq!(o.baseline.as_deref(), Some("BENCH_pr3.json"));
         assert_eq!(o.gate_pct, 5.0);
         assert_eq!(o.target_ms, 100);
-        let o = parse(&[]).unwrap();
+        let o = parse("bench", &[]).unwrap();
         assert_eq!(o.baseline, None);
         assert_eq!(o.gate_pct, 10.0);
         assert_eq!(o.target_ms, 800);
-        assert!(parse(&["--gate", "0"]).unwrap_err().contains("positive"));
-        assert!(parse(&["--gate", "nan"]).unwrap_err().contains("positive"));
-        assert!(parse(&["--target-ms", "0"])
-            .unwrap_err()
-            .contains("positive"));
+        // bench starts from its own base: no warm-up, long measured runs.
+        assert_eq!(o.cfg.warmup_quota(), 0);
+        assert_eq!(o.cfg.instruction_quota(), 1_000_000);
+        assert!(bad("bench", &["--gate", "0"]).contains("positive"));
+        assert!(bad("bench", &["--gate", "nan"]).contains("positive"));
+        assert!(bad("bench", &["--target-ms", "0"]).contains("positive"));
     }
 
     #[test]
@@ -2148,7 +2097,6 @@ mod tests {
             accesses_per_sec_mean: aps,
             calibration_ratio: ratio,
             kernel: "scalar4",
-            warmed_from_image: false,
         };
         let p = path.to_str().unwrap();
         // Same ratio passes, whatever the absolute numbers did: a 3x faster
@@ -2189,24 +2137,6 @@ mod tests {
     }
 
     #[test]
-    fn sample_every_option_parses() {
-        let parse = |args: &[&str]| {
-            let v: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-            parse_options(&v)
-        };
-        let o = parse(&[]).unwrap();
-        assert_eq!(o.sample_every, DEFAULT_SAMPLE_EVERY);
-        let o = parse(&["--sample-every", "8"]).unwrap();
-        assert_eq!(o.sample_every, 8);
-        assert!(parse(&["--sample-every", "0"])
-            .unwrap_err()
-            .contains("positive"));
-        assert!(parse(&["--sample-every"])
-            .unwrap_err()
-            .contains("sample-every"));
-    }
-
-    #[test]
     fn gap_to_opt_is_relative_and_finite() {
         assert_eq!(gap_to_opt(100, 100), 0.0);
         assert!((gap_to_opt(150, 100) - 0.5).abs() < 1e-12);
@@ -2230,7 +2160,6 @@ mod tests {
             accesses_per_sec_mean: 1.0,
             calibration_ratio: 0.5,
             kernel: "scalar4",
-            warmed_from_image: false,
         };
         let write = |file: &str, schema: Option<&str>| {
             let mut fields = Vec::new();
@@ -2277,31 +2206,37 @@ mod tests {
 
     #[test]
     fn snapshot_options_parse() {
-        let parse = |args: &[&str]| {
-            let v: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-            super::parse_options(&v, sim_base_cfg(), false)
-        };
-        let o = parse(&[
-            "--mix",
-            "lib,sje",
-            "--out",
-            "warm.tlas",
-            "--window",
-            "50000",
-        ])
+        let o = parse(
+            "snapshot save",
+            &[
+                "--mix",
+                "lib,sje",
+                "--out",
+                "warm.tlas",
+                "--window",
+                "50000",
+            ],
+        )
         .unwrap();
         assert_eq!(o.out.as_deref(), Some("warm.tlas"));
         // Without the json requirement, a bare --window instruments the
         // checkpoint.
         assert_eq!(o.window, Some(50_000));
+        let o = parse("snapshot resume", &["warm.tlas", "--policy", "qbs"]).unwrap();
+        assert_eq!(o.arg, "warm.tlas");
+        assert_eq!(o.policy.unwrap().name, "QBS");
+        let compare = |args: &[&str]| parse("compare", &[&["--mix", "lib,sje"], args].concat());
+        let o = compare(&[]).unwrap();
         assert!(!o.warm_start);
-        let o = parse(&["--mix", "lib,sje", "--warm-start"]).unwrap();
+        let o = compare(&["--warm-start"]).unwrap();
         assert!(o.warm_start);
         assert!(o.warm_cache.is_none());
         // --warm-cache carries the directory and opts into warm-start.
-        let o = parse(&["--mix", "lib,sje", "--warm-cache", "/tmp/warm"]).unwrap();
+        let o = compare(&["--warm-cache", "/tmp/warm"]).unwrap();
         assert_eq!(o.warm_cache.as_deref(), Some("/tmp/warm"));
         assert!(o.warm_start, "--warm-cache implies --warm-start");
-        assert!(parse(&["--warm-cache"]).unwrap_err().contains("warm-cache"));
+        assert!(compare(&["--warm-cache"])
+            .unwrap_err()
+            .contains("warm-cache"));
     }
 }

@@ -12,7 +12,7 @@
 //! equivalence must hold on either dispatch path.
 
 use tla::io::{IoAgentSpec, IoMixConfig};
-use tla::sim::{optimal_llc, EngineMode, MixRun, PolicySpec, SimConfig};
+use tla::sim::{optimal_llc, EngineMode, MixRun, OracleGap, PolicySpec, SimConfig};
 use tla::telemetry::json::JsonValue;
 use tla::workloads::SpecApp;
 
@@ -72,9 +72,7 @@ fn render_analyze(mode: EngineMode) -> String {
                 .spec(spec)
                 .engine_mode(mode)
                 .run_report_analyzed(Some(2_500), 4);
-            report.opt_misses = Some(opt.misses);
-            report.gap_to_opt =
-                Some((r.llc_misses() as f64 - opt.misses as f64) / (opt.misses.max(1) as f64));
+            OracleGap::new(&r, opt.misses).attach(&mut report);
             report.to_json()
         })
         .collect();

@@ -9,7 +9,7 @@
 //! `TLA_FORCE_SCALAR=1`, which pins the portable probe kernels — the
 //! equivalence must hold on either dispatch path.
 
-use tla::sim::{optimal_llc, run_policy_reports_analyzed, PolicySpec, SimConfig};
+use tla::sim::{optimal_llc, run_policy_reports_analyzed, OracleGap, PolicySpec, SimConfig};
 use tla::telemetry::json::JsonValue;
 use tla::workloads::SpecApp;
 
@@ -32,10 +32,7 @@ fn render_analyze(jobs: usize) -> String {
     let docs: Vec<JsonValue> = results
         .into_iter()
         .map(|(r, mut report)| {
-            report.opt_misses = Some(opt.misses);
-            report.gap_to_opt =
-                Some((r.llc_misses() as f64 - opt.misses as f64) / (opt.misses.max(1) as f64));
-            report.inclusion_victim_rate = Some(report.measured_victim_rate());
+            OracleGap::new(&r, opt.misses).attach(&mut report);
             report.to_json()
         })
         .collect();
