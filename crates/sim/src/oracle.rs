@@ -21,22 +21,23 @@
 //!
 //! There is one MIN implementation, `NextUseLists`, and it never
 //! stores the stream. A forward pass files each reference into its set's
-//! next-use list as a single `u32`; a line map patches the previous
-//! occurrence's slot. The per-set replay then needs no addresses at all,
-//! because a resident line's key *is* the local index of its next use:
-//! reference `k` hits exactly when some way's key equals `k`. That is
-//! 4 B per reference plus `Vec` growth and one map entry per distinct
-//! line, where a stored stream alone would cost 8 B per reference.
+//! next-use list as a single `u32`; a paged line table patches the
+//! previous occurrence's slot. The per-set replay then needs no addresses
+//! at all, because a resident line's key *is* the local index of its next
+//! use: reference `k` hits exactly when some way's key equals `k`. That
+//! is 4 B per reference plus `Vec` growth and one 256 B page of latest
+//! indices per 64-line block the stream touches (4 B per line of a dense
+//! footprint), where a stored stream alone would cost 8 B per reference.
 //! [`optimal_llc`] runs the pass while the mix is generated; [`belady`]
 //! and [`belady_sharded`] feed it a slice.
 
 use crate::config::SimConfig;
 use crate::run::RunResult;
-use std::collections::HashMap;
 use tla_core::HierarchyConfig;
 use tla_telemetry::RunReport;
 use tla_types::counters::victim_rate;
-use tla_types::LineAddr;
+use tla_types::pages::PAGE_LINES;
+use tla_types::{LineAddr, LinePages};
 use tla_workloads::{SpecApp, TraceSource};
 
 /// Sentinel next-use key: the line is never referenced again (or the way
@@ -80,7 +81,17 @@ struct NextUseLists {
     /// Per set: how many of its references fall in the warm-up prefix.
     warm: Vec<u32>,
     /// Each line's latest set-local index, so its slot can be patched.
-    last: HashMap<u64, u32>,
+    last: LinePages<LastUse>,
+}
+
+/// The latest set-local reference index of each line of a page,
+/// [`NEVER`] for a line not referenced yet.
+struct LastUse([u32; PAGE_LINES]);
+
+impl Default for LastUse {
+    fn default() -> Self {
+        LastUse([NEVER; PAGE_LINES])
+    }
 }
 
 impl NextUseLists {
@@ -96,7 +107,7 @@ impl NextUseLists {
             ways,
             next: vec![Vec::new(); sets],
             warm: vec![0; sets],
-            last: HashMap::new(),
+            last: LinePages::new(),
         }
     }
 
@@ -112,7 +123,9 @@ impl NextUseLists {
             .ok()
             .filter(|&k| k < NEVER)
             .expect("a set's references fit in u32 keys below NEVER");
-        if let Some(prev) = self.last.insert(a, k) {
+        let (page, i) = self.last.page_mut(line);
+        let prev = std::mem::replace(&mut page.0[i], k);
+        if prev != NEVER {
             list[prev as usize] = k;
         }
         list.push(NEVER);

@@ -19,6 +19,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use tla_types::LineBuildHasher;
 
 use crate::event::{EventKind, TelemetryEvent};
 use crate::json::JsonValue;
@@ -227,7 +228,7 @@ struct SetState {
     /// Accesses this set has served (the set-local clock).
     clock: u64,
     /// Line address -> clock value of its previous access.
-    last: HashMap<u64, u64>,
+    last: HashMap<u64, u64, LineBuildHasher>,
     hist: ReuseHistogram,
 }
 
@@ -267,7 +268,7 @@ impl ReuseProfiler {
             .map(|set| SetState {
                 set,
                 clock: 0,
-                last: HashMap::new(),
+                last: HashMap::default(),
                 hist: ReuseHistogram::new(num_buckets),
             })
             .collect::<Vec<_>>();

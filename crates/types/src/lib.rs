@@ -18,9 +18,11 @@
 //! ```
 
 pub mod counters;
+pub mod pages;
 pub mod stats;
 
 pub use counters::{GlobalStats, IoAgentStats, IoStats, PerCoreStats};
+pub use pages::{LineBuildHasher, LinePages};
 
 use std::fmt;
 

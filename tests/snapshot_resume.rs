@@ -131,6 +131,40 @@ fn checkpoint_bytes_are_pinned() {
     );
 }
 
+/// The same pin on an LLC-thrashing 4-core mix, under ECI and under QBS,
+/// whose warm images carry large victim-tracker sections: after 1 M
+/// warm-up instructions per core each tracker holds about 10–40 k seen
+/// lines, and ECI leaves about 6.5 k pending kills split between
+/// `Replacement` and `Eci` (QBS's approved evictions take nothing from
+/// the core caches, so its pending kills are a few dozen `QbsLimit`
+/// ones). Both constants were recorded before the tracker moved from
+/// hash maps to 64-line pages, whose checkpoints must stay
+/// byte-identical.
+#[test]
+fn thrashing_checkpoint_bytes_are_pinned() {
+    let cfg = SimConfig::scaled_down()
+        .warmup(1_000_000)
+        .instructions(10_000);
+    let mix = [
+        SpecApp::Mcf,
+        SpecApp::Libquantum,
+        SpecApp::Mcf,
+        SpecApp::Libquantum,
+    ];
+    for (spec, pin) in [
+        (PolicySpec::eci(), "80acadb03a2fbc7d"),
+        (PolicySpec::qbs(), "c399086418f4dff4"),
+    ] {
+        let checkpoint = MixRun::new(&cfg, &mix).spec(&spec).warm_checkpoint();
+        assert_eq!(
+            format!("{:016x}", fnv1a(checkpoint.as_bytes())),
+            pin,
+            "{}: checkpoint wire bytes changed",
+            spec.name
+        );
+    }
+}
+
 #[test]
 fn corrupt_checkpoints_fail_loudly() {
     let bytes = MixRun::new(&cfg(), &MIX)
