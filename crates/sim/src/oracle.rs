@@ -24,12 +24,22 @@
 //! next-use list as a single `u32`; a paged line table patches the
 //! previous occurrence's slot. The per-set replay then needs no addresses
 //! at all, because a resident line's key *is* the local index of its next
-//! use: reference `k` hits exactly when some way's key equals `k`. That
-//! is 4 B per reference plus `Vec` growth and one 256 B page of latest
-//! indices per 64-line block the stream touches (4 B per line of a dense
-//! footprint), where a stored stream alone would cost 8 B per reference.
-//! [`optimal_llc`] runs the pass while the mix is generated; [`belady`]
-//! and [`belady_sharded`] feed it a slice.
+//! use: reference `k` hits exactly when some way's key equals `k`.
+//!
+//! A reference to the line its set saw last (a *run*: consecutive
+//! fetches and data accesses often stay on one line) is counted and not
+//! filed. Nothing else touched the set since that line was installed, so
+//! the repeat hits under MIN and under every demand-fetch policy, and MIN
+//! makes no eviction decision between the two references. Dropping it
+//! only renumbers the later references of its set, in order: every key
+//! comparison, every [`NEVER`] tie and so every count stays the same. A
+//! measured repeat adds one access and one hit; a warm-up repeat adds
+//! nothing. The lists then cost 4 B per *stored* reference (under half
+//! of a mix stream's references) plus `Vec` growth and one 256 B page of
+//! latest indices per 64-line block the stream touches (4 B per line of
+//! a dense footprint), where a stored stream alone would cost 8 B per
+//! reference. [`optimal_llc`] runs the pass while the mix is generated;
+//! [`belady`] and [`belady_sharded`] feed it a slice.
 
 use crate::config::SimConfig;
 use crate::run::RunResult;
@@ -82,6 +92,12 @@ struct NextUseLists {
     warm: Vec<u32>,
     /// Each line's latest set-local index, so its slot can be patched.
     last: LinePages<LastUse>,
+    /// Per set: the line of its latest reference (`None` before the
+    /// first), so a run of references to it is counted, not filed.
+    latest: Vec<Option<LineAddr>>,
+    /// Measured references that repeated their set's latest line: each
+    /// is one access and one hit.
+    repeats: u64,
 }
 
 /// The latest set-local reference index of each line of a page,
@@ -108,16 +124,22 @@ impl NextUseLists {
             next: vec![Vec::new(); sets],
             warm: vec![0; sets],
             last: LinePages::new(),
+            latest: vec![None; sets],
+            repeats: 0,
         }
     }
 
     /// Files the next reference of the stream. Warm-up references
     /// (`measured == false`) must form a prefix: they shape the cache
     /// state but are left out of the counts, the freeze semantics the
-    /// simulator uses.
+    /// simulator uses. A repeat of the set's latest line is only counted
+    /// (see the module docs).
     fn push(&mut self, line: LineAddr, measured: bool) {
-        let a = line.raw();
-        let set = (a & self.mask) as usize;
+        let set = (line.raw() & self.mask) as usize;
+        if self.latest[set].replace(line) == Some(line) {
+            self.repeats += u64::from(measured);
+            return;
+        }
         let list = &mut self.next[set];
         let k = u32::try_from(list.len())
             .ok()
@@ -142,13 +164,14 @@ impl NextUseLists {
         // The line map is only needed while building; free it first.
         drop(self.last);
         let ways = self.ways;
-        let accesses = (self.next.iter().zip(&self.warm))
-            .map(|(next, &warm)| (next.len() - warm as usize) as u64)
-            .sum();
+        let accesses = self.repeats
+            + (self.next.iter().zip(&self.warm))
+                .map(|(next, &warm)| (next.len() - warm as usize) as u64)
+                .sum::<u64>();
         let sets = self.next.into_iter().zip(self.warm).collect();
         let per_set =
             tla_pool::scoped_map(jobs, sets, |(next, warm)| replay_set(&next, warm, ways));
-        let hits = per_set.iter().sum();
+        let hits = self.repeats + per_set.iter().sum::<u64>();
         OracleResult {
             accesses,
             hits,
@@ -423,13 +446,16 @@ mod tests {
 
     #[test]
     fn next_use_lists_point_at_each_lines_next_reference() {
-        // Two sets; set 0 sees lines 0, 2, 0 and set 1 sees 1, 1.
+        // Two sets; set 0 sees lines 0, 2, 0 and set 1 sees 1, 1. Set 1's
+        // second reference repeats its latest line, so it is counted as a
+        // measured hit and not filed.
         let mut lists = NextUseLists::new(2, 1);
         for (i, a) in [0u64, 1, 2, 1, 0].into_iter().enumerate() {
             lists.push(LineAddr::new(a), i >= 2);
         }
-        assert_eq!(lists.next, vec![vec![2, NEVER, NEVER], vec![1, NEVER]]);
+        assert_eq!(lists.next, vec![vec![2, NEVER, NEVER], vec![NEVER]]);
         assert_eq!(lists.warm, vec![1, 1]);
+        assert_eq!(lists.repeats, 1);
         // Set 0: miss, miss (evicts 0), miss; set 1: miss, hit. Only the
         // last three references are measured.
         let r = lists.replay(1);
