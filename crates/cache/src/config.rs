@@ -5,11 +5,11 @@ use std::fmt;
 use tla_types::{LineAddr, LINE_BYTES};
 
 /// Maximum supported associativity. The set-associative storage keeps
-/// valid/dirty/tag state as a multi-word
-/// [`WayMask`](crate::probe::WayMask) bitmap per set
-/// (`[u64; WAY_WORDS]`), so a set can hold at most `64 * WAY_WORDS` = 256
-/// ways — wide enough for the fully-associative victim-cache sweeps.
-pub const MAX_WAYS: usize = 256;
+/// valid/dirty/tag state as a one-word
+/// [`WayMask`](crate::probe::WayMask) bitmap per set, so a set holds at
+/// most 64 ways — four times the paper's 16-way LLC. The fully-associative
+/// victim cache keeps no per-set masks and is not bound by this limit.
+pub const MAX_WAYS: usize = 64;
 
 /// Errors produced when validating a [`CacheConfig`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -28,7 +28,7 @@ pub enum ConfigError {
     },
     /// Associativity of zero was requested.
     ZeroWays,
-    /// Associativity exceeds [`MAX_WAYS`] (the width of the multi-word
+    /// Associativity exceeds [`MAX_WAYS`] (the width of the one-word
     /// per-set bitmaps).
     TooManyWays {
         /// Requested associativity.
@@ -54,7 +54,7 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroWays => write!(f, "associativity must be at least 1"),
             ConfigError::TooManyWays { ways } => write!(
                 f,
-                "associativity {ways} exceeds the {MAX_WAYS}-way limit of the multi-word set bitmaps"
+                "associativity {ways} exceeds the {MAX_WAYS}-way limit of the one-word set bitmaps"
             ),
             ConfigError::PlruNeedsPow2Ways { ways } => {
                 write!(
@@ -240,16 +240,23 @@ mod tests {
             CacheConfig::new("x", 64 * 12 * 16, 12, Policy::Plru),
             Err(ConfigError::PlruNeedsPow2Ways { ways: 12 })
         ));
-        // 257 ways with 1 set is otherwise a consistent geometry, but the
-        // multi-word bitmaps cap associativity at 256.
-        assert!(matches!(
-            CacheConfig::with_sets("x", 1, 257, Policy::Lru),
-            Err(ConfigError::TooManyWays { ways: 257 })
-        ));
-        assert!(CacheConfig::with_sets("x", 1, 256, Policy::Lru).is_ok());
-        // 65 ways used to be rejected by the single-word layout; the
-        // multi-word lift makes it a supported geometry.
-        assert!(CacheConfig::with_sets("x", 1, 65, Policy::Lru).is_ok());
+    }
+
+    #[test]
+    fn rejects_more_than_sixty_four_ways() {
+        // 65 ways with 1 set is otherwise a consistent geometry, but the
+        // one-word set bitmaps cap associativity at 64.
+        for ways in [65, 128, 256] {
+            assert_eq!(
+                CacheConfig::with_sets("x", 1, ways, Policy::Lru),
+                Err(ConfigError::TooManyWays { ways })
+            );
+        }
+        let err = CacheConfig::new("x", 65 * 64, 65, Policy::Nru).unwrap_err();
+        assert_eq!(err, ConfigError::TooManyWays { ways: 65 });
+        assert!(err.to_string().contains("64-way limit"), "{err}");
+        assert!(CacheConfig::with_sets("x", 1, 64, Policy::Lru).is_ok());
+        assert!(CacheConfig::with_sets("x", 2, 64, Policy::Plru).is_ok());
     }
 
     #[test]

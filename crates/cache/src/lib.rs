@@ -20,9 +20,10 @@
 //!   comparing 8 tags per step on capable x86-64, a 4-lane portable scalar
 //!   path elsewhere, selected once per process at first use
 //!   (`TLA_FORCE_SCALAR=1` pins the scalar path for byte-for-byte
-//!   reproducibility checks). The [`WayMask`] multi-word bitmap the kernels
-//!   return is also the per-set valid/dirty/tag storage, lifting the
-//!   associativity limit to [`MAX_WAYS`] = 256.
+//!   reproducibility checks). The one-word [`WayMask`] the kernels return
+//!   is also the per-set valid/dirty/tag storage, capping associativity at
+//!   [`MAX_WAYS`] = 64; the victim cache scans any length in 64-entry
+//!   chunks.
 //!
 //! # Examples
 //!

@@ -1,4 +1,4 @@
-//! Explicit SIMD set-probe kernels and the multi-word way bitmap.
+//! Explicit SIMD set-probe kernels and the one-word way bitmap.
 //!
 //! Every simulated access funnels through a tag scan of one set's dense
 //! address array. The scan used to be a scalar match-mask loop the compiler
@@ -16,36 +16,27 @@
 //! `0` or the empty string) pins the portable kernel, which CI uses to
 //! check both dispatch paths produce bit-identical simulations.
 //!
-//! The kernels return a [`WayMask`]: a `[u64; 4]` multi-word bitmap that
-//! lifts the associativity ceiling from 64 to [`MAX_WAYS`] = 256 ways.
+//! The kernels return a [`WayMask`]: one `u64` with a bit per way, which
+//! caps a set at [`MAX_WAYS`] = 64 ways.
 //! [`SetAssocCache`](crate::SetAssocCache) and
 //! [`Replacer`](crate::Replacer) store and exchange per-set state as
 //! `WayMask`es; the fully-associative [`VictimCache`](crate::VictimCache)
-//! reuses the kernels for its linear scans via [`find_index`].
+//! reuses the kernels for its linear scans via [`find_index`], which walks
+//! any number of entries in 64-entry chunks.
 
 use crate::config::MAX_WAYS;
 use std::sync::OnceLock;
 use tla_types::LineAddr;
 
-/// Words in a [`WayMask`] (`MAX_WAYS / 64`).
-pub const WAY_WORDS: usize = MAX_WAYS / 64;
-
-/// A bitmap over the ways of one set: bit `w` of word `w / 64` describes
-/// way `w`. Supports up to [`MAX_WAYS`] ways.
-///
-/// The single-`u64` per-set bitmaps this replaces capped associativity at
-/// 64; `WayMask` keeps the packed-bitmap layout (presence scans walk set
-/// bits, clearing a way is a bit-and) while widening it to four words.
+/// A bitmap over the ways of one set: bit `w` describes way `w`. One word,
+/// so a set holds at most [`MAX_WAYS`] = 64 ways; presence scans walk set
+/// bits and clearing a way is a single bit-and.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Default)]
-pub struct WayMask {
-    words: [u64; WAY_WORDS],
-}
+pub struct WayMask(u64);
 
 impl WayMask {
     /// The empty mask.
-    pub const EMPTY: WayMask = WayMask {
-        words: [0; WAY_WORDS],
-    };
+    pub const EMPTY: WayMask = WayMask(0);
 
     /// A mask with bits `0..ways` set.
     ///
@@ -57,18 +48,13 @@ impl WayMask {
         assert!(
             ways <= MAX_WAYS,
             "WayMask::all({ways}): associativity exceeds the {MAX_WAYS}-way \
-             limit of the multi-word set bitmaps"
+             limit of the one-word set bitmaps"
         );
-        let mut words = [0u64; WAY_WORDS];
-        for (i, word) in words.iter_mut().enumerate() {
-            let lo = i * 64;
-            if ways >= lo + 64 {
-                *word = u64::MAX;
-            } else if ways > lo {
-                *word = (1u64 << (ways - lo)) - 1;
-            }
+        if ways == MAX_WAYS {
+            WayMask(u64::MAX)
+        } else {
+            WayMask((1u64 << ways) - 1)
         }
-        WayMask { words }
     }
 
     /// A mask with only bit `way` set.
@@ -78,143 +64,104 @@ impl WayMask {
         m
     }
 
+    /// A mask from its raw word (checkpoint decode).
+    #[inline]
+    pub const fn from_bits(bits: u64) -> WayMask {
+        WayMask(bits)
+    }
+
+    /// The raw word, way 0 in the lowest bit (checkpointing).
+    #[inline]
+    pub const fn bits(self) -> u64 {
+        self.0
+    }
+
     /// Sets bit `way`.
     ///
     /// # Panics
     ///
-    /// Panics if `way >= MAX_WAYS`.
+    /// Panics (debug) if `way >= MAX_WAYS`.
     #[inline]
     pub fn set(&mut self, way: usize) {
         debug_assert!(
             way < MAX_WAYS,
             "way {way} out of range for the {MAX_WAYS}-way bitmap"
         );
-        self.words[way >> 6] |= 1u64 << (way & 63);
+        self.0 |= 1u64 << way;
     }
 
     /// Clears bit `way`.
     #[inline]
     pub fn clear(&mut self, way: usize) {
-        self.words[way >> 6] &= !(1u64 << (way & 63));
+        self.0 &= !(1u64 << way);
     }
 
     /// Whether bit `way` is set.
     #[inline]
-    pub fn contains(&self, way: usize) -> bool {
-        self.words[way >> 6] & (1u64 << (way & 63)) != 0
+    pub fn contains(self, way: usize) -> bool {
+        self.0 & (1u64 << way) != 0
     }
 
     /// Whether no bit is set.
     #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
     }
 
     /// Number of set bits.
     #[inline]
-    pub fn count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    pub fn count(self) -> usize {
+        self.0.count_ones() as usize
     }
 
     /// The lowest set bit, if any — the hardware's left-to-right scan.
     #[inline]
-    pub fn first(&self) -> Option<usize> {
-        for (i, &w) in self.words.iter().enumerate() {
-            if w != 0 {
-                return Some(i * 64 + w.trailing_zeros() as usize);
-            }
-        }
-        None
+    pub fn first(self) -> Option<usize> {
+        (self.0 != 0).then(|| self.0.trailing_zeros() as usize)
     }
 
     /// Bitwise AND.
     #[inline]
     #[must_use]
-    pub fn and(&self, other: &WayMask) -> WayMask {
-        let mut words = self.words;
-        for (a, b) in words.iter_mut().zip(other.words) {
-            *a &= b;
-        }
-        WayMask { words }
-    }
-
-    /// Bitwise OR.
-    #[inline]
-    #[must_use]
-    pub fn or(&self, other: &WayMask) -> WayMask {
-        let mut words = self.words;
-        for (a, b) in words.iter_mut().zip(other.words) {
-            *a |= b;
-        }
-        WayMask { words }
+    pub fn and(self, other: WayMask) -> WayMask {
+        WayMask(self.0 & other.0)
     }
 
     /// `self & !other` — e.g. the invalid ways of a set as
     /// `WayMask::all(ways).and_not(valid)`.
     #[inline]
     #[must_use]
-    pub fn and_not(&self, other: &WayMask) -> WayMask {
-        let mut words = self.words;
-        for (a, b) in words.iter_mut().zip(other.words) {
-            *a &= !b;
-        }
-        WayMask { words }
+    pub fn and_not(self, other: WayMask) -> WayMask {
+        WayMask(self.0 & !other.0)
     }
 
     /// Iterates the set bits in ascending way order.
     #[inline]
-    pub fn iter(&self) -> WayIter {
-        WayIter {
-            words: self.words,
-            word: 0,
-        }
-    }
-
-    /// The raw words, lowest ways first (for checkpointing; callers decide
-    /// how many words a given associativity needs).
-    #[inline]
-    pub fn words(&self) -> &[u64; WAY_WORDS] {
-        &self.words
-    }
-
-    /// Mutable raw-word access (checkpoint decode).
-    #[inline]
-    pub fn words_mut(&mut self) -> &mut [u64; WAY_WORDS] {
-        &mut self.words
+    pub fn iter(self) -> WayIter {
+        WayIter(self.0)
     }
 }
 
 impl std::fmt::Debug for WayMask {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "WayMask({:#x},{:#x},{:#x},{:#x})",
-            self.words[0], self.words[1], self.words[2], self.words[3]
-        )
+        write!(f, "WayMask({:#x})", self.0)
     }
 }
 
 /// Iterator over the set bits of a [`WayMask`] in ascending way order.
-pub struct WayIter {
-    words: [u64; WAY_WORDS],
-    word: usize,
-}
+pub struct WayIter(u64);
 
 impl Iterator for WayIter {
     type Item = usize;
 
     #[inline]
     fn next(&mut self) -> Option<usize> {
-        while self.word < WAY_WORDS {
-            let w = self.words[self.word];
-            if w != 0 {
-                let bit = w.trailing_zeros() as usize;
-                self.words[self.word] &= w - 1;
-                return Some(self.word * 64 + bit);
-            }
-            self.word += 1;
+        if self.0 == 0 {
+            return None;
         }
-        None
+        let way = self.0.trailing_zeros() as usize;
+        self.0 &= self.0 - 1;
+        Some(way)
     }
 }
 
@@ -253,39 +200,11 @@ pub fn probe_naive(addrs: &[LineAddr], needle: LineAddr) -> WayMask {
     m
 }
 
-/// Arrays at least this long take the 8-lane portable tier; shorter ones
-/// keep the 4-lane loop, whose lighter prologue wins at common (≤ 16-way)
-/// associativities.
-const PORTABLE_WIDE_THRESHOLD: usize = 64;
-
-/// The width tier [`probe_portable`] picks for an array of `len` tags:
-/// `"lanes4"` below [`PORTABLE_WIDE_THRESHOLD`], `"lanes8"` at or above
-/// it. Exposed so the differential tests can assert the tier actually
-/// exercised at each associativity.
-pub fn portable_tier(len: usize) -> &'static str {
-    if len >= PORTABLE_WIDE_THRESHOLD {
-        "lanes8"
-    } else {
-        "lanes4"
-    }
-}
-
-/// Portable kernel (reported as `scalar4`): a branchless match-mask loop,
-/// width-tiered by array length. The default off x86-64 and under
-/// `TLA_FORCE_SCALAR`.
-///
-/// Short arrays use a 4-lane unroll; arrays of [`PORTABLE_WIDE_THRESHOLD`]
-/// tags or more use an 8-lane unroll whole-word accumulator, which closes
-/// the gap to the naive loop at 128/256 ways (the 4-lane loop's
-/// per-chunk word-indexed read-modify-write stalled there). Both tiers
-/// never straddle a mask word inside a chunk (64 is a multiple of 4 and
-/// of 8), so each chunk's bits land in a single word.
+/// Portable kernel (reported as `scalar4`): a branchless 4-lane match-mask
+/// loop. The default off x86-64 and under `TLA_FORCE_SCALAR`.
 pub fn probe_portable(addrs: &[LineAddr], needle: LineAddr) -> WayMask {
     debug_assert!(addrs.len() <= MAX_WAYS);
-    if addrs.len() >= PORTABLE_WIDE_THRESHOLD {
-        return probe_portable_wide(addrs, needle);
-    }
-    let mut m = WayMask::EMPTY;
+    let mut m = 0u64;
     let n = addrs.len();
     let mut i = 0;
     while i + 4 <= n {
@@ -293,55 +212,14 @@ pub fn probe_portable(addrs: &[LineAddr], needle: LineAddr) -> WayMask {
         let b1 = (addrs[i + 1] == needle) as u64;
         let b2 = (addrs[i + 2] == needle) as u64;
         let b3 = (addrs[i + 3] == needle) as u64;
-        let bits = b0 | (b1 << 1) | (b2 << 2) | (b3 << 3);
-        m.words[i >> 6] |= bits << (i & 63);
+        m |= (b0 | (b1 << 1) | (b2 << 2) | (b3 << 3)) << i;
         i += 4;
     }
     while i < n {
-        m.words[i >> 6] |= ((addrs[i] == needle) as u64) << (i & 63);
+        m |= ((addrs[i] == needle) as u64) << i;
         i += 1;
     }
-    m
-}
-
-/// Wide tier of the portable kernel: 8 lanes per step, accumulating each
-/// mask word in a register across its eight chunks and storing it once.
-fn probe_portable_wide(addrs: &[LineAddr], needle: LineAddr) -> WayMask {
-    debug_assert!(addrs.len() <= MAX_WAYS);
-    let mut m = WayMask::EMPTY;
-    let n = addrs.len();
-    let mut i = 0;
-    let mut word = 0u64;
-    while i + 8 <= n {
-        let b0 = (addrs[i] == needle) as u64;
-        let b1 = (addrs[i + 1] == needle) as u64;
-        let b2 = (addrs[i + 2] == needle) as u64;
-        let b3 = (addrs[i + 3] == needle) as u64;
-        let b4 = (addrs[i + 4] == needle) as u64;
-        let b5 = (addrs[i + 5] == needle) as u64;
-        let b6 = (addrs[i + 6] == needle) as u64;
-        let b7 = (addrs[i + 7] == needle) as u64;
-        let bits =
-            b0 | (b1 << 1) | (b2 << 2) | (b3 << 3) | (b4 << 4) | (b5 << 5) | (b6 << 6) | (b7 << 7);
-        word |= bits << (i & 63);
-        i += 8;
-        if i & 63 == 0 {
-            m.words[(i - 1) >> 6] = word;
-            word = 0;
-        }
-    }
-    while i < n {
-        word |= ((addrs[i] == needle) as u64) << (i & 63);
-        i += 1;
-        if i & 63 == 0 {
-            m.words[(i - 1) >> 6] = word;
-            word = 0;
-        }
-    }
-    if i & 63 != 0 {
-        m.words[i >> 6] = word;
-    }
-    m
+    WayMask(m)
 }
 
 /// AVX2 kernel: 8 tags per step via two 256-bit compares.
@@ -365,7 +243,7 @@ unsafe fn probe_avx2_impl(addrs: &[LineAddr], needle: LineAddr) -> WayMask {
         _mm256_set1_epi64x,
     };
     debug_assert!(addrs.len() <= MAX_WAYS);
-    let mut m = WayMask::EMPTY;
+    let mut m = 0u64;
     let n = addrs.len();
     let needle_v = _mm256_set1_epi64x(needle.raw() as i64);
     // `LineAddr` is repr(transparent) over u64, so the dense address slice
@@ -373,8 +251,7 @@ unsafe fn probe_avx2_impl(addrs: &[LineAddr], needle: LineAddr) -> WayMask {
     let base = addrs.as_ptr().cast::<u64>();
     let mut i = 0;
     // 8 tags per step: two unaligned 256-bit loads, compare, and pack the
-    // two 4-bit movemasks into one byte. 64 is a multiple of 8, so a step's
-    // bits always land in a single mask word.
+    // two 4-bit movemasks into one byte at bit `i` of the mask.
     while i + 8 <= n {
         let lo = _mm256_loadu_si256(base.add(i).cast::<__m256i>());
         let hi = _mm256_loadu_si256(base.add(i + 4).cast::<__m256i>());
@@ -384,15 +261,14 @@ unsafe fn probe_avx2_impl(addrs: &[LineAddr], needle: LineAddr) -> WayMask {
         // movemask_pd extracts one bit per lane.
         let bits_lo = _mm256_movemask_pd(_mm256_castsi256_pd(eq_lo)) as u64;
         let bits_hi = _mm256_movemask_pd(_mm256_castsi256_pd(eq_hi)) as u64;
-        let bits = bits_lo | (bits_hi << 4);
-        m.words[i >> 6] |= bits << (i & 63);
+        m |= (bits_lo | (bits_hi << 4)) << i;
         i += 8;
     }
     while i < n {
-        m.words[i >> 6] |= ((addrs[i] == needle) as u64) << (i & 63);
+        m |= ((addrs[i] == needle) as u64) << i;
         i += 1;
     }
-    m
+    WayMask(m)
 }
 
 static SCALAR_KERNEL: ProbeKernel = ProbeKernel {
@@ -438,10 +314,15 @@ pub fn kernel_name() -> &'static str {
 }
 
 /// Position of the first element of `addrs` equal to `needle`, scanning with
-/// the selected kernel in [`MAX_WAYS`]-wide chunks. The fully-associative
+/// the selected kernel in [`MAX_WAYS`]-entry chunks. The fully-associative
 /// victim cache's linear scans use this; `addrs` may be any length.
 pub fn find_index(addrs: &[LineAddr], needle: LineAddr) -> Option<usize> {
-    let kernel = probe_kernel().func;
+    find_index_with(probe_kernel().func, addrs, needle)
+}
+
+/// [`find_index`] with an explicit kernel, so the differential tests can
+/// drive every kernel in one process.
+fn find_index_with(kernel: ProbeFn, addrs: &[LineAddr], needle: LineAddr) -> Option<usize> {
     for (chunk_idx, chunk) in addrs.chunks(MAX_WAYS).enumerate() {
         if let Some(w) = kernel(chunk, needle).first() {
             return Some(chunk_idx * MAX_WAYS + w);
@@ -599,67 +480,68 @@ mod tests {
     #[test]
     fn waymask_all_and_edges() {
         assert!(WayMask::all(0).is_empty());
-        assert_eq!(WayMask::all(1).count(), 1);
+        assert_eq!(WayMask::all(1).bits(), 1);
+        assert_eq!(WayMask::all(63).bits(), u64::MAX >> 1);
+        assert_eq!(WayMask::all(64).bits(), u64::MAX);
         assert_eq!(WayMask::all(64).count(), 64);
-        assert_eq!(WayMask::all(65).count(), 65);
-        assert_eq!(WayMask::all(256).count(), 256);
-        assert_eq!(WayMask::all(64).words()[0], u64::MAX);
-        assert_eq!(WayMask::all(64).words()[1], 0);
-        assert_eq!(WayMask::all(65).words()[1], 1);
     }
 
     #[test]
-    #[should_panic(expected = "exceeds the 256-way limit")]
+    #[should_panic(expected = "exceeds the 64-way limit")]
     fn waymask_all_rejects_too_wide() {
-        let _ = WayMask::all(257);
+        let _ = WayMask::all(65);
     }
 
     #[test]
     fn waymask_set_clear_contains_iter() {
         let mut m = WayMask::EMPTY;
-        for w in [0, 63, 64, 127, 128, 255] {
+        for w in [0, 1, 31, 32, 62, 63] {
             m.set(w);
         }
         assert_eq!(m.count(), 6);
-        assert!(m.contains(64) && m.contains(255) && !m.contains(1));
+        assert!(m.contains(63) && m.contains(32) && !m.contains(2));
         assert_eq!(m.first(), Some(0));
         let ways: Vec<usize> = m.iter().collect();
-        assert_eq!(ways, vec![0, 63, 64, 127, 128, 255]);
+        assert_eq!(ways, vec![0, 1, 31, 32, 62, 63]);
         m.clear(0);
-        assert_eq!(m.first(), Some(63));
-        assert_eq!(m.count(), 5);
+        m.clear(1);
+        assert_eq!(m.first(), Some(31));
+        assert_eq!(m.count(), 4);
+        assert_eq!(WayMask::from_bits(m.bits()), m);
     }
 
     #[test]
     fn waymask_bit_algebra() {
-        let a = WayMask::all(100);
-        let b = WayMask::all(70);
-        assert_eq!(a.and(&b), b);
-        assert_eq!(a.or(&b), a);
-        let inv = a.and_not(&b);
-        assert_eq!(inv.count(), 30);
-        assert_eq!(inv.first(), Some(70));
-        assert_eq!(WayMask::single(199).first(), Some(199));
+        let a = WayMask::all(40);
+        let b = WayMask::all(30);
+        assert_eq!(a.and(b), b);
+        let inv = a.and_not(b);
+        assert_eq!(inv.count(), 10);
+        assert_eq!(inv.first(), Some(30));
+        assert_eq!(WayMask::single(63).first(), Some(63));
+        assert_eq!(WayMask::all(64).and_not(WayMask::all(64)), WayMask::EMPTY);
     }
 
-    /// The satellite differential sweep: for every edge associativity, on
-    /// random address streams, the naive reference, the portable kernel
-    /// (both width tiers), the AVX2 kernel (when the host supports it) and
-    /// the dispatched kernel agree way-for-way on the full match mask —
-    /// and the width tier the portable kernel picks at each associativity
-    /// is the expected one.
+    /// Every kernel this host can run: the portable one always, AVX2 when
+    /// detected, and the dispatched one.
+    fn kernels() -> Vec<(&'static str, ProbeFn)> {
+        let mut out: Vec<(&'static str, ProbeFn)> = vec![("scalar4", probe_portable)];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            out.push(("avx2", probe_avx2));
+        }
+        out.push(("dispatched", probe_kernel().func));
+        out
+    }
+
+    /// The differential sweep: for every edge associativity up to the
+    /// 64-way cap, on random address streams, the naive reference, the
+    /// portable kernel, the AVX2 kernel (when the host supports it) and
+    /// the dispatched kernel agree way-for-way on the full match mask.
     #[test]
     fn kernels_agree_on_random_streams() {
         let mut rng = SmallRng::seed_from_u64(0x5e7_980be);
-        for &ways in &[1usize, 7, 8, 63, 64, 65, 128, 256] {
-            // The tier choice is a pure function of the array length:
-            // 4-lane below the 64-way threshold, 8-lane at or above it.
-            let expect_tier = if ways >= 64 { "lanes8" } else { "lanes4" };
-            assert_eq!(
-                portable_tier(ways),
-                expect_tier,
-                "wrong portable width tier at ways={ways}"
-            );
+        for &ways in &[1usize, 2, 6, 7, 8, 16, 63, 64] {
             for round in 0..200 {
                 // A small address universe makes multi-way duplicate
                 // matches common (stale-tag territory the valid mask
@@ -670,31 +552,13 @@ mod tests {
                     .collect();
                 let needle = LineAddr::new(rng.gen_range(0..=universe));
                 let expect = probe_naive(&addrs, needle);
-                assert_eq!(
-                    probe_portable(&addrs, needle),
-                    expect,
-                    "portable kernel diverges at ways={ways}"
-                );
-                // The wide tier must agree even below its dispatch
-                // threshold (its tail loop handles any length).
-                assert_eq!(
-                    probe_portable_wide(&addrs, needle),
-                    expect,
-                    "wide portable tier diverges at ways={ways}"
-                );
-                #[cfg(target_arch = "x86_64")]
-                if std::arch::is_x86_feature_detected!("avx2") {
+                for (name, kernel) in kernels() {
                     assert_eq!(
-                        probe_avx2(&addrs, needle),
+                        kernel(&addrs, needle),
                         expect,
-                        "avx2 kernel diverges at ways={ways}"
+                        "{name} kernel diverges at ways={ways}"
                     );
                 }
-                assert_eq!(
-                    (probe_kernel().func)(&addrs, needle),
-                    expect,
-                    "dispatched kernel diverges at ways={ways}"
-                );
             }
         }
     }
@@ -702,25 +566,46 @@ mod tests {
     #[test]
     fn kernels_handle_empty_and_no_match() {
         let empty: Vec<LineAddr> = Vec::new();
-        assert!(probe_portable(&empty, LineAddr::new(1)).is_empty());
         let addrs: Vec<LineAddr> = (0..16).map(LineAddr::new).collect();
-        assert!(probe_portable(&addrs, LineAddr::new(99)).is_empty());
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            assert!(probe_avx2(&empty, LineAddr::new(1)).is_empty());
-            assert!(probe_avx2(&addrs, LineAddr::new(99)).is_empty());
+        for (name, kernel) in kernels() {
+            assert!(kernel(&empty, LineAddr::new(1)).is_empty(), "{name}");
+            assert!(kernel(&addrs, LineAddr::new(99)).is_empty(), "{name}");
         }
     }
 
+    /// `find_index` walks arrays of any length in 64-entry kernel chunks;
+    /// against a naive `position` scan it must return the same first match
+    /// at every length around and past the chunk width (the victim cache
+    /// goes up to 256 entries), under every kernel.
     #[test]
-    fn find_index_scans_beyond_a_chunk() {
-        // 600 entries spans three MAX_WAYS-wide kernel chunks.
-        let addrs: Vec<LineAddr> = (0..600).map(|i| LineAddr::new(i + 1000)).collect();
-        assert_eq!(find_index(&addrs, LineAddr::new(1000)), Some(0));
-        assert_eq!(find_index(&addrs, LineAddr::new(1255)), Some(255));
-        assert_eq!(find_index(&addrs, LineAddr::new(1256)), Some(256));
-        assert_eq!(find_index(&addrs, LineAddr::new(1599)), Some(599));
-        assert_eq!(find_index(&addrs, LineAddr::new(7)), None);
+    fn find_index_matches_a_naive_scan() {
+        let mut rng = SmallRng::seed_from_u64(0xf1d_1dec5);
+        for &len in &[1usize, 63, 64, 65, 128, 256, 600] {
+            for round in 0..100 {
+                // Mostly distinct entries (victim-cache contents), with a
+                // small universe every fourth round to force duplicates.
+                let universe = if round % 4 == 0 { 8 } else { 4 * len as u64 };
+                let addrs: Vec<LineAddr> = (0..len)
+                    .map(|_| LineAddr::new(rng.gen_range(0..universe)))
+                    .collect();
+                // Alternate needles drawn from the array (hits anywhere,
+                // including past the first chunk) with random ones.
+                let needle = if round % 2 == 0 {
+                    addrs[rng.gen_range(0..len)]
+                } else {
+                    LineAddr::new(rng.gen_range(0..universe))
+                };
+                let expect = addrs.iter().position(|&a| a == needle);
+                for (name, kernel) in kernels() {
+                    assert_eq!(
+                        find_index_with(kernel, &addrs, needle),
+                        expect,
+                        "{name} find_index diverges at len={len}"
+                    );
+                }
+                assert_eq!(find_index(&addrs, needle), expect, "len={len}");
+            }
+        }
         assert_eq!(find_index(&[], LineAddr::new(7)), None);
     }
 

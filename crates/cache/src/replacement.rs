@@ -108,11 +108,9 @@ pub struct Replacer {
     fills: u64,
     /// DRRIP policy-selection counter; >= 0 favours SRRIP.
     psel: i32,
-    /// PLRU tree bits, [`Replacer::tree_words`] words per set (internal
-    /// nodes 1..ways fit in `ways` bits, so one word per 64 ways).
+    /// PLRU tree bits, one word per set (internal nodes 1..ways fit in
+    /// `ways` <= 64 bits); empty for every policy but PLRU.
     trees: Vec<u64>,
-    /// Words per set in `trees` (0 for every policy but PLRU).
-    tree_words: usize,
     /// NRU candidate mask per set (empty for every other policy): always
     /// the set's valid ways whose `repl` word is non-zero.
     cand: Vec<WayMask>,
@@ -125,23 +123,23 @@ pub struct Replacer {
 
 impl Replacer {
     /// Creates replacement state for a cache with `sets` sets of `ways`
-    /// ways (`ways` sizes the per-set PLRU tree storage).
+    /// ways (at most [`MAX_WAYS`](crate::MAX_WAYS), the width of a PLRU
+    /// tree word).
     ///
     /// `seed` feeds the Random policy (and BRRIP/DRRIP tie-breaking); runs
     /// with equal seeds are fully deterministic.
     pub fn new(policy: Policy, sets: usize, ways: usize, seed: u64) -> Self {
-        let tree_words = if policy == Policy::Plru {
-            ways.div_ceil(64)
-        } else {
-            0
-        };
+        debug_assert!(ways <= crate::MAX_WAYS, "{ways} ways exceed one tree word");
         Replacer {
             policy,
             stamp: 0,
             fills: 0,
             psel: 0,
-            trees: vec![0; sets * tree_words],
-            tree_words,
+            trees: if policy == Policy::Plru {
+                vec![0; sets]
+            } else {
+                Vec::new()
+            },
             cand: if policy == Policy::Nru {
                 vec![WayMask::EMPTY; sets]
             } else {
@@ -155,11 +153,6 @@ impl Replacer {
     /// The policy this replacer implements.
     pub fn policy(&self) -> Policy {
         self.policy
-    }
-
-    /// The PLRU tree words of `set_idx` (empty for other policies).
-    fn tree(&self, set_idx: usize) -> &[u64] {
-        &self.trees[set_idx * self.tree_words..(set_idx + 1) * self.tree_words]
     }
 
     /// Rebuilds the derived per-set state (NRU's candidate mask) of
@@ -301,7 +294,7 @@ impl Replacer {
             }
             // First candidate (bit set) in way order, else first valid way.
             Policy::Nru => self.cand[set_idx]
-                .and(&valid)
+                .and(valid)
                 .first()
                 .or_else(|| valid.first()),
             Policy::Random => {
@@ -313,7 +306,7 @@ impl Replacer {
                 }
                 self.scratch.first().copied()
             }
-            Policy::Plru => plru_first_valid(self.tree(set_idx), 1, repl.len(), valid),
+            Policy::Plru => plru_first_valid(self.trees[set_idx], 1, repl.len(), valid),
             // Highest RRPV is evicted first; ties go to the lowest way
             // (the hardware's left-to-right scan).
             Policy::Srrip | Policy::Brrip | Policy::Drrip => {
@@ -353,9 +346,9 @@ impl Replacer {
             Policy::Nru => {
                 // Candidates (bit == 1, stored as repl == 1) first, each
                 // group in way order — the hardware scan order.
-                let cand = self.cand[set_idx].and(&valid);
+                let cand = self.cand[set_idx].and(valid);
                 out.extend(cand.iter());
-                out.extend(valid.and_not(&cand).iter());
+                out.extend(valid.and_not(cand).iter());
             }
             Policy::Random => {
                 // Fisher-Yates over the valid ways.
@@ -368,7 +361,7 @@ impl Replacer {
             Policy::Plru => {
                 // The tree walk emits leaves in eviction-rank order;
                 // filtering to valid ways preserves it.
-                plru_walk_into(self.tree(set_idx), 1, repl.len(), valid, out);
+                plru_walk_into(self.trees[set_idx], 1, repl.len(), valid, out);
             }
             Policy::Srrip | Policy::Brrip | Policy::Drrip => {
                 // Higher RRPV is evicted sooner; ties broken by way index
@@ -438,24 +431,22 @@ impl Replacer {
     // --- PLRU --------------------------------------------------------
     //
     // Classic binary-tree PLRU: node bits select the colder child
-    // (0 = left, 1 = right). Nodes are stored heap-style in `tree_words`
-    // words per set: node 1 is the root, node n has children 2n and 2n+1;
-    // for `ways` leaves, nodes 1..ways are internal and leaf w corresponds
-    // to heap position ways + w. Internal-node bits fit in `ways` bits, so
-    // associativities past 64 simply span more words.
+    // (0 = left, 1 = right). Nodes are stored heap-style in one word per
+    // set: node 1 is the root, node n has children 2n and 2n+1; for `ways`
+    // leaves, nodes 1..ways are internal and leaf w corresponds to heap
+    // position ways + w. Internal-node bits fit in `ways` <= 64 bits.
 
     fn plru_touch(&mut self, set_idx: usize, ways: usize, way: usize) {
-        let base = set_idx * self.tree_words;
-        let tree = &mut self.trees[base..base + self.tree_words];
+        let tree = &mut self.trees[set_idx];
         let mut node = ways + way;
         while node > 1 {
             let parent = node / 2;
             let came_from_right = node & 1 == 1;
             // Point the bit away from the touched leaf.
             if came_from_right {
-                tree[parent >> 6] &= !(1u64 << (parent & 63));
+                *tree &= !(1u64 << parent);
             } else {
-                tree[parent >> 6] |= 1u64 << (parent & 63);
+                *tree |= 1u64 << parent;
             }
             node = parent;
         }
@@ -466,9 +457,8 @@ impl Snapshot for Replacer {
     // The policy itself and the scratch buffer are configuration/transient
     // state: the receiver is constructed with its own policy (the warm-start
     // fan-out deliberately resumes one warm state under *different* LLC
-    // policies), and scratch contents never outlive a call. `tree_words` is
-    // geometry, rebuilt from the config; for up to 64 ways the tree stride
-    // is one word per set, so pre-multi-word images decode unchanged.
+    // policies), and scratch contents never outlive a call. The PLRU trees
+    // travel as one word per set.
     fn write_state(&self, w: &mut SnapshotWriter) {
         w.write_u64(self.stamp);
         w.write_u64(self.fills);
@@ -483,40 +473,44 @@ impl Snapshot for Replacer {
         let psel = r.read_i64()?;
         self.psel = i32::try_from(psel)
             .map_err(|_| SnapshotError::Corrupt(format!("PSEL value {psel} out of range")))?;
-        let trees = r.read_u64_vec()?;
-        // PLRU keeps tree words per set, every other policy keeps none.
+        // PLRU keeps a tree word per set, every other policy keeps none.
         // A PLRU replacer can only resume a snapshot taken under PLRU with
-        // the same geometry; non-PLRU replacers interchange freely.
-        if trees.len() != self.trees.len() && !trees.is_empty() && !self.trees.is_empty() {
+        // the same geometry; non-PLRU replacers interchange freely. The
+        // words are read in place: nothing is sized from the decoded count.
+        let n = r.read_usize()?;
+        if self.trees.is_empty() {
+            // Resuming a PLRU snapshot under another policy: skip them.
+            for _ in 0..n {
+                r.read_u64()?;
+            }
+        } else if n == 0 {
+            // Resuming a non-PLRU snapshot under PLRU: start from the
+            // freshly constructed (all-zero) trees.
+            self.trees.fill(0);
+        } else if n == self.trees.len() {
+            for tree in &mut self.trees {
+                *tree = r.read_u64()?;
+            }
+        } else {
             return Err(SnapshotError::Mismatch(format!(
-                "PLRU trees: snapshot has {} words, this cache has {}",
-                trees.len(),
+                "PLRU trees: snapshot has {n} words, this cache has {}",
                 self.trees.len()
             )));
-        }
-        if !self.trees.is_empty() {
-            if trees.is_empty() {
-                // Resuming a non-PLRU snapshot under PLRU: start from the
-                // freshly constructed (all-zero) trees.
-                self.trees.fill(0);
-            } else {
-                self.trees.copy_from_slice(&trees);
-            }
         }
         self.rng.read_state(r)
     }
 }
 
-/// Reads bit `node` of a multi-word PLRU tree.
+/// Reads bit `node` of a PLRU tree word.
 #[inline]
-fn tree_bit(tree: &[u64], node: usize) -> usize {
-    ((tree[node >> 6] >> (node & 63)) & 1) as usize
+fn tree_bit(tree: u64, node: usize) -> usize {
+    ((tree >> node) & 1) as usize
 }
 
 /// Walks the PLRU tree emitting *valid* leaves in eviction-rank order:
 /// within a subtree, the pointed-to child's leaves all come before the
-/// other child's leaves. Recursion depth is log2(ways) <= 8.
-fn plru_walk_into(tree: &[u64], node: usize, ways: usize, valid: WayMask, out: &mut Vec<usize>) {
+/// other child's leaves. Recursion depth is log2(ways) <= 6.
+fn plru_walk_into(tree: u64, node: usize, ways: usize, valid: WayMask, out: &mut Vec<usize>) {
     if node >= ways {
         let w = node - ways;
         if valid.contains(w) {
@@ -531,7 +525,7 @@ fn plru_walk_into(tree: &[u64], node: usize, ways: usize, valid: WayMask, out: &
 
 /// The first valid leaf the PLRU tree walk reaches — the victim — without
 /// materializing the full order.
-fn plru_first_valid(tree: &[u64], node: usize, ways: usize, valid: WayMask) -> Option<usize> {
+fn plru_first_valid(tree: u64, node: usize, ways: usize, valid: WayMask) -> Option<usize> {
     if node >= ways {
         let w = node - ways;
         return valid.contains(w).then_some(w);
@@ -778,21 +772,21 @@ mod tests {
     }
 
     #[test]
-    fn plru_works_past_64_ways() {
-        // 128 leaves -> 128 internal-node bits spanning two tree words.
-        let mut r = Replacer::new(Policy::Plru, 2, 128, 0);
-        let (valid, mut repl) = set_of(128);
+    fn plru_works_at_64_ways() {
+        // 64 leaves -> internal nodes 1..63, the whole tree word.
+        let mut r = Replacer::new(Policy::Plru, 2, 64, 0);
+        let (valid, mut repl) = set_of(64);
         for set in 0..2 {
-            for w in 0..128 {
+            for w in 0..64 {
                 r.on_fill(set, valid, &mut repl, w);
             }
             let mut o = order(&mut r, set, valid, &repl);
-            assert_eq!(o.len(), 128);
-            // The last touch (way 127) must be deepest in the order.
-            assert_eq!(*o.last().unwrap(), 127);
+            assert_eq!(o.len(), 64);
+            // The last touch (way 63) must be deepest in the order.
+            assert_eq!(*o.last().unwrap(), 63);
             assert_eq!(r.victim(set, valid, &repl), o.first().copied());
             o.sort_unstable();
-            assert_eq!(o, (0..128).collect::<Vec<_>>());
+            assert_eq!(o, (0..64).collect::<Vec<_>>());
         }
         // Touching the victim moves it off the head.
         let v = r.victim(0, valid, &repl).unwrap();

@@ -54,17 +54,16 @@ const INLINE_PROBE_WAYS: usize = 8;
 /// trace-driven; no data payloads are modelled).
 ///
 /// Line metadata is stored struct-of-arrays: the single-bit fields (valid,
-/// dirty, policy tag) live in one multi-word [`WayMask`] bitmap per set —
+/// dirty, policy tag) live in a one-word [`WayMask`] bitmap per set —
 /// bit `w` describes way `w` — while addresses, replacement words and
 /// directory bits are flat per-way arrays. Presence scans (`find`,
 /// [`SetAssocCache::probe`], the QBS residency queries) compare the dense
 /// per-set address array against the needle — inline for sets of up to
 /// `INLINE_PROBE_WAYS` ways, otherwise with the process-wide
 /// [`probe::probe_kernel`] (AVX2 on capable x86-64, a 4-lane scalar kernel
-/// elsewhere) — and mask by validity; clearing a way is a handful of
-/// bit-ands. The layout caps associativity at
-/// [`MAX_WAYS`](crate::config::MAX_WAYS) = 256, which
-/// [`CacheConfig`](crate::config::CacheConfig) enforces.
+/// elsewhere) — and mask by validity; clearing a way is one bit-and. The
+/// layout caps associativity at [`MAX_WAYS`](crate::config::MAX_WAYS) =
+/// 64, which [`CacheConfig`](crate::config::CacheConfig) enforces.
 ///
 /// Replacement bookkeeping is delegated to a [`Replacer`]; the hierarchy
 /// layer drives inclusion, back-invalidation and the TLA policies through
@@ -162,26 +161,25 @@ impl SetAssocCache {
 
     /// The way holding `line`, if any.
     ///
-    /// Narrow sets compare inline into one bitmask word and AND it with the
-    /// set's single valid word; wider sets go through the probe kernel.
-    /// Invalid slots may hold stale addresses, so the valid mask is what
-    /// makes a match real. Both paths return the lowest matching way.
+    /// Narrow sets compare inline into one bitmask word; wider sets go
+    /// through the probe kernel. Invalid slots may hold stale addresses, so
+    /// ANDing with the set's valid mask is what makes a match real. Both
+    /// paths return the lowest matching way.
     #[inline]
     fn find(&self, line: LineAddr) -> Option<usize> {
         let set = self.set_of(line);
         let base = set * self.ways;
         let addrs = &self.addrs[base..base + self.ways];
-        if self.ways <= INLINE_PROBE_WAYS {
+        let hits = if self.ways <= INLINE_PROBE_WAYS {
             let mut hits = 0u64;
             for (w, &a) in addrs.iter().enumerate() {
                 hits |= u64::from(a == line) << w;
             }
-            hits &= self.valid[set].words()[0];
-            return (hits != 0).then(|| hits.trailing_zeros() as usize);
-        }
-        (self.kernel.func)(addrs, line)
-            .and(&self.valid[set])
-            .first()
+            WayMask::from_bits(hits)
+        } else {
+            (self.kernel.func)(addrs, line)
+        };
+        hits.and(self.valid[set]).first()
     }
 
     /// Checks for presence without touching replacement state or counters —
@@ -309,7 +307,7 @@ impl SetAssocCache {
 
     /// First invalid way of `set`, if any.
     pub fn invalid_way(&self, set: usize) -> Option<usize> {
-        self.full_mask.and_not(&self.valid[set]).first()
+        self.full_mask.and_not(self.valid[set]).first()
     }
 
     /// First invalid way of `set` within `allowed`, if any.
@@ -317,11 +315,8 @@ impl SetAssocCache {
     /// The way-partitioned variant of [`SetAssocCache::invalid_way`]:
     /// DDIO-style injection limits constrain device fills to a subset of
     /// ways, and the partitioned app path avoids the device ways in turn.
-    pub fn invalid_way_in(&self, set: usize, allowed: &WayMask) -> Option<usize> {
-        self.full_mask
-            .and(allowed)
-            .and_not(&self.valid[set])
-            .first()
+    pub fn invalid_way_in(&self, set: usize, allowed: WayMask) -> Option<usize> {
+        self.full_mask.and(allowed).and_not(self.valid[set]).first()
     }
 
     /// Valid ways of `set` in eviction-priority order (element 0 = victim,
@@ -360,7 +355,7 @@ impl SetAssocCache {
     pub fn victim_order_in_into(
         &mut self,
         set: usize,
-        allowed: &WayMask,
+        allowed: WayMask,
         out: &mut Vec<(usize, LineAddr)>,
     ) {
         out.clear();
@@ -388,7 +383,7 @@ impl SetAssocCache {
 
     /// [`SetAssocCache::victim_way`] restricted to the ways in `allowed`.
     /// Returns `None` if no permitted way holds a valid line.
-    pub fn victim_way_in(&mut self, set: usize, allowed: &WayMask) -> Option<(usize, LineAddr)> {
+    pub fn victim_way_in(&mut self, set: usize, allowed: WayMask) -> Option<(usize, LineAddr)> {
         let base = set * self.ways;
         let w = self.replacer.victim(
             set,
@@ -514,10 +509,16 @@ impl SetAssocCache {
         self.cores[set * self.ways + way]
     }
 
+    /// Every core named by any slot's directory bits (invalid slots hold
+    /// none). A decoder checks it against the core count.
+    pub fn directory_union(&self) -> CoreBitmap {
+        CoreBitmap::from_raw(self.cores.iter().fold(0, |acc, c| acc | c.to_raw()))
+    }
+
     /// Number of valid lines currently held (O(sets); for tests and
     /// reports, not the hot path).
     pub fn occupancy(&self) -> usize {
-        self.valid.iter().map(WayMask::count).sum()
+        self.valid.iter().map(|m| m.count()).sum()
     }
 
     /// Name of the probe kernel this cache scans with (for reports).
@@ -565,39 +566,40 @@ impl Snapshot for CacheStats {
     }
 }
 
-/// Serializes per-set [`WayMask`]es as a plain `u64` slice holding only the
-/// words a given associativity needs (`ways.div_ceil(64)` per set). For up
-/// to 64 ways this is byte-identical to the pre-multi-word format (one word
-/// per set), so old single-word TLAS images still load and narrow caches
-/// produce unchanged checkpoints.
-fn write_mask_slice(w: &mut SnapshotWriter, masks: &[WayMask], words_per_set: usize) {
-    w.write_u64((masks.len() * words_per_set) as u64);
+/// Serializes per-set [`WayMask`]es as a length-prefixed `u64` slice, one
+/// word per set — the layout every TLAS version has used for caches of up
+/// to 64 ways.
+fn write_mask_slice(w: &mut SnapshotWriter, masks: &[WayMask]) {
+    w.write_u64(masks.len() as u64);
     for m in masks {
-        for &word in &m.words()[..words_per_set] {
-            w.write_u64(word);
-        }
+        w.write_u64(m.bits());
     }
 }
 
+/// Decodes [`write_mask_slice`]'s output into `masks`, rejecting a word
+/// count other than one per set and any bit at or past `full` (a way the
+/// set does not have, which every per-way array would index out of range).
 fn read_mask_slice(
     r: &mut SnapshotReader,
     masks: &mut [WayMask],
-    words_per_set: usize,
+    full: WayMask,
     name: &str,
     what: &str,
 ) -> Result<(), SnapshotError> {
     let n = r.read_usize()?;
-    let have = masks.len() * words_per_set;
-    if n != have {
+    if n != masks.len() {
         return Err(SnapshotError::Mismatch(format!(
-            "{name} {what}: snapshot has {n} words, this geometry has {have}"
+            "{name} {what}: snapshot has {n} words, this geometry has {}",
+            masks.len()
         )));
     }
-    for m in masks {
-        let words = m.words_mut();
-        *words = [0; probe::WAY_WORDS];
-        for word in words[..words_per_set].iter_mut() {
-            *word = r.read_u64()?;
+    for (set, m) in masks.iter_mut().enumerate() {
+        *m = WayMask::from_bits(r.read_u64()?);
+        if !m.and_not(full).is_empty() {
+            return Err(SnapshotError::Corrupt(format!(
+                "{name} {what}: set {set} marks ways past the {} it has",
+                full.count()
+            )));
         }
     }
     Ok(())
@@ -608,8 +610,7 @@ impl Snapshot for SetAssocCache {
     // kernel) is rebuilt from the run configuration; only line metadata,
     // replacement state and counters travel. All slice lengths are verified
     // against the receiving geometry so a snapshot from a different cache
-    // shape is rejected. Bitmaps serialize `ways.div_ceil(64)` words per
-    // set, keeping narrow caches byte-compatible with single-word images.
+    // shape is rejected. Bitmaps serialize one word per set.
     fn write_state(&self, w: &mut SnapshotWriter) {
         w.write_u64(self.addrs.len() as u64);
         for a in &self.addrs {
@@ -620,10 +621,9 @@ impl Snapshot for SetAssocCache {
         for c in &self.cores {
             w.write_u64(c.to_raw());
         }
-        let words_per_set = self.ways.div_ceil(64);
-        write_mask_slice(w, &self.valid, words_per_set);
-        write_mask_slice(w, &self.dirty, words_per_set);
-        write_mask_slice(w, &self.tag, words_per_set);
+        write_mask_slice(w, &self.valid);
+        write_mask_slice(w, &self.dirty);
+        write_mask_slice(w, &self.tag);
         self.replacer.write_state(w);
         self.stats.write_state(w);
     }
@@ -650,10 +650,10 @@ impl Snapshot for SetAssocCache {
         for c in &mut self.cores {
             *c = CoreBitmap::from_raw(r.read_u64()?);
         }
-        let words_per_set = self.ways.div_ceil(64);
-        read_mask_slice(r, &mut self.valid, words_per_set, &name, "valid bitmaps")?;
-        read_mask_slice(r, &mut self.dirty, words_per_set, &name, "dirty bitmaps")?;
-        read_mask_slice(r, &mut self.tag, words_per_set, &name, "tag bitmaps")?;
+        let full = self.full_mask;
+        read_mask_slice(r, &mut self.valid, full, &name, "valid bitmaps")?;
+        read_mask_slice(r, &mut self.dirty, full, &name, "dirty bitmaps")?;
+        read_mask_slice(r, &mut self.tag, full, &name, "tag bitmaps")?;
         self.replacer.read_state(r)?;
         // The `repl` words are the serialized replacement state; rebuild
         // what the replacer derives from them.
@@ -919,67 +919,10 @@ mod tests {
     }
 
     #[test]
-    fn wide_way_sets_work() {
-        // The multi-word cases the 256-way lift unlocks: word-boundary
-        // straddlers (65), a mid-range width (128) and the full 256.
-        for ways in [65usize, 128, 256] {
-            let mut c = small(Policy::Lru, 1, ways);
-            for i in 0..ways as u64 {
-                c.fill(LineAddr::new(i), false);
-            }
-            assert_eq!(c.occupancy(), ways);
-            assert_eq!(c.invalid_way(0), None, "{ways} ways");
-            for probe_at in [0, 63, 64, ways as u64 - 1] {
-                assert!(c.probe(LineAddr::new(probe_at)), "{ways} ways");
-            }
-            // LRU eviction across word boundaries.
-            c.touch(LineAddr::new(0));
-            let ev = c.fill(LineAddr::new(ways as u64), false).unwrap();
-            assert_eq!(ev.addr, LineAddr::new(1), "{ways} ways");
-            assert!(c.probe(LineAddr::new(0)));
-            assert!(c.probe(LineAddr::new(ways as u64)));
-            // Dirty/tag bits land in the right word.
-            let high = LineAddr::new(ways as u64 - 1);
-            assert!(c.mark_dirty(high));
-            let way = c.touch(high).unwrap();
-            assert_eq!(way, ways - 1, "{ways} ways");
-            c.set_tag(0, way);
-            assert!(c.take_tag(0, way));
-            let ev = c.invalidate(high).unwrap();
-            assert!(ev.dirty, "{ways} ways");
-        }
-    }
-
-    #[test]
-    fn wide_snapshot_roundtrip() {
-        // A >64-way cache checkpoints and restores bit-exactly (multi-word
-        // bitmap encode/decode), including across the invalid-way case.
-        let mut c = small(Policy::Lru, 2, 128);
-        for i in 0..200u64 {
-            c.fill(LineAddr::new(i), i % 3 == 0);
-        }
-        c.mark_dirty(LineAddr::new(199));
-        let mut w = SnapshotWriter::new();
-        c.write_state(&mut w);
-        let bytes = w.finish();
-        let mut fresh = small(Policy::Lru, 2, 128);
-        let mut r = SnapshotReader::new(&bytes).unwrap();
-        fresh.read_state(&mut r).unwrap();
-        assert_eq!(fresh.occupancy(), c.occupancy());
-        let a: Vec<LineState> = c.iter_valid().collect();
-        let b: Vec<LineState> = fresh.iter_valid().collect();
-        assert_eq!(a, b);
-        // And the restored cache serializes to identical bytes.
-        let mut w2 = SnapshotWriter::new();
-        fresh.write_state(&mut w2);
-        assert_eq!(bytes, w2.finish());
-    }
-
-    #[test]
     fn narrow_snapshot_matches_single_word_layout() {
-        // For <= 64 ways the bitmap encoding must stay one word per set so
-        // pre-multi-word images keep loading: check the valid bitmap words
-        // appear verbatim (single-word stride) in the byte stream.
+        // The bitmap encoding is one word per set, the layout of every
+        // TLAS image: check the valid bitmap words appear verbatim
+        // (single-word stride) in the byte stream.
         let mut c = small(Policy::Lru, 2, 4);
         for i in 0..6u64 {
             c.fill(LineAddr::new(i), false);
@@ -994,16 +937,44 @@ mod tests {
             .to_le_bytes()
             .iter()
             .copied()
-            .chain(
-                c.valid
-                    .iter()
-                    .flat_map(|m| m.words()[0].to_le_bytes().to_vec()),
-            )
+            .chain(c.valid.iter().flat_map(|m| m.bits().to_le_bytes().to_vec()))
             .collect();
         let found = bytes
             .windows(sets_words.len())
             .any(|win| win == &sets_words[..]);
         assert!(found, "single-word bitmap layout not found in stream");
+    }
+
+    #[test]
+    fn snapshot_rejects_bits_past_the_last_way() {
+        // A 4-way cache's bitmaps may only use bits 0..4; a decoded bit 4
+        // names a way whose per-way slots belong to the next set.
+        let mut c = small(Policy::Nru, 2, 4);
+        c.fill(LineAddr::new(0), true);
+        let mut w = SnapshotWriter::new();
+        c.write_state(&mut w);
+        let bytes = w.finish();
+        // The valid block: its length (2 sets), then set 0's word (way 0).
+        let block: Vec<u8> = [2u64, 1, 0].iter().flat_map(|v| v.to_le_bytes()).collect();
+        let at = bytes
+            .windows(block.len())
+            .position(|win| win == block)
+            .unwrap()
+            + 8;
+        for bit in [4, 63] {
+            let mut bad = bytes.clone();
+            bad[at + bit / 8] |= 1 << (bit % 8);
+            let body = bad.len() - 8;
+            let sum = bad[..body].iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+            });
+            bad[body..].copy_from_slice(&sum.to_le_bytes());
+            let mut fresh = small(Policy::Nru, 2, 4);
+            let err = fresh
+                .read_state(&mut SnapshotReader::new(&bad).unwrap())
+                .unwrap_err();
+            assert!(err.to_string().contains("past the 4"), "bit {bit}: {err}");
+        }
     }
 
     #[test]
@@ -1111,12 +1082,12 @@ mod nru_differential {
             self.addrs[i].take()
         }
 
-        fn victim(&self, set: usize, allowed: &WayMask) -> Option<(usize, LineAddr)> {
+        fn victim(&self, set: usize, allowed: WayMask) -> Option<(usize, LineAddr)> {
             let w = scan_victim(self.valid[set].and(allowed), &self.repl[self.slots(set)])?;
             Some((w, self.addrs[set * self.ways + w].unwrap()))
         }
 
-        fn order(&self, set: usize, allowed: &WayMask) -> Vec<(usize, LineAddr)> {
+        fn order(&self, set: usize, allowed: WayMask) -> Vec<(usize, LineAddr)> {
             scan_order(self.valid[set].and(allowed), &self.repl[self.slots(set)])
                 .into_iter()
                 .map(|w| (w, self.addrs[set * self.ways + w].unwrap()))
@@ -1153,7 +1124,7 @@ mod nru_differential {
     #[test]
     fn candidate_masks_match_the_per_way_scan() {
         const SETS: usize = 2;
-        for ways in [1usize, 2, 6, 16, 63, 64, 65, 256] {
+        for ways in [1usize, 2, 6, 7, 8, 16, 63, 64] {
             for seed in 0..3u64 {
                 let cfg = CacheConfig::with_sets("nru", SETS, ways, Policy::Nru).unwrap();
                 let mut cache = SetAssocCache::new(cfg);
@@ -1173,7 +1144,7 @@ mod nru_differential {
                     let ctx = format!("{ways} ways, seed {seed}, step {step}");
                     match rng.gen_range(0..10u32) {
                         0..=2 => {
-                            let invalid = WayMask::all(ways).and_not(&shadow.valid[set]);
+                            let invalid = WayMask::all(ways).and_not(shadow.valid[set]);
                             if shadow.find(set, line).is_none() && !invalid.is_empty() {
                                 let k = rng.gen_range(0..invalid.count());
                                 let way = invalid.iter().nth(k).unwrap();
@@ -1205,20 +1176,20 @@ mod nru_differential {
                         }
                         7 => {
                             let all = WayMask::all(ways);
-                            assert_eq!(cache.victim_way(set), shadow.victim(set, &all), "{ctx}");
+                            assert_eq!(cache.victim_way(set), shadow.victim(set, all), "{ctx}");
                             let allowed = random_mask(&mut rng, ways);
                             assert_eq!(
-                                cache.victim_way_in(set, &allowed),
-                                shadow.victim(set, &allowed),
+                                cache.victim_way_in(set, allowed),
+                                shadow.victim(set, allowed),
                                 "{ctx}"
                             );
                         }
                         _ => {
                             cache.victim_order_into(set, &mut out);
-                            assert_eq!(out, shadow.order(set, &WayMask::all(ways)), "{ctx}");
+                            assert_eq!(out, shadow.order(set, WayMask::all(ways)), "{ctx}");
                             let allowed = random_mask(&mut rng, ways);
-                            cache.victim_order_in_into(set, &allowed, &mut out);
-                            assert_eq!(out, shadow.order(set, &allowed), "{ctx}");
+                            cache.victim_order_in_into(set, allowed, &mut out);
+                            assert_eq!(out, shadow.order(set, allowed), "{ctx}");
                         }
                     }
                     assert_eq!(cache.valid, shadow.valid, "{ctx}");

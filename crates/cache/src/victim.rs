@@ -139,6 +139,12 @@ impl VictimCache {
         probe::find_index(&self.addrs, line).map(|i| self.cores[i])
     }
 
+    /// Every core named by a parked entry's directory bits. A decoder
+    /// checks it against the core count.
+    pub fn directory_union(&self) -> CoreBitmap {
+        CoreBitmap::from_raw(self.cores.iter().fold(0, |acc, c| acc | c.to_raw()))
+    }
+
     /// Marks a parked line dirty (a core wrote back while the line was
     /// parked with deferred back-invalidation). Returns `true` if the line
     /// was present.

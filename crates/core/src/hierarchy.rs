@@ -161,7 +161,7 @@ impl CacheHierarchy {
                     None => full,
                 };
                 let app_ways = if ioc.partition {
-                    full.and_not(&io_ways)
+                    full.and_not(io_ways)
                 } else {
                     full
                 };
@@ -476,7 +476,7 @@ impl CacheHierarchy {
             _ => None,
         };
 
-        let invalid = match &allowed {
+        let invalid = match allowed {
             Some(m) => self.llc.invalid_way_in(set, m),
             None => self.llc.invalid_way(set),
         };
@@ -486,7 +486,7 @@ impl CacheHierarchy {
             // LRU line" is the set's current replacement victim (Fig. 3c —
             // 'I' is evicted, 'a' is early-invalidated).
             if self.tla == TlaPolicy::Eci {
-                let next = match &allowed {
+                let next = match allowed {
                     Some(m) => self.llc.victim_way_in(set, m),
                     None => self.llc.victim_way(set),
                 };
@@ -500,7 +500,7 @@ impl CacheHierarchy {
         }
 
         let mut order = std::mem::take(&mut self.order_buf);
-        match &allowed {
+        match allowed {
             Some(m) => self.llc.victim_order_in_into(set, m, &mut order),
             None => self.llc.victim_order_into(set, &mut order),
         }
@@ -602,7 +602,7 @@ impl CacheHierarchy {
             }
         }
 
-        if let Some(way) = self.llc.invalid_way_in(set, &io_ways) {
+        if let Some(way) = self.llc.invalid_way_in(set, io_ways) {
             self.llc.fill_way(set, way, line, write, CoreBitmap::EMPTY);
             return;
         }
@@ -612,7 +612,7 @@ impl CacheHierarchy {
         // recycle the device ways before touching app ways).
         let (way, _) = self
             .llc
-            .victim_way_in(set, &io_ways)
+            .victim_way_in(set, io_ways)
             .expect("non-empty injection mask with no invalid way has a victim");
         let ev = self
             .llc
@@ -1260,6 +1260,21 @@ impl Snapshot for CacheHierarchy {
                     if snap { "without" } else { "with" },
                 )));
             }
+        }
+        // Directory bits steer back-invalidates and QBS queries into
+        // `self.cores`; a bit past the last core would index out of range.
+        let mut named = self.llc.directory_union().to_raw();
+        if let Some(vc) = &self.victim {
+            named |= vc.directory_union().to_raw();
+        }
+        let cores = self.cores.len();
+        if CoreBitmap::from_raw(named)
+            .iter()
+            .any(|c| c.index() >= cores)
+        {
+            return Err(SnapshotError::Corrupt(format!(
+                "hierarchy: a directory names a core past the {cores} this configuration has"
+            )));
         }
         for pc in &mut self.per_core {
             pc.read_state(r)?;
@@ -2107,6 +2122,45 @@ mod tests {
         let mut r = SnapshotReader::new(&bytes).expect("valid snapshot");
         let err = vc.read_state(&mut r).unwrap_err();
         assert!(err.to_string().contains("victim cache"), "got: {err}");
+    }
+
+    #[test]
+    fn snapshot_rejects_directories_naming_absent_cores() {
+        // A directory bit for core 5 of a two-core hierarchy, in the LLC
+        // or in a parked victim-cache entry, would send a back-invalidate
+        // to a core that does not exist once the line leaves.
+        let cfg = HierarchyConfig::tiny_fig3()
+            .cores(2)
+            .victim_cache(VictimCacheConfig { entries: 4 });
+        let stray = CoreBitmap::single(CoreId::new(5));
+        let decode = |h: &CacheHierarchy| {
+            let mut w = SnapshotWriter::new();
+            h.write_state(&mut w);
+            let bytes = w.finish();
+            let mut r = SnapshotReader::new(&bytes).expect("valid snapshot");
+            CacheHierarchy::new(&cfg).read_state(&mut r)
+        };
+
+        let mut h = CacheHierarchy::new(&cfg);
+        fig3_pattern(&mut h);
+        assert!(decode(&h).is_ok());
+        let line = LineAddr::new(0x7777);
+        let set = h.llc.set_of(line);
+        let way = h.llc.invalid_way(set).unwrap_or(0);
+        h.llc.evict_way(set, way);
+        h.llc.fill_way(set, way, line, false, stray);
+        let err = decode(&h).unwrap_err();
+        assert!(err.to_string().contains("past the 2"), "got: {err}");
+
+        let mut h = CacheHierarchy::new(&cfg);
+        fig3_pattern(&mut h);
+        h.victim.as_mut().unwrap().insert(VictimEntry {
+            addr: line,
+            dirty: false,
+            cores: stray,
+        });
+        let err = decode(&h).unwrap_err();
+        assert!(err.to_string().contains("past the 2"), "got: {err}");
     }
 
     #[test]

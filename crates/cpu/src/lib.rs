@@ -416,6 +416,75 @@ mod tests {
         assert_eq!(a.cycles(), b.cycles());
     }
 
+    /// DESIGN §7's closed form for a stream that hits the L1 throughout
+    /// (data and code): nothing stalls, so instruction `i` enters at cycle
+    /// `i / width` and completes `l1` (loads) or 1 (ALU ops, stores)
+    /// cycles later. The last of `n` instructions, a load, retires at
+    /// `(n - 1) / width + l1`: the stream retires at the issue width.
+    #[test]
+    fn all_l1_hit_stream_retires_at_the_issue_width() {
+        for width in [1usize, 2, 4, 8] {
+            for l1 in [1u64, 2, 4] {
+                let mut c = CoreModel::new(CoreModelConfig {
+                    width,
+                    latencies: Latencies {
+                        l1,
+                        ..Latencies::default()
+                    },
+                    ..CoreModelConfig::default()
+                });
+                let n = 3 * 2000 + 2;
+                for i in 0..n {
+                    let ifetch = (i % 16 == 0).then_some(DataSource::L1);
+                    let mem = match i % 3 {
+                        0 => None,
+                        1 => Some((AccessKind::Load, DataSource::L1)),
+                        _ => Some((AccessKind::Store, DataSource::L1)),
+                    };
+                    c.step(ifetch, mem);
+                }
+                let ctx = format!("width {width}, l1 {l1}");
+                assert_eq!(c.cycles(), (n - 1) / width as u64 + l1, "{ctx}");
+                assert_eq!(c.retired(), n, "{ctx}");
+                assert_eq!(c.mshr_stalls(), 0, "{ctx}");
+            }
+        }
+    }
+
+    /// DESIGN §7's ROB/MSHR bound for a stream of independent memory
+    /// loads: misses overlap until `b = min(rob, mshrs)` are in flight, so
+    /// the loads run in groups of `b`, one memory latency apart, each
+    /// group entering over `b / width` cycles. The last of `n` loads (`n`
+    /// a multiple of `b`) completes at `lat * n / b + b / width - 1`, and
+    /// the IPC tends to `b / lat`.
+    #[test]
+    fn independent_misses_match_the_rob_mshr_bound() {
+        for (rob, mshrs) in [(128, 32), (128, 16), (64, 128), (128, 128)] {
+            for memory in [150u64, 200] {
+                let cfg = CoreModelConfig {
+                    rob_entries: rob,
+                    mshrs,
+                    latencies: Latencies {
+                        memory,
+                        ..Latencies::default()
+                    },
+                    ..CoreModelConfig::default()
+                };
+                let mut c = CoreModel::new(cfg);
+                let b = rob.min(mshrs) as u64;
+                let width = cfg.width as u64;
+                let n = 64 * b;
+                for _ in 0..n {
+                    c.step(None, Some((AccessKind::Load, DataSource::Memory)));
+                }
+                let ctx = format!("rob {rob}, mshrs {mshrs}, memory {memory}");
+                assert_eq!(c.cycles(), memory * n / b + b / width - 1, "{ctx}");
+                let bound = b as f64 / memory as f64;
+                assert!((c.ipc() - bound).abs() < 0.01 * bound, "{ctx}: {}", c.ipc());
+            }
+        }
+    }
+
     #[test]
     fn latency_ordering_respected() {
         let run = |src: DataSource| {

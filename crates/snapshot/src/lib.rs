@@ -428,7 +428,9 @@ impl<'a> SnapshotReader<'a> {
     /// Read a length-prefixed slice of u64 values.
     pub fn read_u64_vec(&mut self) -> Result<Vec<u64>, SnapshotError> {
         let n = self.read_usize()?;
-        let mut v = Vec::with_capacity(n.min(self.limit() - self.pos));
+        // Reserve no more than the bytes left could hold: the count is
+        // untrusted until the reads succeed.
+        let mut v = Vec::with_capacity(n.min((self.limit() - self.pos) / 8));
         for _ in 0..n {
             v.push(self.read_u64()?);
         }

@@ -526,13 +526,17 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
+/// Largest `vc<N>` victim cache `--policy` accepts. The victim cache is
+/// fully associative and keeps no per-set way masks, so this bounds the
+/// probe sweeps, not a bitmap width.
+const MAX_VICTIM_ENTRIES: usize = 256;
+
 fn parse_policy(name: &str) -> Option<PolicySpec> {
     // `vc<N>` is a family, not a fixed name: vc32 is the paper's §VI victim
-    // cache, larger sizes (up to the 256-way structure limit) drive the
-    // fully-associative probe sweeps.
+    // cache, larger sizes drive the fully-associative probe sweeps.
     if let Some(n) = name.strip_prefix("vc") {
         let entries: usize = n.parse().ok()?;
-        if !(1..=tla::cache::MAX_WAYS).contains(&entries) {
+        if !(1..=MAX_VICTIM_ENTRIES).contains(&entries) {
             return None;
         }
         return Some(PolicySpec::victim_cache(entries));
@@ -766,8 +770,7 @@ fn cmd_list(_: &Options) -> Result<(), String> {
     println!("\npolicies: baseline tlh-il1 tlh-dl1 tlh-l1 tlh-l2 tlh-l1-l2 eci qbs");
     println!("          qbs-il1 qbs-dl1 qbs-l1 qbs-l2 non-inclusive exclusive");
     println!(
-        "          vc<N> (victim cache with N entries, 1..={}; vc32 = paper §VI)",
-        tla::cache::MAX_WAYS
+        "          vc<N> (victim cache with N entries, 1..={MAX_VICTIM_ENTRIES}; vc32 = paper §VI)"
     );
     println!("\nprobe kernel: {}", tla::cache::kernel_name());
     Ok(())
@@ -1682,11 +1685,13 @@ mod tests {
         }
         assert!(parse_policy("bogus").is_none());
         assert_eq!(parse_policy("inclusive").unwrap().name, "Inclusive");
-        // The vc family is parameterized but bounded by the way-mask width.
+        // The vc family is parameterized and bounded by its own entry
+        // limit, not by the 64-way set-bitmap width.
         assert_eq!(parse_policy("vc32").unwrap().victim_cache, Some(32));
         assert_eq!(parse_policy("vc128").unwrap().name, "VC-128");
+        assert_eq!(parse_policy("vc256").unwrap().victim_cache, Some(256));
         assert!(parse_policy("vc0").is_none(), "empty victim cache");
-        assert!(parse_policy("vc257").is_none(), "beyond MAX_WAYS");
+        assert!(parse_policy("vc257").is_none(), "beyond MAX_VICTIM_ENTRIES");
         assert!(parse_policy("vcxyz").is_none());
     }
 

@@ -1,0 +1,303 @@
+//! Seeded mutation sweep over the cache state of a real warm image.
+//!
+//! The image is the `sje,mcf` checkpoint `checkpoint_bytes_are_pinned`
+//! pins (tests/snapshot_resume.rs). A walker finds each cache's state
+//! inside the `sim` section — L1I, L1D and L2 per core, then the LLC —
+//! and the sweep mutates it in four ways:
+//!
+//! * inflated length fields: every per-cache length prefix (addresses,
+//!   replacement words, directory bits, the valid/dirty/tag bitmaps and
+//!   the PLRU trees) raised by 1, by 2^24 and to `u64::MAX`;
+//! * byte flips in those length prefixes, in bitmap bits past the
+//!   cache's last way, and in LLC directory bits naming a core the mix
+//!   does not have;
+//! * truncations: the image cut at a seeded offset inside the cache;
+//! * dropped words: eight bytes removed from inside the cache.
+//!
+//! Each mutant gets its `sim` length patched and its checksum re-sealed,
+//! so the header checks pass and the section decoders do run. Every
+//! mutant must be refused with an `Err`: no panic, and no allocation
+//! larger than the largest one a clean resume makes (a decoder that
+//! sized a buffer from a decoded count would exceed it). Flips elsewhere
+//! in the payload (an address, a replacement word, a counter) decode to
+//! a different but well-formed state, so they are not part of the sweep.
+//!
+//! The binary holds one test, so no other test allocates while the
+//! largest allocation is tracked.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use tla::rng::SmallRng;
+use tla::sim::{Checkpoint, MixRun, SimConfig, SnapshotError};
+use tla::workloads::SpecApp;
+
+/// Remembers the largest single allocation request.
+struct Largest;
+
+static LARGEST: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every call forwards to `System` unchanged; the counter only
+// observes sizes.
+unsafe impl GlobalAlloc for Largest {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LARGEST.fetch_max(layout.size(), Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        LARGEST.fetch_max(layout.size(), Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LARGEST.fetch_max(new_size, Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Largest = Largest;
+
+const MIX: [SpecApp; 2] = [SpecApp::Sjeng, SpecApp::Mcf];
+
+fn cfg() -> SimConfig {
+    SimConfig::scaled_down().warmup(15_000).instructions(10_000)
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn u64_at(b: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(b[at..at + 8].try_into().unwrap())
+}
+
+fn put_u64(b: &mut [u8], at: usize, v: u64) {
+    b[at..at + 8].copy_from_slice(&v.to_le_bytes());
+}
+
+/// Where one cache's state sits in the image.
+struct CacheLayout {
+    name: String,
+    start: usize,
+    end: usize,
+    ways: usize,
+    /// Offsets of the length prefixes, in wire order.
+    prefixes: Vec<(&'static str, usize)>,
+    /// Offsets of the first word of the valid, dirty and tag bitmaps.
+    masks: [(&'static str, usize); 3],
+    sets: usize,
+    /// Offset of the first directory word.
+    directory: usize,
+}
+
+/// The image's `sim` section and its caches.
+struct ImageLayout {
+    /// Offset of the `sim` section's body length.
+    sim_len_at: usize,
+    caches: Vec<CacheLayout>,
+}
+
+/// Skips a length-prefixed `u64` slice at `*pos`, returning its length.
+fn skip_vec(b: &[u8], pos: &mut usize) -> usize {
+    let n = u64_at(b, *pos) as usize;
+    *pos += 8 + 8 * n;
+    n
+}
+
+/// Walks one `SetAssocCache` state: six length-prefixed slices (addresses,
+/// replacement words, directory bits, valid/dirty/tag bitmaps), the
+/// replacer (stamp, fill count, PSEL, PLRU trees, four RNG words) and
+/// seven counters.
+fn walk_cache(b: &[u8], pos: &mut usize, name: String) -> CacheLayout {
+    let start = *pos;
+    let mut prefixes = Vec::new();
+    let mut lens = Vec::new();
+    for field in [
+        "addresses",
+        "replacement",
+        "directory",
+        "valid",
+        "dirty",
+        "tag",
+    ] {
+        prefixes.push((field, *pos));
+        lens.push(skip_vec(b, pos));
+    }
+    *pos += 3 * 8;
+    prefixes.push(("trees", *pos));
+    skip_vec(b, pos);
+    *pos += 4 * 8 + 7 * 8;
+    let sets = lens[3];
+    CacheLayout {
+        name,
+        start,
+        end: *pos,
+        ways: lens[0] / sets,
+        masks: [
+            ("valid", prefixes[3].1 + 8),
+            ("dirty", prefixes[4].1 + 8),
+            ("tag", prefixes[5].1 + 8),
+        ],
+        prefixes,
+        sets,
+        directory: start + 8 + 8 * lens[0] + 8 + 8 * lens[1] + 8,
+    }
+}
+
+fn walk(b: &[u8]) -> ImageLayout {
+    // Header: magic and version, then the `meta` and `sim` sections.
+    let mut pos = 5;
+    let section = |pos: &mut usize, name: &str| {
+        let n = b[*pos] as usize;
+        assert_eq!(&b[*pos + 1..*pos + 1 + n], name.as_bytes());
+        *pos += 1 + n;
+        let len_at = *pos;
+        *pos += 8;
+        len_at
+    };
+    let meta_len_at = section(&mut pos, "meta");
+    pos += u64_at(b, meta_len_at) as usize;
+    let sim_len_at = section(&mut pos, "sim");
+    assert_eq!(
+        sim_len_at + 8 + u64_at(b, sim_len_at) as usize,
+        b.len() - 8,
+        "a plain checkpoint ends with its sim section"
+    );
+    let cores = u64_at(b, pos) as usize;
+    pos += 8;
+    let mut caches = Vec::new();
+    for core in 0..cores {
+        for level in ["L1I", "L1D", "L2"] {
+            caches.push(walk_cache(b, &mut pos, format!("core {core} {level}")));
+        }
+        // The stream prefetcher: detectors of 33 bytes, three counters.
+        let has_prefetcher = b[pos] == 1;
+        pos += 1;
+        if has_prefetcher {
+            pos += 8 + 33 * u64_at(b, pos) as usize + 3 * 8;
+        }
+    }
+    caches.push(walk_cache(b, &mut pos, "LLC".into()));
+    ImageLayout { sim_len_at, caches }
+}
+
+/// Patches the `sim` length to the image's new size and re-seals the
+/// checksum over everything before it.
+fn reseal(mut body: Vec<u8>, sim_len_at: usize) -> Vec<u8> {
+    let sim_len = body.len() - sim_len_at - 8;
+    put_u64(&mut body, sim_len_at, sim_len as u64);
+    let sum = fnv1a(&body);
+    body.extend_from_slice(&sum.to_le_bytes());
+    body
+}
+
+/// Resumes `bytes` as the pinned mix, catching panics; also returns the
+/// largest single allocation made on the way.
+fn resume(bytes: Vec<u8>) -> (std::thread::Result<Result<(), SnapshotError>>, usize) {
+    LARGEST.store(0, Relaxed);
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let checkpoint = Checkpoint::from_bytes(bytes)?;
+        MixRun::new(&cfg(), &MIX).resume(&checkpoint).map(drop)
+    }));
+    (outcome, LARGEST.load(Relaxed))
+}
+
+#[test]
+fn mutated_cache_sections_are_refused() {
+    let image = MixRun::new(&cfg(), &MIX)
+        .warm_checkpoint()
+        .as_bytes()
+        .to_vec();
+    assert_eq!(
+        format!("{:016x}", fnv1a(&image)),
+        "59d4056219b9ab9b",
+        "the sweep runs on the pinned image"
+    );
+    let layout = walk(&image);
+    assert_eq!(
+        layout.caches.len(),
+        7,
+        "three core caches per core and the LLC"
+    );
+    let body = &image[..image.len() - 8];
+
+    // The clean image resumes, and bounds every mutant's allocations.
+    let (clean, limit) = resume(reseal(body.to_vec(), layout.sim_len_at));
+    assert!(matches!(clean, Ok(Ok(()))), "the clean image must resume");
+
+    let mut rng = SmallRng::seed_from_u64(0x7a5_0f11e5);
+    let mut mutants: Vec<(String, Vec<u8>)> = Vec::new();
+    for cache in &layout.caches {
+        for &(field, at) in &cache.prefixes {
+            let n = u64_at(body, at);
+            for inflated in [n + 1, n + (1 << 24), u64::MAX] {
+                let mut m = body.to_vec();
+                put_u64(&mut m, at, inflated);
+                mutants.push((format!("{} {field} length {inflated}", cache.name), m));
+            }
+            let byte = at + rng.gen_range(0..8usize);
+            let mut m = body.to_vec();
+            m[byte] ^= rng.gen_range(1..=255u64) as u8;
+            mutants.push((format!("{} {field} length byte {byte}", cache.name), m));
+        }
+        for &(field, first) in &cache.masks {
+            for _ in 0..2 {
+                let set = rng.gen_range(0..cache.sets);
+                let bit = rng.gen_range(cache.ways..64);
+                let mut m = body.to_vec();
+                m[first + 8 * set + bit / 8] ^= 1 << (bit % 8);
+                mutants.push((format!("{} {field} set {set} bit {bit}", cache.name), m));
+            }
+        }
+        if cache.name == "LLC" {
+            for _ in 0..4 {
+                let slot = rng.gen_range(0..cache.sets * cache.ways);
+                let bit = rng.gen_range(MIX.len()..64);
+                let mut m = body.to_vec();
+                m[cache.directory + 8 * slot + bit / 8] ^= 1 << (bit % 8);
+                mutants.push((format!("LLC directory slot {slot} core {bit}"), m));
+            }
+        }
+        for _ in 0..4 {
+            let cut = rng.gen_range(cache.start..cache.end);
+            mutants.push((
+                format!("{} truncated at {cut}", cache.name),
+                body[..cut].to_vec(),
+            ));
+        }
+        for _ in 0..2 {
+            let at = rng.gen_range(cache.start..cache.end - 8);
+            let mut m = body.to_vec();
+            m.drain(at..at + 8);
+            mutants.push((format!("{} word dropped at {at}", cache.name), m));
+        }
+    }
+
+    let mut failures = Vec::new();
+    for (name, body) in mutants.iter() {
+        let (outcome, largest) = resume(reseal(body.clone(), layout.sim_len_at));
+        match outcome {
+            Err(_) => failures.push(format!("{name}: panicked")),
+            Ok(Ok(())) => failures.push(format!("{name}: resumed without an error")),
+            Ok(Err(_)) if largest > limit => failures.push(format!(
+                "{name}: allocated {largest} bytes at once, a clean resume at most {limit}"
+            )),
+            Ok(Err(_)) => {}
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "{} of {} mutants misbehaved:\n{}",
+        failures.len(),
+        mutants.len(),
+        failures.join("\n")
+    );
+}
