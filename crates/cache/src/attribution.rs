@@ -152,6 +152,7 @@ impl VictimTracker {
     /// because of `cause`. A later kill of the same line overwrites the
     /// earlier cause (the most recent removal is the one the next miss
     /// pays for).
+    #[inline]
     pub fn note_kill(&mut self, line: LineAddr, cause: VictimCause) {
         let (page, bit) = self.pages.page_mut(line);
         self.kills += usize::from(page.kill(bit).is_none());
@@ -162,6 +163,7 @@ impl VictimTracker {
     /// outstanding kill makes it an inclusion-victim miss (consuming the
     /// kill), a previously-seen line is a capacity miss, a never-seen
     /// line is cold.
+    #[inline]
     pub fn classify(&mut self, line: LineAddr) -> MissClass {
         let (page, bit) = self.pages.page_mut(line);
         let first = page.mark_seen(bit);

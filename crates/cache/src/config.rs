@@ -171,6 +171,7 @@ impl CacheConfig {
     }
 
     /// The set a line maps to.
+    #[inline]
     pub fn set_of(&self, line: LineAddr) -> usize {
         (line.raw() & (self.sets as u64 - 1)) as usize
     }

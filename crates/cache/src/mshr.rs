@@ -49,6 +49,7 @@ impl MshrFile {
     /// Issues a transaction at time `now` with service time `latency`,
     /// returning its completion time. If all registers are busy at `now`,
     /// the transaction waits for the earliest in-flight completion.
+    #[inline]
     pub fn issue(&mut self, now: Cycle, latency: Cycle) -> Cycle {
         self.drain(now);
         let start = if self.inflight.len() >= self.capacity {

@@ -170,6 +170,7 @@ impl Replacer {
     }
 
     /// Records a demand hit on `way`.
+    #[inline]
     pub fn on_hit(&mut self, set_idx: usize, valid: WayMask, repl: &mut [u64], way: usize) {
         match self.policy {
             Policy::Lru => {
@@ -192,12 +193,14 @@ impl Replacer {
     /// the LLC ("update its replacement state [to MRU]", §III-A/C).
     ///
     /// For every policy here promotion coincides with the hit update.
+    #[inline]
     pub fn promote(&mut self, set_idx: usize, valid: WayMask, repl: &mut [u64], way: usize) {
         self.on_hit(set_idx, valid, repl, way);
     }
 
     /// Records a fill into `way` (whose `repl` word the caller has reset to
     /// zero and whose `valid` bit is already set in the bitmap).
+    #[inline]
     pub fn on_fill(&mut self, set_idx: usize, valid: WayMask, repl: &mut [u64], way: usize) {
         match self.policy {
             Policy::Lru | Policy::Fifo => {
@@ -240,6 +243,7 @@ impl Replacer {
 
     /// Records a demand miss in `set_idx` (used by DRRIP's set dueling; a
     /// miss in a leader set votes against that leader's policy).
+    #[inline]
     pub fn on_miss(&mut self, set_idx: usize) {
         if matches!(self.policy, Policy::Drrip | Policy::Dip) {
             match set_idx % DUEL_MODULUS {
@@ -256,6 +260,7 @@ impl Replacer {
     /// the victim's RRPV reaches the distant value, mirroring the hardware
     /// "increment all until a distant line exists" loop even when the TLA
     /// policy skipped over better candidates.
+    #[inline]
     pub fn on_evict(&mut self, set_idx: usize, valid: WayMask, repl: &mut [u64], way: usize) {
         match self.policy {
             Policy::Srrip | Policy::Brrip | Policy::Drrip => {
@@ -278,6 +283,7 @@ impl Replacer {
     /// identical to a full [`Replacer::order_into`] call).
     ///
     /// Returns `None` if the set has no valid line.
+    #[inline]
     pub fn victim(&mut self, set_idx: usize, valid: WayMask, repl: &[u64]) -> Option<usize> {
         match self.policy {
             // Lowest stamp wins; ties (possible via LIP's saturating
@@ -328,6 +334,7 @@ impl Replacer {
     ///
     /// The ordering is a snapshot; it does not age or otherwise mutate
     /// per-way state (aging happens in [`Replacer::on_evict`]).
+    #[inline]
     pub fn order_into(
         &mut self,
         set_idx: usize,

@@ -155,6 +155,7 @@ impl SetAssocCache {
     }
 
     /// The set index `line` maps to.
+    #[inline]
     pub fn set_of(&self, line: LineAddr) -> usize {
         self.cfg.set_of(line)
     }
@@ -184,6 +185,7 @@ impl SetAssocCache {
 
     /// Checks for presence without touching replacement state or counters —
     /// the primitive a QBS query uses.
+    #[inline]
     pub fn probe(&self, line: LineAddr) -> bool {
         self.find(line).is_some()
     }
@@ -191,16 +193,19 @@ impl SetAssocCache {
     /// Looks `line` up as a demand access, updating replacement state and
     /// counters. Returns the hit way, so follow-up metadata updates on the
     /// line ([`SetAssocCache::add_sharer`] and friends) skip a second probe.
+    #[inline]
     pub fn touch(&mut self, line: LineAddr) -> Option<usize> {
         self.lookup(line, true)
     }
 
     /// Looks `line` up as a prefetch access (counted separately). Returns
     /// the hit way.
+    #[inline]
     pub fn touch_prefetch(&mut self, line: LineAddr) -> Option<usize> {
         self.lookup(line, false)
     }
 
+    #[inline]
     fn lookup(&mut self, line: LineAddr, demand: bool) -> Option<usize> {
         let set = self.set_of(line);
         let hit_way = self.find(line);
@@ -233,6 +238,7 @@ impl SetAssocCache {
 
     /// Promotes `line` toward MRU if present (a TLH replacement-state
     /// update). Returns `true` if the line was present.
+    #[inline]
     pub fn promote(&mut self, line: LineAddr) -> bool {
         let Some(way) = self.find(line) else {
             return false;
@@ -243,6 +249,7 @@ impl SetAssocCache {
 
     /// Promotes the valid line in (`set`, `way`) toward MRU (a QBS
     /// rejection).
+    #[inline]
     pub fn promote_way(&mut self, set: usize, way: usize) {
         debug_assert!(self.valid[set].contains(way), "promote of invalid way");
         let base = set * self.ways;
@@ -255,6 +262,7 @@ impl SetAssocCache {
     }
 
     /// Marks `line` dirty if present. Returns `true` if the line was present.
+    #[inline]
     pub fn mark_dirty(&mut self, line: LineAddr) -> bool {
         let Some(way) = self.find(line) else {
             return false;
@@ -264,6 +272,7 @@ impl SetAssocCache {
     }
 
     /// Marks the valid line in (`set`, `way`) dirty.
+    #[inline]
     pub fn mark_dirty_way(&mut self, set: usize, way: usize) {
         debug_assert!(self.valid[set].contains(way), "mark_dirty of invalid way");
         self.dirty[set].set(way);
@@ -274,12 +283,14 @@ impl SetAssocCache {
     ///
     /// The hierarchy uses this for core caches; the LLC under TLA policies
     /// uses the explicit [`SetAssocCache::victim_order_into`] path instead.
+    #[inline]
     pub fn fill(&mut self, line: LineAddr, dirty: bool) -> Option<Evicted> {
         self.fill_with_cores(line, dirty, CoreBitmap::EMPTY)
     }
 
     /// [`SetAssocCache::fill`] that also sets the LLC directory bits of the
     /// new line.
+    #[inline]
     pub fn fill_with_cores(
         &mut self,
         line: LineAddr,
@@ -306,6 +317,7 @@ impl SetAssocCache {
     }
 
     /// First invalid way of `set`, if any.
+    #[inline]
     pub fn invalid_way(&self, set: usize) -> Option<usize> {
         self.full_mask.and_not(self.valid[set]).first()
     }
@@ -315,6 +327,7 @@ impl SetAssocCache {
     /// The way-partitioned variant of [`SetAssocCache::invalid_way`]:
     /// DDIO-style injection limits constrain device fills to a subset of
     /// ways, and the partitioned app path avoids the device ways in turn.
+    #[inline]
     pub fn invalid_way_in(&self, set: usize, allowed: WayMask) -> Option<usize> {
         self.full_mask.and(allowed).and_not(self.valid[set]).first()
     }
@@ -334,6 +347,7 @@ impl SetAssocCache {
     /// Writes the valid ways of `set` in eviction-priority order into `out`
     /// (cleared first). With a reused buffer the call is allocation-free in
     /// steady state.
+    #[inline]
     pub fn victim_order_into(&mut self, set: usize, out: &mut Vec<(usize, LineAddr)>) {
         out.clear();
         let base = set * self.ways;
@@ -352,6 +366,7 @@ impl SetAssocCache {
     /// `allowed`: the policy ranks only the permitted valid ways, so every
     /// candidate a partitioned caller walks (QBS, ECI next-target) stays
     /// inside its partition.
+    #[inline]
     pub fn victim_order_in_into(
         &mut self,
         set: usize,
@@ -373,6 +388,7 @@ impl SetAssocCache {
 
     /// The way the policy would evict next and its line address, without
     /// materializing the full order. Returns `None` if the set is empty.
+    #[inline]
     pub fn victim_way(&mut self, set: usize) -> Option<(usize, LineAddr)> {
         let base = set * self.ways;
         let w = self
@@ -383,6 +399,7 @@ impl SetAssocCache {
 
     /// [`SetAssocCache::victim_way`] restricted to the ways in `allowed`.
     /// Returns `None` if no permitted way holds a valid line.
+    #[inline]
     pub fn victim_way_in(&mut self, set: usize, allowed: WayMask) -> Option<(usize, LineAddr)> {
         let base = set * self.ways;
         let w = self.replacer.victim(
@@ -395,6 +412,7 @@ impl SetAssocCache {
 
     /// Evicts the line in (`set`, `way`) if valid, returning it. Updates
     /// eviction/writeback counters and lets the policy age the set.
+    #[inline]
     pub fn evict_way(&mut self, set: usize, way: usize) -> Option<Evicted> {
         if !self.valid[set].contains(way) {
             return None;
@@ -431,6 +449,7 @@ impl SetAssocCache {
     /// # Panics
     ///
     /// Panics (debug) if the slot is still valid or the line maps elsewhere.
+    #[inline]
     pub fn fill_way(
         &mut self,
         set: usize,
@@ -464,6 +483,7 @@ impl SetAssocCache {
 
     /// Invalidates `line` if present, returning its state (dirtiness matters
     /// to the caller: back-invalidated dirty lines must be written back).
+    #[inline]
     pub fn invalidate(&mut self, line: LineAddr) -> Option<Evicted> {
         let set = self.set_of(line);
         let way = self.find(line)?;
@@ -472,6 +492,7 @@ impl SetAssocCache {
 
     /// Sets the policy tag bit of the valid line in (`set`, `way`) (ECI's
     /// early-invalidate mark).
+    #[inline]
     pub fn set_tag(&mut self, set: usize, way: usize) {
         debug_assert!(self.valid[set].contains(way), "set_tag of invalid way");
         self.tag[set].set(way);
@@ -479,6 +500,7 @@ impl SetAssocCache {
 
     /// Reads and clears the policy tag bit of the valid line in (`set`,
     /// `way`), returning its previous value.
+    #[inline]
     pub fn take_tag(&mut self, set: usize, way: usize) -> bool {
         debug_assert!(self.valid[set].contains(way), "take_tag of invalid way");
         let old = self.tag[set].contains(way);
@@ -488,6 +510,7 @@ impl SetAssocCache {
 
     /// Adds `core` to the directory bits of the valid line in (`set`,
     /// `way`) (LLC bookkeeping).
+    #[inline]
     pub fn add_sharer(&mut self, set: usize, way: usize, core: CoreId) {
         debug_assert!(self.valid[set].contains(way), "add_sharer of invalid way");
         self.cores[set * self.ways + way].insert(core);
@@ -495,6 +518,7 @@ impl SetAssocCache {
 
     /// Clears the directory bits of the valid line in (`set`, `way`) (after
     /// the cores were invalidated, e.g. by an ECI message).
+    #[inline]
     pub fn clear_sharers(&mut self, set: usize, way: usize) {
         debug_assert!(
             self.valid[set].contains(way),
@@ -504,6 +528,7 @@ impl SetAssocCache {
     }
 
     /// Directory bits of the valid line in (`set`, `way`).
+    #[inline]
     pub fn sharers(&self, set: usize, way: usize) -> CoreBitmap {
         debug_assert!(self.valid[set].contains(way), "sharers of invalid way");
         self.cores[set * self.ways + way]
@@ -652,6 +677,27 @@ impl Snapshot for SetAssocCache {
         }
         let full = self.full_mask;
         read_mask_slice(r, &mut self.valid, full, &name, "valid bitmaps")?;
+        // Lookups scan only the set a line maps to and stop at its first
+        // valid copy, so a line filed in another set, or valid twice in
+        // one, would silently run a different cache.
+        for (set, &valid) in self.valid.iter().enumerate() {
+            for way in valid.iter() {
+                let line = self.addrs[set * self.ways + way];
+                if self.set_of(line) != set {
+                    return Err(SnapshotError::Corrupt(format!(
+                        "{name} set {set} way {way}: line {:#x} maps to set {}",
+                        line.raw(),
+                        self.set_of(line)
+                    )));
+                }
+                if let Some(first) = self.find(line).filter(|&first| first != way) {
+                    return Err(SnapshotError::Corrupt(format!(
+                        "{name} set {set}: line {:#x} is valid in ways {first} and {way}",
+                        line.raw()
+                    )));
+                }
+            }
+        }
         read_mask_slice(r, &mut self.dirty, full, &name, "dirty bitmaps")?;
         read_mask_slice(r, &mut self.tag, full, &name, "tag bitmaps")?;
         self.replacer.read_state(r)?;
@@ -975,6 +1021,36 @@ mod tests {
                 .unwrap_err();
             assert!(err.to_string().contains("past the 4"), "bit {bit}: {err}");
         }
+    }
+
+    #[test]
+    fn snapshot_rejects_misfiled_and_duplicated_lines() {
+        // Two sets of two ways: lines 0 and 2 fill set 0. Each edit
+        // leaves a well-formed image of a state no fill sequence makes.
+        let resume = |edit: fn(&mut SetAssocCache)| {
+            let mut c = small(Policy::Lru, 2, 2);
+            c.fill(LineAddr::new(0), false);
+            c.fill(LineAddr::new(2), false);
+            edit(&mut c);
+            let mut w = SnapshotWriter::new();
+            c.write_state(&mut w);
+            let bytes = w.finish();
+            let mut fresh = small(Policy::Lru, 2, 2);
+            fresh.read_state(&mut SnapshotReader::new(&bytes).unwrap())
+        };
+        assert!(resume(|_| {}).is_ok());
+        // Line 1 maps to set 1.
+        let misfiled = resume(|c| c.addrs[0] = LineAddr::new(1));
+        assert!(
+            matches!(misfiled, Err(SnapshotError::Corrupt(_))),
+            "{misfiled:?}"
+        );
+        // Line 0 in both ways of set 0.
+        let duplicated = resume(|c| c.addrs[1] = LineAddr::new(0));
+        assert!(
+            matches!(duplicated, Err(SnapshotError::Corrupt(_))),
+            "{duplicated:?}"
+        );
     }
 
     #[test]

@@ -192,6 +192,7 @@ impl CacheHierarchy {
     }
 
     /// Demand counters attributed to `core`.
+    #[inline]
     pub fn per_core_stats(&self, core: CoreId) -> &PerCoreStats {
         &self.per_core[core.index()]
     }
@@ -252,6 +253,7 @@ impl CacheHierarchy {
     /// Drivers call this with the total instructions committed across all
     /// cores; standalone use of the hierarchy can ignore it (events are
     /// then stamped 0).
+    #[inline]
     pub fn set_now(&mut self, instr: u64) {
         self.now_instr = instr;
     }
@@ -286,6 +288,7 @@ impl CacheHierarchy {
     /// Panics if `kind` is [`AccessKind::Prefetch`] (prefetches are
     /// generated internally by the L2 stream prefetcher) or if `core` is out
     /// of range.
+    #[inline]
     pub fn access(&mut self, core: CoreId, line: LineAddr, kind: AccessKind) -> DataSource {
         assert!(
             kind.is_demand(),
@@ -568,6 +571,7 @@ impl CacheHierarchy {
     /// # Panics
     ///
     /// Panics if the hierarchy was built without an I/O configuration.
+    #[inline]
     pub fn io_inject(&mut self, agent: usize, line: LineAddr, write: bool) {
         let io_ways = {
             let io = self

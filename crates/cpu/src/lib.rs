@@ -145,16 +145,19 @@ impl CoreModel {
     /// The core's current front-end time — the cycle the next instruction
     /// would be fetched. Multi-core drivers step the core with the smallest
     /// `now()` to keep shared-cache access order timestamp-accurate.
+    #[inline]
     pub fn now(&self) -> Cycle {
         self.fetch_cycle
     }
 
     /// Instructions retired so far.
+    #[inline]
     pub fn retired(&self) -> u64 {
         self.retired
     }
 
     /// Cycles elapsed from cycle 0 to the last retirement.
+    #[inline]
     pub fn cycles(&self) -> Cycle {
         self.last_retire
     }
@@ -180,6 +183,7 @@ impl CoreModel {
     ///   the already-resident line and pass `None`).
     /// * `mem` — the data access the instruction performed, if any, with
     ///   the level that serviced it.
+    #[inline]
     pub fn step(
         &mut self,
         ifetch: Option<DataSource>,

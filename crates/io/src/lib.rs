@@ -14,8 +14,8 @@
 //!   ([`IoAgentKind::NicRing`]: a bounded circular region with high
 //!   short-term reuse) or a leaky-DMA stream
 //!   ([`IoAgentKind::DmaStream`]: write-once lines that are never
-//!   re-read), realized as a deterministic [`SyntheticTrace`] over the
-//!   existing pattern machinery.
+//!   re-read), described by [`IoAgentSpec::params`] in the workload
+//!   generator's terms and generated in closed form by [`IoStream`].
 //! * [`IoMixConfig`] — the set of agents plus the hierarchy-level
 //!   injection controls (injection-way limit, static app/I-O
 //!   way-partitioning) that `tla-core` enforces against its `WayMask`
@@ -27,10 +27,11 @@
 //! exactly as deterministic — across engines, probe kernels and job
 //! counts — as runs without them.
 
-use tla_workloads::{PatternKind, SyntheticTrace, WorkloadParams};
-
-#[cfg(test)]
-use tla_workloads::TraceSource;
+use tla_rng::SmallRng;
+use tla_types::{AccessKind, LineAddr};
+use tla_workloads::{
+    Instruction, MemRef, PatternKind, SyntheticTrace, TraceSource, WorkloadParams,
+};
 
 /// Address-space instance slot of the first I/O agent.
 ///
@@ -40,6 +41,11 @@ use tla_workloads::TraceSource;
 ///
 /// [`CoreId::MAX_CORES`]: https://docs.rs/tla-types
 pub const IO_INSTANCE_BASE: u64 = 64;
+
+/// References a NIC makes to each ring line before its pointer moves on.
+const NIC_STAY: u64 = 2;
+/// Fraction of a NIC's references that write.
+const NIC_WRITE_RATIO: f64 = 0.5;
 
 /// The traffic shape of one I/O agent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,8 +83,8 @@ impl IoAgentKind {
 pub struct IoAgentSpec {
     /// The traffic shape.
     pub kind: IoAgentKind,
-    /// Cycles between injections (smaller = more intense; clamped to at
-    /// least 1 when the trace is built).
+    /// Cycles between injections (smaller = more intense; the engine
+    /// clamps it to at least 1).
     pub period: u64,
     /// Working-set size in lines (the ring size). Ignored by
     /// [`IoAgentKind::DmaStream`], which streams without bound.
@@ -174,15 +180,17 @@ impl IoAgentSpec {
 
     /// The statistical trace parameters of this agent at cache scale
     /// divisor `scale` (working sets shrink with the caches, like the
-    /// SPEC-like app traces).
+    /// SPEC-like app traces): the definition of the agent's traffic in
+    /// the generic generator's terms, which [`IoAgentSpec::stream`]
+    /// reproduces in closed form.
     pub fn params(&self, scale: u64) -> WorkloadParams {
         let pattern = match self.kind {
             // Each ring line is touched twice in short order (the device
             // writes the descriptor, then payload completion re-touches
             // it) before the ring pointer moves on.
             IoAgentKind::NicRing => PatternKind::Loop {
-                lines: (self.lines / scale.max(1)).max(1),
-                stay: 2,
+                lines: self.ring_lines(scale),
+                stay: NIC_STAY,
             },
             IoAgentKind::DmaStream => PatternKind::Stream { stay: 1 },
         };
@@ -192,21 +200,132 @@ impl IoAgentSpec {
             code_footprint_bytes: 64,
             mem_ratio: 1.0,
             write_ratio: match self.kind {
-                IoAgentKind::NicRing => 0.5,
+                IoAgentKind::NicRing => NIC_WRITE_RATIO,
                 IoAgentKind::DmaStream => 1.0,
             },
             patterns: vec![(1.0, pattern)],
         }
     }
 
+    /// The NIC ring at cache scale divisor `scale`, in lines.
+    fn ring_lines(&self, scale: u64) -> u64 {
+        (self.lines / scale.max(1)).max(1)
+    }
+
     /// The deterministic line stream of agent number `index` (0-based
-    /// among the run's agents) at the given scale and seed.
-    ///
-    /// With `mem_ratio == 1.0` every generated instruction carries a data
-    /// reference, so the engine can treat one trace step as exactly one
-    /// injection.
-    pub fn stream(&self, index: usize, scale: u64, seed: u64) -> SyntheticTrace {
-        SyntheticTrace::new(&self.params(scale), IO_INSTANCE_BASE + index as u64, seed)
+    /// among the run's agents) at the given scale and seed: instruction
+    /// for instruction the [`SyntheticTrace`] of [`IoAgentSpec::params`]
+    /// in address-space slot `IO_INSTANCE_BASE + index`, generated in
+    /// closed form.
+    pub fn stream(&self, index: usize, scale: u64, seed: u64) -> IoStream {
+        let instance = IO_INSTANCE_BASE + index as u64;
+        let shape = match self.kind {
+            IoAgentKind::NicRing => Shape::Ring {
+                lines: self.ring_lines(scale),
+                second: false,
+                rng: SyntheticTrace::rng(instance, seed),
+                branch_at: SyntheticTrace::branch_threshold(),
+                write_at: SmallRng::bernoulli_threshold(NIC_WRITE_RATIO),
+            },
+            IoAgentKind::DmaStream => Shape::Stream,
+        };
+        IoStream {
+            data_base: SyntheticTrace::data_base(instance),
+            code_line: LineAddr::new(SyntheticTrace::code_base(instance)),
+            pos: 0,
+            shape,
+        }
+    }
+}
+
+/// The line stream of one device agent, in closed form.
+///
+/// [`IoAgentSpec::params`] describes an agent to the generic generator:
+/// a one-line code footprint, a data reference on every instruction and
+/// a single pattern. Under those parameters [`SyntheticTrace`] always
+/// fetches the same code line and walks its one pattern, so the stream
+/// reduces to a line counter:
+///
+/// * leaky DMA writes line `base + k` at step `k`. Every write draw has
+///   probability 1, so no random draw decides anything and none is made;
+/// * a NIC visits ring line `k` twice, wrapping at the ring size. Its
+///   write bit is the only random output, but per line it makes exactly
+///   the generic generator's draws, in its order: the branch draw (and
+///   the code line and slot draws when the branch is taken), the pattern
+///   draw and the write draw. So every write bit is unchanged.
+///
+/// Each step is one injection. [`TraceSource`] wraps the same step in an
+/// [`Instruction`] for callers that replay agents like traces.
+#[derive(Debug, Clone)]
+pub struct IoStream {
+    data_base: u64,
+    code_line: LineAddr,
+    /// Line index within the stream or ring.
+    pos: u64,
+    shape: Shape,
+}
+
+#[derive(Debug, Clone)]
+enum Shape {
+    Stream,
+    Ring {
+        lines: u64,
+        /// Whether the next reference is the line's second.
+        second: bool,
+        rng: SmallRng,
+        branch_at: u64,
+        write_at: u64,
+    },
+}
+
+impl IoStream {
+    /// The next injected line and whether it is a write.
+    #[inline]
+    pub fn next_line(&mut self) -> (LineAddr, bool) {
+        let line = LineAddr::new(self.data_base + self.pos);
+        match &mut self.shape {
+            Shape::Stream => {
+                self.pos += 1;
+                (line, true)
+            }
+            Shape::Ring {
+                lines,
+                second,
+                rng,
+                branch_at,
+                write_at,
+            } => {
+                if *second {
+                    self.pos += 1;
+                    if self.pos == *lines {
+                        self.pos = 0;
+                    }
+                }
+                *second = !*second;
+                if rng.gen_bernoulli(*branch_at) {
+                    rng.next_u64();
+                    rng.next_u64();
+                }
+                rng.next_u64();
+                (line, rng.gen_bernoulli(*write_at))
+            }
+        }
+    }
+}
+
+impl TraceSource for IoStream {
+    #[inline]
+    fn next_instruction(&mut self) -> Instruction {
+        let (addr, write) = self.next_line();
+        let kind = if write {
+            AccessKind::Store
+        } else {
+            AccessKind::Load
+        };
+        Instruction {
+            code_line: self.code_line,
+            mem: Some(MemRef { addr, kind }),
+        }
     }
 }
 
@@ -370,6 +489,43 @@ mod tests {
         let mut b = spec.stream(0, 2, 42);
         for _ in 0..200 {
             assert_eq!(a.next_instruction(), b.next_instruction());
+        }
+    }
+
+    /// The closed form against the generic generator it replaces: the
+    /// same instructions, write bits included, for both kinds over
+    /// several periods, ring sizes (a one-line ring, rings that divide
+    /// by the scale and one that does not), scales and agent slots.
+    #[test]
+    fn closed_form_streams_match_the_generic_generator() {
+        let specs = [
+            IoAgentSpec::nic(),
+            IoAgentSpec::nic().period(1).lines(1),
+            IoAgentSpec::nic().period(3).lines(100),
+            IoAgentSpec::nic().period(2).lines(4096),
+            IoAgentSpec::dma(),
+            IoAgentSpec::dma().period(7),
+        ];
+        for spec in specs {
+            for scale in [1, 8] {
+                for index in 0..3 {
+                    let seed = 0x5EED + index as u64;
+                    let mut closed = spec.stream(index, scale, seed);
+                    let mut generic = SyntheticTrace::new(
+                        &spec.params(scale),
+                        IO_INSTANCE_BASE + index as u64,
+                        seed,
+                    );
+                    for step in 0..200_000 {
+                        assert_eq!(
+                            closed.next_instruction(),
+                            generic.next_instruction(),
+                            "{} at scale {scale}, agent {index}, step {step}",
+                            spec.label()
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -9,7 +9,7 @@ use tla_core::{
     TlaPolicy, VictimCacheConfig,
 };
 use tla_cpu::CoreModel;
-use tla_io::IoMixConfig;
+use tla_io::{IoMixConfig, IoStream};
 use tla_snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use tla_telemetry::{
     ConfigEcho, CountingSink, EventKind, IoReport, MultiSink, PerSetHistogram, ReuseProfiler,
@@ -685,6 +685,17 @@ fn io_report(labels: &[String], result: &RunResult) -> Option<IoReport> {
     })
 }
 
+/// One device agent in flight: its deterministic line stream and its
+/// own clock, injecting one line every `period` cycles. The serial loop
+/// keeps agents in its scheduler heap after the cores (heap index
+/// `n_cores + agent`); the batched loop drains them before each core
+/// commit ([`Engine::drain_agents`]).
+struct IoAgentRuntime {
+    stream: IoStream,
+    clock: Cycle,
+    period: u64,
+}
+
 /// The complete state of one in-flight run: the hierarchy, the cores,
 /// trace cursors, warm-up bookkeeping and (optionally) the telemetry
 /// collectors.
@@ -693,15 +704,6 @@ fn io_report(labels: &[String], result: &RunResult) -> Option<IoReport> {
 /// layer instead stops it at the warm-up boundary, serializes it, and
 /// later thaws it — possibly under a different policy — to finish the
 /// measured phase.
-/// One device agent in flight: its deterministic line stream and its
-/// own clock. Agents sit in the scheduler heap after the cores (heap
-/// index `n_cores + agent`), injecting one line every `period` cycles.
-struct IoAgentRuntime {
-    trace: SyntheticTrace,
-    clock: Cycle,
-    period: u64,
-}
-
 struct Engine {
     hier: CacheHierarchy,
     cores: Vec<CoreModel>,
@@ -713,9 +715,13 @@ struct Engine {
     /// Per-thread snapshot taken when the thread crosses the warm-up
     /// boundary: (cycles, stats). Consumed at the freeze.
     warm_mark: Vec<Option<(u64, PerCoreStats)>>,
+    /// Threads neither warm-marked nor frozen: the run is warm at zero.
+    unwarmed: usize,
     remaining: usize,
     total_instr: u64,
     sched: CoreScheduler,
+    /// The smallest device-agent clock ([`Cycle::MAX`] without agents).
+    next_io: Cycle,
     warmup: u64,
     quota: u64,
     apps: Vec<SpecApp>,
@@ -773,24 +779,21 @@ impl Engine {
             n_cores
         ];
         // Device agents start one period in, so at cycle 0 the cores win
-        // and an empty agent list leaves the heap exactly as before.
+        // and an empty agent list leaves the heap exactly as before. A
+        // zero period would inject forever without a core moving.
         let io_agents: Vec<IoAgentRuntime> = run
             .io
             .agents
             .iter()
             .enumerate()
             .map(|(i, spec)| IoAgentRuntime {
-                trace: spec.stream(i, scale, run.cfg.seed_value()),
-                clock: spec.period,
-                period: spec.period,
+                stream: spec.stream(i, scale, run.cfg.seed_value()),
+                clock: spec.period.max(1),
+                period: spec.period.max(1),
             })
             .collect();
-        let sched = CoreScheduler::new(
-            cores
-                .iter()
-                .map(CoreModel::now)
-                .chain(io_agents.iter().map(|a| a.clock)),
-        );
+        let sched = schedule(run.engine, &cores, &io_agents);
+        let next_io = next_io(&io_agents);
         Engine {
             hier,
             cores,
@@ -799,10 +802,12 @@ impl Engine {
             mode: run.engine,
             last_code_line: vec![None; n_cores],
             frozen: vec![None; n_cores],
+            unwarmed: if warmup == 0 { 0 } else { n_cores },
             warm_mark,
             remaining: n_cores,
             total_instr: 0,
             sched,
+            next_io,
             warmup,
             quota,
             apps: run.apps.clone(),
@@ -812,9 +817,10 @@ impl Engine {
         }
     }
 
-    /// Commits one instruction on the core with the smallest local clock,
-    /// so shared-LLC access order is timestamp-accurate (the heap picks
-    /// exactly like the old linear scan, ties to the lowest core index).
+    /// The serial loop's step: commits one instruction on the core with
+    /// the smallest local clock, so shared-LLC access order is
+    /// timestamp-accurate (the heap picks exactly like the old linear
+    /// scan, ties to the lowest core index), or injects one device line.
     /// Heap entries past the cores are device agents; cores win clock
     /// ties because they sit at lower indices.
     fn step(&mut self) {
@@ -847,11 +853,30 @@ impl Engine {
     /// boundary) moves only when a core steps, and agents never warm or
     /// freeze — when the last core freezes, the run ends mid-stream.
     fn io_step(&mut self, a: usize) {
-        let instr = self.io_agents[a].trace.next_instruction();
-        if let Some(m) = instr.mem {
-            self.hier.io_inject(a, m.addr, m.kind.is_write());
+        let agent = &mut self.io_agents[a];
+        let (line, write) = agent.stream.next_line();
+        agent.clock += agent.period;
+        self.hier.io_inject(a, line, write);
+        self.next_io = next_io(&self.io_agents);
+    }
+
+    /// The batched loop's stand-in for agent heap entries: injects, in
+    /// the serial loop's order, every device event due before a core
+    /// commits at clock `now`. That order is `(clock, heap index)`, and
+    /// agents sit after the cores, so an agent whose clock equals `now`
+    /// waits for the core and, between agents, the lower index goes
+    /// first.
+    #[inline]
+    fn drain_agents(&mut self, now: Cycle) {
+        while self.next_io < now {
+            let due = self.next_io;
+            let a = self
+                .io_agents
+                .iter()
+                .position(|agent| agent.clock == due)
+                .expect("next_io is an agent's clock");
+            self.io_step(a);
         }
-        self.io_agents[a].clock += self.io_agents[a].period;
     }
 
     /// Commits one instruction on core `i` — the whole per-instruction
@@ -896,6 +921,11 @@ impl Engine {
         }
 
         if self.warm_mark[i].is_none() && self.cores[i].retired() >= self.warmup {
+            // A frozen thread re-marks on its next commit; it was
+            // counted warm at its first mark.
+            if self.frozen[i].is_none() {
+                self.unwarmed -= 1;
+            }
             self.warm_mark[i] = Some((self.cores[i].cycles(), *self.hier.per_core_stats(core_id)));
         }
         if self.frozen[i].is_none() && self.cores[i].retired() >= self.quota {
@@ -914,12 +944,11 @@ impl Engine {
     /// Whether every live thread has crossed the warm-up boundary.
     ///
     /// A fast thread can freeze (retire its whole quota) before a slow one
-    /// has even warmed, so "warm" means marked *or* already frozen.
+    /// has even warmed, so "warm" means marked *or* already frozen. A
+    /// thread's warm mark always precedes its freeze, so the count of
+    /// unwarmed threads only drops at a first warm mark.
     fn is_warm(&self) -> bool {
-        self.warm_mark
-            .iter()
-            .zip(&self.frozen)
-            .all(|(w, f)| w.is_some() || f.is_some())
+        self.unwarmed == 0
     }
 
     fn run_to_warm(&mut self) {
@@ -944,7 +973,10 @@ impl Engine {
         }
     }
 
-    /// The batched engine loop: run extraction over the core scheduler.
+    /// The batched engine loop: run extraction over the core scheduler,
+    /// whose heap holds the cores only. Device agents are drained before
+    /// each core commit ([`drain_agents`](Engine::drain_agents)), so a
+    /// one-core run with agents is still a single run.
     ///
     /// Picks the lagging core once and keeps committing on it back-to-back
     /// while its updated `(clock, index)` stays lexicographically below the
@@ -970,18 +1002,19 @@ impl Engine {
             let i = self.sched.pick();
             let horizon = self.sched.horizon();
             loop {
-                self.step_index(i);
+                self.drain_agents(self.cores[i].now());
+                self.step_on(i);
                 if self.remaining == 0 || (until_warm && self.is_warm()) {
-                    self.sched.reinsert(i, self.clock_of(i));
+                    self.sched.reinsert(i, self.cores[i].now());
                     return;
                 }
                 match horizon {
-                    Some(h) if (self.clock_of(i), i) < h => {}
+                    Some(h) if (self.cores[i].now(), i) < h => {}
                     Some(_) => break,
                     None => {}
                 }
             }
-            self.sched.reinsert(i, self.clock_of(i));
+            self.sched.reinsert(i, self.cores[i].now());
         }
     }
 
@@ -1057,6 +1090,27 @@ impl Engine {
     }
 }
 
+/// The scheduler of `mode`'s loop over fresh or restored clocks. The
+/// serial loop's heap holds the cores and then the device agents; the
+/// batched loop's holds the cores only.
+fn schedule(mode: EngineMode, cores: &[CoreModel], agents: &[IoAgentRuntime]) -> CoreScheduler {
+    let agents = match mode {
+        EngineMode::Serial => agents,
+        EngineMode::Batched => &[],
+    };
+    CoreScheduler::new(
+        cores
+            .iter()
+            .map(CoreModel::now)
+            .chain(agents.iter().map(|a| a.clock)),
+    )
+}
+
+/// The smallest device-agent clock, [`Cycle::MAX`] without agents.
+fn next_io(agents: &[IoAgentRuntime]) -> Cycle {
+    agents.iter().map(|a| a.clock).min().unwrap_or(Cycle::MAX)
+}
+
 fn read_per_core_stats(r: &mut SnapshotReader<'_>) -> Result<PerCoreStats, SnapshotError> {
     let mut stats = PerCoreStats::default();
     stats.read_state(r)?;
@@ -1066,7 +1120,9 @@ fn read_per_core_stats(r: &mut SnapshotReader<'_>) -> Result<PerCoreStats, Snaps
 /// Checkpoint coverage: hierarchy, cores, trace cursors, instruction-
 /// fetch dedup state, freeze/warm-mark bookkeeping and the global
 /// instruction clock. The scheduler heap is rebuilt from the per-core
-/// clocks; `remaining` is derived from the frozen count.
+/// clocks; `remaining` and `unwarmed` are derived from the frozen and
+/// warm-mark state. Device agents carry no state here: both checkpoint
+/// entry points refuse I/O mixes.
 impl Snapshot for Engine {
     fn write_state(&self, w: &mut SnapshotWriter) {
         self.hier.write_state(w);
@@ -1098,14 +1154,6 @@ impl Snapshot for Engine {
             }
         }
         w.write_u64(self.total_instr);
-        // Device agents contribute zero bytes when absent, keeping the
-        // wire format identical to pre-I/O engines. (Checkpointing
-        // currently refuses I/O mixes; the coverage is kept complete so
-        // nothing silently truncates if that changes.)
-        for a in &self.io_agents {
-            a.trace.write_state(w);
-            w.write_u64(a.clock);
-        }
     }
 
     fn read_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
@@ -1145,17 +1193,11 @@ impl Snapshot for Engine {
             };
         }
         self.total_instr = r.read_u64()?;
-        for a in &mut self.io_agents {
-            a.trace.read_state(r)?;
-            a.clock = r.read_u64()?;
-        }
         self.remaining = self.frozen.iter().filter(|f| f.is_none()).count();
-        self.sched = CoreScheduler::new(
-            self.cores
-                .iter()
-                .map(CoreModel::now)
-                .chain(self.io_agents.iter().map(|a| a.clock)),
-        );
+        self.unwarmed = (self.warm_mark.iter().zip(&self.frozen))
+            .filter(|(w, f)| w.is_none() && f.is_none())
+            .count();
+        self.sched = schedule(self.mode, &self.cores, &self.io_agents);
         Ok(())
     }
 }
@@ -1208,28 +1250,52 @@ mod tests {
         assert!(plain.io.is_none());
     }
 
-    #[test]
-    fn io_serial_and_batched_engines_match() {
+    /// Runs `io` on a two-core mix under both engines and demands equal
+    /// per-thread, global and per-agent counters.
+    fn assert_io_engines_match(io: &IoMixConfig) {
         let cfg = quick().warmup(5_000);
         let mix = [SpecApp::Sjeng, SpecApp::Mcf];
-        let io = IoMixConfig::none()
-            .agent(IoAgentSpec::nic().period(3).lines(256))
-            .agent(IoAgentSpec::dma().period(7))
-            .inject_ways(2);
-        let b = MixRun::new(&cfg, &mix)
-            .io(io.clone())
-            .engine_mode(EngineMode::Batched)
-            .run();
-        let s = MixRun::new(&cfg, &mix)
-            .io(io)
-            .engine_mode(EngineMode::Serial)
-            .run();
+        let run = |mode| {
+            MixRun::new(&cfg, &mix)
+                .io(io.clone())
+                .engine_mode(mode)
+                .run()
+        };
+        let (b, s) = (run(EngineMode::Batched), run(EngineMode::Serial));
         for (tb, ts) in b.threads.iter().zip(&s.threads) {
             assert_eq!(tb.cycles, ts.cycles);
             assert_eq!(tb.stats, ts.stats);
         }
         assert_eq!(b.global, s.global);
         assert_eq!(b.io, s.io);
+        let (_, agents) = b.io.expect("io stats present");
+        assert!(agents.iter().all(|a| a.injections > 0), "{agents:?}");
+    }
+
+    #[test]
+    fn io_serial_and_batched_engines_match() {
+        assert_io_engines_match(
+            &IoMixConfig::none()
+                .agent(IoAgentSpec::nic().period(3).lines(256))
+                .agent(IoAgentSpec::dma().period(7))
+                .inject_ways(2),
+        );
+    }
+
+    /// The batched loop's drain reproduces the serial heap's tie rules:
+    /// a period-1 agent is due at every clock a core commits at (the
+    /// core goes first), and two equal-period agents are always due
+    /// together (the lower index goes first). Both share two injection
+    /// ways, so a swapped order changes which lines survive.
+    #[test]
+    fn io_engines_match_under_clock_ties() {
+        assert_io_engines_match(
+            &IoMixConfig::none()
+                .agent(IoAgentSpec::dma().period(1))
+                .agent(IoAgentSpec::nic().period(4).lines(64))
+                .agent(IoAgentSpec::dma().period(4))
+                .inject_ways(2),
+        );
     }
 
     #[test]

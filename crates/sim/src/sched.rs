@@ -156,9 +156,8 @@ mod tests {
     /// The batched engine's run extraction: pick a core, keep committing
     /// on it while its updated `(clock, index)` stays below the
     /// [`horizon`], then reinsert. The commit order must equal the serial
-    /// pick-one-reinsert loop's order exactly, ties included. Nine entries
-    /// stand for an 8-core mix plus one device agent, so the horizon is
-    /// read from a heap three levels deep.
+    /// pick-one-reinsert loop's order exactly, ties included. With nine
+    /// entries the horizon is read from a heap three levels deep.
     ///
     /// [`horizon`]: CoreScheduler::horizon
     #[test]

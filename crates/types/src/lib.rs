@@ -149,6 +149,7 @@ impl CoreId {
     /// # Panics
     ///
     /// Panics if `id >= MAX_CORES`.
+    #[inline]
     pub fn new(id: usize) -> Self {
         assert!(id < Self::MAX_CORES, "core id {id} out of range");
         CoreId(id as u8)

@@ -121,6 +121,7 @@ impl PatternState {
         }
     }
 
+    #[inline]
     fn next_line(&mut self, rng: &mut SmallRng) -> u64 {
         match self {
             PatternState::Loop {
@@ -283,18 +284,43 @@ impl SyntheticTrace {
             .map(|(c, s)| (((c / total) * TWO_POW_53).floor() as u64, s))
             .collect();
         SyntheticTrace {
-            data_base: instance * INSTANCE_STRIDE_LINES,
-            code_base: instance * INSTANCE_STRIDE_LINES + CODE_REGION_OFFSET,
+            data_base: Self::data_base(instance),
+            code_base: Self::code_base(instance),
             code_lines,
             pc_line: 0,
             pc_slot: 0,
-            branch_at: SmallRng::bernoulli_threshold(1.0 / AVG_BASIC_BLOCK),
+            branch_at: Self::branch_threshold(),
             mem_at: SmallRng::bernoulli_threshold(params.mem_ratio),
             write_at: SmallRng::bernoulli_threshold(params.write_ratio),
             patterns,
-            rng: SmallRng::seed_from_u64(seed ^ 0x5EED_7EA5_0000_0000 ^ instance),
+            rng: Self::rng(instance, seed),
             generated: 0,
         }
+    }
+
+    /// First line of address-space slot `instance`'s private data region.
+    pub const fn data_base(instance: u64) -> u64 {
+        instance * INSTANCE_STRIDE_LINES
+    }
+
+    /// First line of slot `instance`'s private code region: the only
+    /// code line a one-line footprint ever fetches.
+    pub const fn code_base(instance: u64) -> u64 {
+        Self::data_base(instance) + CODE_REGION_OFFSET
+    }
+
+    /// The generator a trace of slot `instance` under `seed` draws from.
+    /// Generators written in closed form for one parameter set (the
+    /// device streams of `tla-io`) seed theirs here so their draws stay
+    /// those of the generic trace.
+    pub fn rng(instance: u64, seed: u64) -> SmallRng {
+        SmallRng::seed_from_u64(seed ^ 0x5EED_7EA5_0000_0000 ^ instance)
+    }
+
+    /// The [`SmallRng::bernoulli_threshold`] of the branch draw every
+    /// instruction makes first.
+    pub fn branch_threshold() -> u64 {
+        SmallRng::bernoulli_threshold(1.0 / AVG_BASIC_BLOCK)
     }
 
     /// Instructions generated so far.
@@ -405,6 +431,7 @@ impl Snapshot for SyntheticTrace {
 }
 
 impl TraceSource for SyntheticTrace {
+    #[inline]
     fn next_instruction(&mut self) -> Instruction {
         self.generated += 1;
 

@@ -14,6 +14,10 @@
 //! * truncations: the image cut at a seeded offset inside the cache;
 //! * dropped words: eight bytes removed from inside the cache.
 //!
+//! Two more mutants move a valid LLC line: into a set its address does
+//! not map to, and into a second way of its own set. Those must be
+//! refused as `Corrupt`.
+//!
 //! Each mutant gets its `sim` length patched and its checksum re-sealed,
 //! so the header checks pass and the section decoders do run. Every
 //! mutant must be refused with an `Err`: no panic, and no allocation
@@ -279,6 +283,28 @@ fn mutated_cache_sections_are_refused() {
             m.drain(at..at + 8);
             mutants.push((format!("{} word dropped at {at}", cache.name), m));
         }
+    }
+
+    // Two well-formed placements no run makes: LLC set 0's first valid
+    // line with address bit 0 flipped, so it maps to set 1, and that
+    // line copied over the set's next valid way, so it is valid twice.
+    // Both are corrupt state, not a misread length.
+    let llc = layout.caches.last().expect("the LLC is walked last");
+    let set0 = u64_at(body, llc.masks[0].1);
+    let mut valid = (0..llc.ways).filter(|w| set0 >> w & 1 == 1);
+    let (first, next) = (valid.next().unwrap(), valid.next().unwrap());
+    // The address block: its length, then one word per slot.
+    let slot = |way: usize| llc.start + 8 + 8 * way;
+    let mut misfiled = body.to_vec();
+    misfiled[slot(first)] ^= 1;
+    let mut duplicated = body.to_vec();
+    duplicated.copy_within(slot(first)..slot(first) + 8, slot(next));
+    for (name, m) in [("misfiled", misfiled), ("duplicated", duplicated)] {
+        let (outcome, _) = resume(reseal(m, layout.sim_len_at));
+        assert!(
+            matches!(outcome, Ok(Err(SnapshotError::Corrupt(_)))),
+            "LLC set 0 {name} line: {outcome:?}"
+        );
     }
 
     let mut failures = Vec::new();

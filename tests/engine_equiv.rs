@@ -11,6 +11,8 @@
 //! `TLA_FORCE_SCALAR=1`, which pins the portable probe kernels — the
 //! equivalence must hold on either dispatch path.
 
+use std::path::Path;
+
 use tla::io::{IoAgentSpec, IoMixConfig};
 use tla::sim::{optimal_llc, EngineMode, MixRun, OracleGap, PolicySpec, SimConfig};
 use tla::telemetry::json::JsonValue;
@@ -135,6 +137,26 @@ fn io_sweep_json_is_byte_identical_across_engines() {
         render_io(EngineMode::Batched),
         reference,
         "io report diverged under the batched engine"
+    );
+}
+
+/// The device-agent scenarios of [`render_io`] must also render the
+/// bytes blessed before device streams became closed-form and agents
+/// left the batched scheduler's heap: engine equivalence alone cannot
+/// see a change both engines share. Re-bless after an intentional
+/// behaviour change with `TLA_BLESS=1 cargo test --test engine_equiv`.
+#[test]
+fn io_sweep_json_matches_committed_golden() {
+    let rendered = render_io(EngineMode::Batched);
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/io_agents.json");
+    if std::env::var_os("TLA_BLESS").is_some() {
+        std::fs::write(&path, rendered.as_bytes()).expect("write golden");
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).expect("golden file missing");
+    assert_eq!(
+        rendered, golden,
+        "device-agent reports drifted from the committed golden"
     );
 }
 
