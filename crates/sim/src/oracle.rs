@@ -21,10 +21,12 @@
 //!
 //! There is one MIN implementation, `NextUseLists`, and it never
 //! stores the stream. A forward pass files each reference into its set's
-//! next-use list as a single `u32`; a paged line table patches the
-//! previous occurrence's slot. The per-set replay then needs no addresses
-//! at all, because a resident line's key *is* the local index of its next
-//! use: reference `k` hits exactly when some way's key equals `k`.
+//! next-use list as one `u16` slot; a paged line table patches the
+//! previous occurrence's slot with the distance to the new reference. The
+//! per-set replay turns each slot back into the set-local index of the
+//! next use and then needs no addresses at all, because a resident line's
+//! key *is* that index: reference `k` hits exactly when some way's key
+//! equals `k`.
 //!
 //! A reference to the line its set saw last (a *run*: consecutive
 //! fetches and data accesses often stay on one line) is counted and not
@@ -34,15 +36,24 @@
 //! only renumbers the later references of its set, in order: every key
 //! comparison, every [`NEVER`] tie and so every count stays the same. A
 //! measured repeat adds one access and one hit; a warm-up repeat adds
-//! nothing. The lists then cost 4 B per *stored* reference (under half
-//! of a mix stream's references) plus `Vec` growth and one 256 B page of
-//! latest indices per 64-line block the stream touches (4 B per line of
-//! a dense footprint), where a stored stream alone would cost 8 B per
-//! reference. [`optimal_llc`] runs the pass while the mix is generated;
-//! [`belady`] and [`belady_sharded`] feed it a slice.
+//! nothing.
+//!
+//! A slot is the distance `k_next - k` within the set, 0 for "never
+//! again". Almost every distance of a mix stream is under 256 and none
+//! reaches 65 535; one that does stores an escape value, and its absolute
+//! next index goes into a side map keyed by `(set, k)`. Slots live in
+//! 512 B chunks of 256 that each set appends to, so no list ever doubles
+//! and a set wastes at most one chunk. The lists then cost 2 B per
+//! *stored* reference (under half of a mix stream's references) plus that
+//! chunk tail and one 256 B page of latest indices per 64-line block the
+//! stream touches (4 B per line of a dense footprint), where a stored
+//! stream alone would cost 8 B per reference. [`optimal_llc`] runs the
+//! pass while the mix is generated; [`belady`] and [`belady_sharded`]
+//! feed it a slice.
 
 use crate::config::SimConfig;
 use crate::run::RunResult;
+use std::collections::BTreeMap;
 use tla_core::HierarchyConfig;
 use tla_telemetry::RunReport;
 use tla_types::counters::victim_rate;
@@ -76,28 +87,79 @@ impl OracleResult {
     }
 }
 
+/// Slots per chunk of a set's next-use list: 512 B, one allocation.
+const CHUNK: usize = 256;
+
+/// Slot of a reference whose line is never referenced again.
+const NO_NEXT: u16 = 0;
+
+/// Slot of a reference whose next use lies `ESCAPE` or more set-local
+/// references ahead; the absolute index is in the escape map.
+const ESCAPE: u16 = u16::MAX;
+
 /// Per-set next-use lists of a reference stream, built in one forward
 /// pass.
 ///
 /// LLC sets are independent under MIN: a reference only competes with
 /// residents of its own set, and a line's next use is in the same set.
 /// So each set keeps its own list, indexed by the set-local position `k`
-/// of each reference: `next[set][k]` is the local index of the next
-/// reference to the same line, or [`NEVER`].
+/// of each reference. Its slot holds the distance to the next reference
+/// to the same line (`k_next - k`), [`NO_NEXT`] for none, or [`ESCAPE`]
+/// with `k_next` in `escapes` under `(set, k)`.
 struct NextUseLists {
     mask: u64,
     ways: usize,
-    next: Vec<Vec<u32>>,
-    /// Per set: how many of its references fall in the warm-up prefix.
-    warm: Vec<u32>,
+    sets: Vec<SetList>,
+    /// Absolute next uses of the [`ESCAPE`] slots, by `(set, k)`.
+    escapes: BTreeMap<(u32, u32), u32>,
     /// Each line's latest set-local index, so its slot can be patched.
     last: LinePages<LastUse>,
-    /// Per set: the line of its latest reference (`None` before the
-    /// first), so a run of references to it is counted, not filed.
-    latest: Vec<Option<LineAddr>>,
     /// Measured references that repeated their set's latest line: each
     /// is one access and one hit.
     repeats: u64,
+}
+
+/// One set's next-use list: `len` slots in fixed-size chunks, so no
+/// slot is ever copied and the list wastes at most one chunk.
+#[derive(Default)]
+struct SetList {
+    /// Each `CHUNK` slots long.
+    chunks: Vec<Box<[u16]>>,
+    len: u32,
+    /// How many of its references fall in the warm-up prefix.
+    warm: u32,
+    /// The line of its latest reference (`None` before the first), so a
+    /// run of references to it is counted, not filed.
+    latest: Option<LineAddr>,
+}
+
+impl SetList {
+    /// The set's slots in stream order, one chunk at a time.
+    fn slots(&self) -> impl Iterator<Item = &[u16]> {
+        let len = self.len as usize;
+        (0..len)
+            .step_by(CHUNK)
+            .zip(&self.chunks)
+            .map(move |(base, chunk)| &chunk[..(len - base).min(CHUNK)])
+    }
+}
+
+/// The set-local index of the next use that `slot`, the slot of
+/// reference `k` of set `set`, encodes: [`NEVER`] for none.
+fn next_use(slot: u16, set: u32, k: u32, escapes: &BTreeMap<(u32, u32), u32>) -> u32 {
+    match slot {
+        NO_NEXT => NEVER,
+        ESCAPE => escaped(escapes, set, k),
+        gap => k + u32::from(gap),
+    }
+}
+
+/// The next use of an [`ESCAPE`] slot. Out of line: inlined, the map
+/// lookup slows the replay loop it never runs in on a mix stream.
+#[cold]
+#[inline(never)]
+fn escaped(escapes: &BTreeMap<(u32, u32), u32>, set: u32, k: u32) -> u32 {
+    escapes[&(set, k)]
 }
 
 /// The latest set-local reference index of each line of a page,
@@ -121,10 +183,9 @@ impl NextUseLists {
         NextUseLists {
             mask: sets as u64 - 1,
             ways,
-            next: vec![Vec::new(); sets],
-            warm: vec![0; sets],
+            sets: (0..sets).map(|_| SetList::default()).collect(),
+            escapes: BTreeMap::new(),
             last: LinePages::new(),
-            latest: vec![None; sets],
             repeats: 0,
         }
     }
@@ -136,24 +197,33 @@ impl NextUseLists {
     /// (see the module docs).
     fn push(&mut self, line: LineAddr, measured: bool) {
         let set = (line.raw() & self.mask) as usize;
-        if self.latest[set].replace(line) == Some(line) {
+        let list = &mut self.sets[set];
+        if list.latest.replace(line) == Some(line) {
             self.repeats += u64::from(measured);
             return;
         }
-        let list = &mut self.next[set];
-        let k = u32::try_from(list.len())
-            .ok()
-            .filter(|&k| k < NEVER)
-            .expect("a set's references fit in u32 keys below NEVER");
+        let k = list.len;
+        assert!(k < NEVER, "a set's references fit in u32 keys below NEVER");
         let (page, i) = self.last.page_mut(line);
         let prev = std::mem::replace(&mut page.0[i], k);
         if prev != NEVER {
-            list[prev as usize] = k;
+            let slot = match u16::try_from(k - prev) {
+                Ok(gap) if gap < ESCAPE => gap,
+                _ => {
+                    self.escapes.insert((set as u32, prev), k);
+                    ESCAPE
+                }
+            };
+            let prev = prev as usize;
+            list.chunks[prev / CHUNK][prev % CHUNK] = slot;
         }
-        list.push(NEVER);
+        if (k as usize).is_multiple_of(CHUNK) {
+            list.chunks.push(vec![NO_NEXT; CHUNK].into_boxed_slice());
+        }
+        list.len = k + 1;
         if !measured {
-            debug_assert_eq!(self.warm[set], k, "warm-up must be a prefix");
-            self.warm[set] = k + 1;
+            debug_assert_eq!(list.warm, k, "warm-up must be a prefix");
+            list.warm = k + 1;
         }
     }
 
@@ -163,14 +233,19 @@ impl NextUseLists {
     fn replay(self, jobs: usize) -> OracleResult {
         // The line map is only needed while building; free it first.
         drop(self.last);
-        let ways = self.ways;
+        let (ways, escapes) = (self.ways, &self.escapes);
         let accesses = self.repeats
-            + (self.next.iter().zip(&self.warm))
-                .map(|(next, &warm)| (next.len() - warm as usize) as u64)
+            + (self.sets.iter())
+                .map(|list| u64::from(list.len - list.warm))
                 .sum::<u64>();
-        let sets = self.next.into_iter().zip(self.warm).collect();
-        let per_set =
-            tla_pool::scoped_map(jobs, sets, |(next, warm)| replay_set(&next, warm, ways));
+        // A set with no measured reference has no measured hit to count.
+        let measured = (0u32..)
+            .zip(&self.sets)
+            .filter(|(_, list)| list.len > list.warm)
+            .collect();
+        let per_set = tla_pool::scoped_map(jobs, measured, |(set, list)| {
+            replay_set(list, set, escapes, ways)
+        });
         let hits = self.repeats + per_set.iter().sum::<u64>();
         OracleResult {
             accesses,
@@ -180,8 +255,8 @@ impl NextUseLists {
     }
 }
 
-/// Replays one set's next-use list under MIN on `ways` ways and returns
-/// its measured hits (local indices at or past `warm`).
+/// Replays set `set`'s next-use list under MIN on `ways` ways and
+/// returns its measured hits (local indices at or past its `warm`).
 ///
 /// `keys[w]` is the next use of the line in way `w`. Next uses of
 /// resident lines are distinct, so reference `k` hits exactly when some
@@ -190,26 +265,30 @@ impl NextUseLists {
 /// start at [`NEVER`] too: a free way and a line that is never used
 /// again are equally useless to MIN, so filling one or evicting the
 /// other leaves the same useful residents and the same counts.
-fn replay_set(next: &[u32], warm: u32, ways: usize) -> u64 {
+fn replay_set(list: &SetList, set: u32, escapes: &BTreeMap<(u32, u32), u32>, ways: usize) -> u64 {
     let mut keys = vec![NEVER; ways];
     let mut hits = 0;
-    for (k, &nk) in (0u32..).zip(next) {
-        let way = match keys.iter().position(|&key| key == k) {
-            Some(w) => {
-                hits += u64::from(k >= warm);
-                w
-            }
-            None => {
-                let mut far = 0;
-                for w in 1..ways {
-                    if keys[w] > keys[far] {
-                        far = w;
-                    }
+    let mut k = 0;
+    for slots in list.slots() {
+        for &slot in slots {
+            let way = match keys.iter().position(|&key| key == k) {
+                Some(w) => {
+                    hits += u64::from(k >= list.warm);
+                    w
                 }
-                far
-            }
-        };
-        keys[way] = nk;
+                None => {
+                    let mut far = 0;
+                    for w in 1..ways {
+                        if keys[w] > keys[far] {
+                            far = w;
+                        }
+                    }
+                    far
+                }
+            };
+            keys[way] = next_use(slot, set, k, escapes);
+            k += 1;
+        }
     }
     hits
 }
@@ -453,8 +532,19 @@ mod tests {
         for (i, a) in [0u64, 1, 2, 1, 0].into_iter().enumerate() {
             lists.push(LineAddr::new(a), i >= 2);
         }
-        assert_eq!(lists.next, vec![vec![2, NEVER, NEVER], vec![NEVER]]);
-        assert_eq!(lists.warm, vec![1, 1]);
+        let next: Vec<Vec<u32>> = (0u32..)
+            .zip(&lists.sets)
+            .map(|(set, list)| {
+                let slots = list.slots().flatten();
+                let next = (0..)
+                    .zip(slots)
+                    .map(|(k, &slot)| next_use(slot, set, k, &lists.escapes));
+                next.collect()
+            })
+            .collect();
+        assert_eq!(next, vec![vec![2, NEVER, NEVER], vec![NEVER]]);
+        let warm: Vec<u32> = lists.sets.iter().map(|list| list.warm).collect();
+        assert_eq!(warm, vec![1, 1]);
         assert_eq!(lists.repeats, 1);
         // Set 0: miss, miss (evicts 0), miss; set 1: miss, hit. Only the
         // last three references are measured.

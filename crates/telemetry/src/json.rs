@@ -127,11 +127,13 @@ impl JsonValue {
     }
 
     /// Parses a JSON document. The whole input must be one value plus
-    /// optional trailing whitespace.
+    /// optional trailing whitespace, with arrays and objects nested at
+    /// most [`MAX_DEPTH`] deep.
     pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -280,6 +282,11 @@ fn write_seq(
     out.push(close);
 }
 
+/// How deep [`JsonValue::parse`] lets arrays and objects nest. The parser
+/// recurses once per level, so a deeper document is refused before it
+/// can exhaust the stack; reports nest a handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parse failure, with the byte offset it occurred at.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
@@ -300,6 +307,8 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -344,12 +353,27 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses an array or object one level deeper, or refuses it past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("arrays and objects nested too deep"));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<JsonValue, JsonError> {
@@ -608,6 +632,20 @@ mod tests {
         ] {
             assert!(JsonValue::parse(text).is_err(), "{text:?}");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for open in ["[", "{\"a\":"] {
+            let deep = open.repeat(1_000_000);
+            let e = JsonValue::parse(&deep).unwrap_err();
+            assert_eq!(e.offset, MAX_DEPTH * open.len(), "{open}");
+        }
+        // The limit itself still parses.
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(JsonValue::parse(&at_limit).is_ok());
+        let past = format!("[{at_limit}]");
+        assert!(JsonValue::parse(&past).is_err());
     }
 
     #[test]

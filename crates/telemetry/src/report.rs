@@ -994,6 +994,8 @@ mod tests {
     fn bad_documents_are_rejected() {
         assert!(RunReport::parse("not json").is_err());
         assert!(RunReport::parse("{}").is_err());
+        // Nesting a million levels deep is an error, not a stack overflow.
+        assert!(RunReport::parse(&"[".repeat(1_000_000)).is_err());
         // Wrong schema version.
         let mut v = sample_report().to_json();
         if let JsonValue::Obj(pairs) = &mut v {

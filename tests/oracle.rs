@@ -10,8 +10,10 @@
 //! rescans the stream on every eviction and files every reference, and
 //! a per-set LRU replay whose hits MIN can never fall below.
 
+use std::collections::{BTreeSet, HashMap};
 use tla_sim::{
-    belady, belady_bruteforce, belady_sharded, mix_reference_stream, optimal_llc, SimConfig,
+    belady, belady_bruteforce, belady_sharded, mix_reference_stream, optimal_llc, OracleResult,
+    SimConfig,
 };
 use tla_types::LineAddr;
 use tla_workloads::{RecordedTrace, SpecApp, TraceSource};
@@ -34,13 +36,17 @@ fn reference_stream(trace: &RecordedTrace) -> Vec<LineAddr> {
     refs
 }
 
+/// The recorded single-thread stream of the first pin: mcf at scale 64,
+/// instance 0, seed 1, 4 000 instructions. Pointer chasing with enough
+/// reuse that MIN has real eviction decisions to make.
+fn recorded_mcf() -> Vec<LineAddr> {
+    let mut live = SpecApp::Mcf.trace(64, 0, 1);
+    reference_stream(&RecordedTrace::record(&mut live, 4_000))
+}
+
 #[test]
 fn min_oracle_hit_count_is_pinned_against_bruteforce() {
-    // mcf at scale 64, instance 0, seed 1: pointer chasing with enough
-    // reuse that MIN has real eviction decisions to make.
-    let mut live = SpecApp::Mcf.trace(64, 0, 1);
-    let trace = RecordedTrace::record(&mut live, 4_000);
-    let refs = reference_stream(&trace);
+    let refs = recorded_mcf();
 
     for (sets, ways, warm) in [(64usize, 4usize, 0usize), (16, 8, 0), (64, 4, 1_000)] {
         let fast = belady(&refs, warm, sets, ways);
@@ -72,14 +78,16 @@ fn replaying_the_recording_matches_the_live_stream() {
     assert_eq!(via_iter, via_replay);
 }
 
-#[test]
-fn mix_oracle_is_pinned() {
-    // The full analyze-path oracle: interleaved multi-core streams
-    // replayed against the scaled-down LLC geometry. The four-core case
-    // is the analyze benchmark mix at short quotas; its literal was
-    // computed before the oracle stopped filing repeats of a set's
-    // latest line, which had to leave every count where it was.
-    let cases = [
+/// A pinned mix: a configuration, its apps and the oracle's
+/// `(accesses, hits, misses)`.
+type PinnedMix = (SimConfig, &'static [SpecApp], (u64, u64, u64));
+
+/// The pinned mixes. The four-core case is the analyze benchmark mix at
+/// short quotas; its literal was computed before the oracle stopped
+/// filing repeats of a set's latest line, which had to leave every count
+/// where it was.
+fn pinned_mixes() -> [PinnedMix; 2] {
+    [
         (
             SimConfig::scaled_down().warmup(2_000).instructions(8_000),
             &[SpecApp::Mcf, SpecApp::Libquantum][..],
@@ -98,16 +106,27 @@ fn mix_oracle_is_pinned() {
             ][..],
             (39757, 38056, 1701),
         ),
-    ];
-    for (cfg, apps, pinned) in cases {
+    ]
+}
+
+/// The LLC geometry `(sets, ways)` of `apps` under `cfg`.
+fn llc_geometry(cfg: &SimConfig, apps: &[SpecApp]) -> (usize, usize) {
+    let hcfg = tla_core::HierarchyConfig::scaled(apps.len(), cfg.scale() as usize);
+    (hcfg.llc().sets(), hcfg.llc().ways())
+}
+
+#[test]
+fn mix_oracle_is_pinned() {
+    // The full analyze-path oracle: interleaved multi-core streams
+    // replayed against the scaled-down LLC geometry.
+    for (cfg, apps, pinned) in pinned_mixes() {
         let (refs, warm_len) = mix_reference_stream(&cfg, apps);
         assert!(warm_len > 0 && warm_len < refs.len());
         let opt = optimal_llc(&cfg, apps, None);
         assert_eq!((opt.accesses, opt.hits, opt.misses), pinned, "{apps:?}");
         // Replaying the same stream by hand agrees with the packaged
         // helper, and MIN beats LRU on it.
-        let hcfg = tla_core::HierarchyConfig::scaled(apps.len(), cfg.scale() as usize);
-        let (sets, ways) = (hcfg.llc().sets(), hcfg.llc().ways());
+        let (sets, ways) = llc_geometry(&cfg, apps);
         assert_eq!(belady(&refs, warm_len, sets, ways), opt, "{apps:?}");
         assert_eq!(belady_sharded(&refs, warm_len, sets, ways, 3), opt);
         let lru = lru_hits(&refs, warm_len, sets, ways);
@@ -268,6 +287,169 @@ fn mix_oracle_matches_bruteforce_over_the_stored_stream() {
             for jobs in [1, 2, 7] {
                 let opt = optimal_llc(&cfg.clone().shard_jobs(jobs), &apps, capacity);
                 assert_eq!(opt, slow, "scale={scale} capacity={capacity:?} jobs={jobs}");
+            }
+        }
+    }
+}
+
+#[test]
+fn min_gets_at_least_lru_hits_at_every_associativity() {
+    // The three pinned streams, each with its set count and warm cut,
+    // then the random streams of the brute-force differential.
+    let mut streams = vec![(recorded_mcf(), 0, 64)];
+    for (cfg, apps, _) in pinned_mixes() {
+        let (refs, warm_len) = mix_reference_stream(&cfg, apps);
+        streams.push((refs, warm_len, llc_geometry(&cfg, apps).0));
+    }
+    for ways in [1usize, 2, 3, 16] {
+        for sets in [1usize, 4, 64] {
+            let refs = random_stream(0x9e37_79b9 ^ (ways * 131 + sets) as u64, sets, ways);
+            let warm = refs.len() / 2;
+            streams.push((refs, warm, sets));
+        }
+    }
+    for (refs, warm, sets) in &streams {
+        let (n, warm, sets) = (refs.len(), *warm, *sets);
+        let mut prev = 0;
+        for ways in 1..=16 {
+            let opt = belady(refs, warm, sets, ways);
+            let lru = lru_hits(refs, warm, sets, ways);
+            assert!(
+                opt.hits >= lru,
+                "{n} refs, sets={sets} ways={ways}: MIN {} < LRU {lru} hits",
+                opt.hits
+            );
+            // MIN is a stack algorithm: a wider cache never hits less.
+            assert!(opt.hits >= prev, "{n} refs, sets={sets} ways={ways}");
+            prev = opt.hits;
+        }
+    }
+}
+
+/// MIN by the textbook route, sharing nothing with the oracle: every
+/// reference's next use comes from a backward pass over the stored
+/// stream, and each set's residents are replayed by address, evicting
+/// the line whose next use is farthest.
+fn min_by_backward_pass(
+    refs: &[LineAddr],
+    warm_len: usize,
+    sets: usize,
+    ways: usize,
+) -> OracleResult {
+    let mut next = vec![usize::MAX; refs.len()];
+    let mut seen = HashMap::new();
+    for (i, &r) in refs.iter().enumerate().rev() {
+        if let Some(j) = seen.insert(r, i) {
+            next[i] = j;
+        }
+    }
+    let mut cache: Vec<Vec<(LineAddr, usize)>> = vec![Vec::new(); sets];
+    let mut hits = 0;
+    for (i, &r) in refs.iter().enumerate() {
+        let lines = &mut cache[r.raw() as usize % sets];
+        match lines.iter().position(|&(l, _)| l == r) {
+            Some(w) => {
+                hits += u64::from(i >= warm_len);
+                lines[w].1 = next[i];
+            }
+            None if lines.len() < ways => lines.push((r, next[i])),
+            None => {
+                let far = (0..ways).max_by_key(|&w| lines[w].1).unwrap();
+                lines[far] = (r, next[i]);
+            }
+        }
+    }
+    let accesses = refs.len().saturating_sub(warm_len) as u64;
+    OracleResult {
+        accesses,
+        hits,
+        misses: accesses - hits,
+    }
+}
+
+/// The set-local reuse gaps that a stream's long-reuse lines are placed
+/// at: the last distance a two-byte slot holds, the first two it cannot,
+/// and longer ones.
+const LONG_GAPS: [usize; 7] = [65_534, 65_535, 65_536, 65_537, 100_000, 131_072, 200_000];
+
+/// A seeded stream over `sets` sets in which each set sees every
+/// [`LONG_GAPS`] distance between two references to one line, plus a
+/// line that recurs after 65 535 and then 65 536 references. Fillers
+/// between them are drawn from a pool of three lines and never repeat
+/// the set's previous reference, so no reference is a set-local repeat
+/// and every gap is exact in the oracle's set-local numbering. Sets are
+/// interleaved round-robin.
+fn long_gap_stream(seed: u64, sets: usize) -> Vec<LineAddr> {
+    const FILLERS: u64 = 3;
+    let mut next = xorshift(seed);
+    let len = LONG_GAPS[LONG_GAPS.len() - 1] + 2 * LONG_GAPS.len() + 1;
+    let per_set: Vec<Vec<u64>> = (0..sets)
+        .map(|_| {
+            let mut ids = Vec::with_capacity(len);
+            for _ in 0..len {
+                let prev = ids.last().copied().unwrap_or(FILLERS);
+                let id = (prev + 1 + next() % (FILLERS - 1)) % FILLERS;
+                ids.push(id);
+            }
+            // Long-reuse lines start two references apart, so two of them
+            // never meet and each keeps filler neighbours.
+            for (t, gap) in (0..).zip(LONG_GAPS) {
+                let start = 2 * t as usize + 1;
+                ids[start] = FILLERS + t;
+                ids[start + gap] = FILLERS + t;
+            }
+            let chained = FILLERS + LONG_GAPS.len() as u64;
+            let start = 2 * LONG_GAPS.len() + 1;
+            for at in [start, start + 65_535, start + 65_535 + 65_536] {
+                ids[at] = chained;
+            }
+            ids
+        })
+        .collect();
+    (0..len)
+        .flat_map(|k| (0..sets).map(move |s| (k, s)))
+        .map(|(k, s)| LineAddr::new(per_set[s][k] * sets as u64 + s as u64))
+        .collect()
+}
+
+/// Every set-local reuse distance of `refs` on `sets` sets, in the
+/// oracle's numbering: a reference to the set's latest line is not
+/// counted.
+fn set_local_gaps(refs: &[LineAddr], sets: usize) -> BTreeSet<usize> {
+    let mut filed = vec![0; sets];
+    let mut latest = vec![None; sets];
+    let mut last = HashMap::new();
+    let mut gaps = BTreeSet::new();
+    for &r in refs {
+        let set = r.raw() as usize % sets;
+        if latest[set].replace(r) == Some(r) {
+            continue;
+        }
+        if let Some(k) = last.insert(r, filed[set]) {
+            gaps.insert(filed[set] - k);
+        }
+        filed[set] += 1;
+    }
+    gaps
+}
+
+#[test]
+fn next_uses_past_two_bytes_replay_exactly() {
+    for sets in [1usize, 2] {
+        let refs = long_gap_stream(0x10a6 ^ sets as u64, sets);
+        let gaps = set_local_gaps(&refs, sets);
+        for gap in LONG_GAPS {
+            assert!(gaps.contains(&gap), "sets={sets}: no gap of {gap}");
+        }
+        // Three fillers and eight long-reuse lines: two ways evict the
+        // long lines, twelve keep every line resident, so a long line's
+        // second reference hits only if its decoded key is exact.
+        for ways in [2usize, 4, 12] {
+            for warm in [0, refs.len() / 2] {
+                let want = min_by_backward_pass(&refs, warm, sets, ways);
+                let at = format!("sets={sets} ways={ways} warm={warm}");
+                assert_eq!(belady(&refs, warm, sets, ways), want, "{at}");
+                assert_eq!(belady_sharded(&refs, warm, sets, ways, 3), want, "{at}");
             }
         }
     }
