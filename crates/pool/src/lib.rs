@@ -17,7 +17,10 @@
 //!   value; only wall-clock changes.
 //! * **Panics propagate.** A panicking job does not poison or hang the
 //!   batch silently: the original panic payload is re-raised on the
-//!   calling thread once the scope joins.
+//!   calling thread once every spawned worker has been joined.
+//! * **The caller works.** A fan-out over `jobs` threads spawns
+//!   `jobs - 1` and the calling thread takes items from the same queue,
+//!   so it reuses its own warm heap instead of idling in a join.
 //! * **`jobs == 1` degenerates to serial.** No threads are spawned; the
 //!   jobs run inline on the caller in input order.
 //!
@@ -28,7 +31,7 @@
 //! assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
 //! ```
 
-use std::panic::resume_unwind;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
 /// The machine's available parallelism (the `--jobs` default), falling
@@ -48,18 +51,19 @@ pub fn resolve_jobs(requested: Option<usize>) -> usize {
     }
 }
 
-/// Applies `f` to every item on up to `jobs` worker threads, returning
-/// the results in input order.
+/// Applies `f` to every item on up to `jobs` threads, the caller
+/// included, returning the results in input order.
 ///
-/// Workers pull items from a shared queue, so uneven job costs balance
-/// automatically. With `jobs <= 1` (or fewer than two items) everything
-/// runs inline on the caller — the degenerate case is exactly the serial
-/// loop it replaces.
+/// The caller and `jobs - 1` spawned workers pull items from a shared
+/// queue, so uneven job costs balance automatically. With `jobs <= 1`
+/// (or fewer than two items) everything runs inline on the caller — the
+/// degenerate case is exactly the serial loop it replaces.
 ///
 /// # Panics
 ///
-/// Re-raises the first panic raised by `f` (by input order of the
-/// workers' observations) after all workers have stopped.
+/// Re-raises the first panic raised by `f` (the caller's own, else the
+/// first worker's in spawn order) after every spawned worker has been
+/// joined.
 pub fn scoped_map<T, R, F>(jobs: usize, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -67,30 +71,29 @@ where
     F: Fn(T) -> R + Sync,
 {
     let n = items.len();
-    let workers = jobs.max(1).min(n);
-    if workers <= 1 {
+    let threads = jobs.max(1).min(n);
+    if threads <= 1 {
         return items.into_iter().map(f).collect();
     }
 
     let queue = Mutex::new(items.into_iter().enumerate());
     let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let work = || loop {
+        // Hold the queue lock only while pulling the next item; a panic
+        // inside `f` can never poison it.
+        let next = queue.lock().expect("job queue poisoned").next();
+        let Some((idx, item)) = next else { break };
+        let result = f(item);
+        *slots[idx].lock().expect("result slot poisoned") = Some(result);
+    };
 
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| loop {
-                    // Hold the queue lock only while pulling the next
-                    // item; a panic inside `f` can never poison it.
-                    let next = queue.lock().expect("job queue poisoned").next();
-                    let Some((idx, item)) = next else { break };
-                    let result = f(item);
-                    *slots[idx].lock().expect("result slot poisoned") = Some(result);
-                })
-            })
-            .collect();
+        let handles: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+        // The caller drains the queue beside the workers; its panic is
+        // held until they are joined, so none is left running.
+        let mut first_panic = catch_unwind(AssertUnwindSafe(work)).err();
         // Join explicitly so the original panic payload (not a generic
         // "a scoped thread panicked") reaches the caller.
-        let mut first_panic = None;
         for handle in handles {
             if let Err(payload) = handle.join() {
                 first_panic.get_or_insert(payload);
@@ -116,6 +119,7 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Barrier;
 
     #[test]
     fn preserves_input_order() {
@@ -197,6 +201,47 @@ mod tests {
         assert!(err
             .downcast_ref::<&str>()
             .is_some_and(|m| m.contains("serial boom")));
+    }
+
+    #[test]
+    fn caller_takes_items_from_the_queue() {
+        // Two threads in all: the first two items meet at a two-party
+        // barrier, which can release only if the caller took one.
+        let caller = std::thread::current().id();
+        let barrier = Barrier::new(2);
+        let ids = scoped_map(2, (0..6).collect(), |i| {
+            if i < 2 {
+                barrier.wait();
+            }
+            std::thread::current().id()
+        });
+        assert!(ids[..2].contains(&caller), "the caller ran neither item");
+    }
+
+    #[test]
+    fn panic_in_the_callers_item_waits_for_the_workers() {
+        // The caller and one worker meet at the barrier in items 0 and 1;
+        // the caller then panics while the worker still has its item and
+        // two more to finish. The payload must surface only after them.
+        let caller = std::thread::current().id();
+        let barrier = Barrier::new(2);
+        let done = AtomicUsize::new(0);
+        let err = std::panic::catch_unwind(|| {
+            scoped_map(2, (0u32..4).collect(), |i| {
+                if i < 2 {
+                    barrier.wait();
+                }
+                if std::thread::current().id() == caller {
+                    panic!("caller's item {i} exploded");
+                }
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                done.fetch_add(1, Ordering::SeqCst);
+            })
+        })
+        .unwrap_err();
+        assert_eq!(done.load(Ordering::SeqCst), 3, "the worker ran the rest");
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(msg.starts_with("caller's item"), "got: {msg}");
     }
 
     #[test]

@@ -725,9 +725,17 @@ struct Engine {
     warmup: u64,
     quota: u64,
     apps: Vec<SpecApp>,
+    /// The event counts and per-set histogram, built only when telemetry
+    /// was requested.
+    collectors: Option<Collectors>,
+    series: Option<WindowedSeries>,
+}
+
+/// The collectors an instrumented engine hangs off the hierarchy's event
+/// stream.
+struct Collectors {
     counts: SharedSink<CountingSink>,
     histogram: SharedSink<PerSetHistogram>,
-    series: Option<WindowedSeries>,
 }
 
 impl Engine {
@@ -745,13 +753,15 @@ impl Engine {
         // Telemetry collectors. The counting sink and histogram hang off
         // the hierarchy's event stream; the windowed series is driven from
         // the step loop off the cumulative counters.
-        let counts = SharedSink::new(CountingSink::default());
-        let histogram = SharedSink::new(PerSetHistogram::new(hier.llc_sets()));
+        let collectors = telemetry.map(|_| Collectors {
+            counts: SharedSink::new(CountingSink::default()),
+            histogram: SharedSink::new(PerSetHistogram::new(hier.llc_sets())),
+        });
         let series = telemetry.and_then(|w| w).map(WindowedSeries::new);
-        if telemetry.is_some() || extra_sink.is_some() {
+        if collectors.is_some() || extra_sink.is_some() {
             let mut multi = MultiSink::new();
-            if telemetry.is_some() {
-                multi = multi.with(counts.clone()).with(histogram.clone());
+            if let Some(c) = &collectors {
+                multi = multi.with(c.counts.clone()).with(c.histogram.clone());
             }
             if let Some(extra) = extra_sink {
                 multi = multi.with(extra);
@@ -811,8 +821,7 @@ impl Engine {
             warmup,
             quota,
             apps: run.apps.clone(),
-            counts,
-            histogram,
+            collectors,
             series,
         }
     }
@@ -1018,8 +1027,14 @@ impl Engine {
         }
     }
 
+    /// Ends the run; `collect` packages the telemetry, which the engine
+    /// must have been built with.
     fn finish(mut self, collect: bool, spec_name: String) -> (RunResult, Option<RunTelemetry>) {
         let collected = collect.then(|| {
+            let c = self
+                .collectors
+                .as_ref()
+                .expect("telemetry is collected only from an instrumented engine");
             if let Some(series) = self.series.as_mut() {
                 series.finish(
                     self.total_instr,
@@ -1035,8 +1050,8 @@ impl Engine {
                     .take()
                     .map(WindowedSeries::take)
                     .unwrap_or_default(),
-                set_histogram: self.histogram.with(|h| SetHistogramReport::from(h)),
-                event_totals: self.counts.with(CountingSink::nonzero),
+                set_histogram: c.histogram.with(|h| SetHistogramReport::from(h)),
+                event_totals: c.counts.with(CountingSink::nonzero),
             }
         });
 
@@ -1057,11 +1072,11 @@ impl Engine {
         (result, collected)
     }
 
-    /// Serializes the telemetry collectors (only meaningful when the
-    /// engine was built instrumented).
+    /// Serializes the telemetry collectors of an instrumented engine.
     fn write_telemetry_state(&self, w: &mut SnapshotWriter) {
-        self.counts.with(|c| c.write_state(w));
-        self.histogram.with(|h| h.write_state(w));
+        let c = self.collectors.as_ref().expect("an instrumented engine");
+        c.counts.with(|c| c.write_state(w));
+        c.histogram.with(|h| h.write_state(w));
         w.write_bool(self.series.is_some());
         if let Some(series) = self.series.as_ref() {
             series.write_state(w);
@@ -1069,8 +1084,9 @@ impl Engine {
     }
 
     fn read_telemetry_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.counts.with_mut(|c| c.read_state(r))?;
-        self.histogram.with_mut(|h| h.read_state(r))?;
+        let c = self.collectors.as_ref().expect("an instrumented engine");
+        c.counts.with_mut(|c| c.read_state(r))?;
+        c.histogram.with_mut(|h| h.read_state(r))?;
         let has_series = r.read_bool()?;
         match (has_series, self.series.as_mut()) {
             (true, Some(series)) => series.read_state(r)?,

@@ -189,7 +189,9 @@ fn read_event(r: &mut SnapshotReader) -> Result<TelemetryEvent, SnapshotError> {
 /// Checkpoint coverage: both per-set count arrays, the reservoir with its
 /// sampling state (`seen` and the inline RNG), so a resumed run keeps
 /// drawing an unbiased sample. The set count and reservoir capacity are
-/// configuration and must match the receiver's.
+/// configuration and must match the receiver's. Decoding refuses a
+/// sampled event this collector would not have kept (another kind, or no
+/// set) and a sample count other than `min(seen, capacity)`.
 impl Snapshot for PerSetHistogram {
     fn write_state(&self, w: &mut SnapshotWriter) {
         w.write_usize(self.evictions.len());
@@ -232,10 +234,30 @@ impl Snapshot for PerSetHistogram {
         self.reservoir.clear();
         for _ in 0..n {
             let e = read_event(r)?;
+            if !matches!(e.kind, EventKind::LlcEviction | EventKind::BackInvalidate)
+                || e.set.is_none()
+            {
+                return Err(SnapshotError::Corrupt(format!(
+                    "set histogram: a sampled {:?} event{} is none this collector records",
+                    e.kind,
+                    if e.set.is_none() {
+                        " without a set"
+                    } else {
+                        ""
+                    }
+                )));
+            }
             self.reservoir.push(e);
         }
         self.seen = r.read_u64()?;
         self.rng = r.read_u64()?;
+        // Algorithm R keeps every event until the reservoir fills.
+        if n as u64 != self.seen.min(self.reservoir_cap as u64) {
+            return Err(SnapshotError::Corrupt(format!(
+                "set histogram: {n} samples kept of {} events seen, capacity {}",
+                self.seen, self.reservoir_cap
+            )));
+        }
         Ok(())
     }
 }

@@ -16,10 +16,17 @@
 //! Distance here is the *access-count* reuse distance within a set: the
 //! number of other accesses the sampled set served between two touches of
 //! the same line. First touches are counted separately as cold.
+//!
+//! The profiler remembers each line's previous-access clock in one
+//! [`LinePages`] table keyed by the line rotated right by the set-index
+//! width, so a page holds 64 consecutive tags of a single set and sets
+//! that are not sampled cost nothing. A page stores only the lines
+//! present in it: a presence bitmap and their `u64` clocks packed by
+//! rank, so a lone line does not pay for 63 absent ones.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
-use tla_types::LineBuildHasher;
+use tla_types::{LineAddr, LinePages};
 
 use crate::event::{EventKind, TelemetryEvent};
 use crate::json::JsonValue;
@@ -227,9 +234,35 @@ struct SetState {
     set: u32,
     /// Accesses this set has served (the set-local clock).
     clock: u64,
-    /// Line address -> clock value of its previous access.
-    last: HashMap<u64, u64, LineBuildHasher>,
     hist: ReuseHistogram,
+}
+
+/// Previous-access clocks of the lines present among one page's 64 tags:
+/// bit `b` of `present` says whether tag `b` was seen, and its clock is
+/// `clocks[rank]`, `rank` being the number of present tags below `b`.
+#[derive(Debug, Clone, Default)]
+struct ClockPage {
+    present: u64,
+    clocks: Vec<u64>,
+}
+
+impl ClockPage {
+    /// Sets tag `bit`'s clock to `now`, returning its previous clock, or
+    /// `None` at its first touch.
+    #[inline]
+    fn swap(&mut self, bit: usize, now: u64) -> Option<u64> {
+        let rank = (self.present & ((1 << bit) - 1)).count_ones() as usize;
+        if self.present >> bit & 1 == 1 {
+            return Some(std::mem::replace(&mut self.clocks[rank], now));
+        }
+        self.present |= 1 << bit;
+        // Grow 1, 2, 4, …, 64: a lone line costs one word.
+        if self.clocks.len() == self.clocks.capacity() {
+            self.clocks.reserve_exact(self.clocks.len().max(1));
+        }
+        self.clocks.insert(rank, now);
+        None
+    }
 }
 
 /// A [`TelemetrySink`] computing reuse-distance histograms over a sampled
@@ -243,7 +276,17 @@ struct SetState {
 #[derive(Debug, Clone)]
 pub struct ReuseProfiler {
     sample_every: u32,
+    /// Width of the set index: `llc_sets` rounded up to a power of two.
+    set_bits: u32,
     sets: Vec<SetState>,
+    /// Previous-access clocks of lines seen in the set their low
+    /// `set_bits` bits name, keyed by the line rotated right by
+    /// `set_bits` (a bijection, so no two lines share a slot).
+    pages: LinePages<ClockPage>,
+    /// Previous-access clocks of `(set, line)` pairs whose event named
+    /// another set than the line's own. The hierarchy never emits one;
+    /// they are kept apart so a line seen in two sets has two clocks.
+    strays: BTreeMap<(u32, u64), u64>,
     global: ReuseHistogram,
 }
 
@@ -268,13 +311,15 @@ impl ReuseProfiler {
             .map(|set| SetState {
                 set,
                 clock: 0,
-                last: HashMap::default(),
                 hist: ReuseHistogram::new(num_buckets),
             })
             .collect::<Vec<_>>();
         ReuseProfiler {
             sample_every,
+            set_bits: llc_sets.next_power_of_two().trailing_zeros(),
             sets,
+            pages: LinePages::new(),
+            strays: BTreeMap::new(),
             global: ReuseHistogram::new(num_buckets),
         }
     }
@@ -317,7 +362,17 @@ impl TelemetrySink for ReuseProfiler {
         };
         let now = state.clock;
         state.clock += 1;
-        match state.last.insert(addr.raw(), now) {
+        let line = addr.raw();
+        let own_set = line & ((1 << self.set_bits) - 1);
+        let prev = if own_set == u64::from(set) {
+            let (page, bit) = self
+                .pages
+                .page_mut(LineAddr::new(line.rotate_right(self.set_bits)));
+            page.swap(bit, now)
+        } else {
+            self.strays.insert((set, line), now)
+        };
+        match prev {
             Some(prev) => {
                 let d = now - prev - 1;
                 state.hist.record(d);

@@ -210,7 +210,9 @@ impl WindowedSeries {
 /// Checkpoint coverage: the boundary clocks, the last-seen cumulative
 /// counters and every closed window. The window *size* is configuration
 /// and must match the receiver's — resuming a run under a different
-/// window size would splice incompatible series.
+/// window size would splice incompatible series. Decoding refuses a
+/// series whose windows do not tile the instructions from zero with one
+/// delta per core each, or whose boundary clocks disagree with them.
 impl Snapshot for WindowedSeries {
     fn write_state(&self, w: &mut SnapshotWriter) {
         w.write_u64(self.window);
@@ -244,25 +246,32 @@ impl Snapshot for WindowedSeries {
                 self.window
             )));
         }
-        self.next_boundary = r.read_u64()?;
-        self.last_instr = r.read_u64()?;
-        let n = r.read_usize()?;
-        self.last_per_core.clear();
-        self.last_per_core.resize(n, PerCoreStats::default());
-        for s in &mut self.last_per_core {
-            s.read_state(r)?;
-        }
-        self.last_global.read_state(r)?;
+        let next_boundary = r.read_u64()?;
+        let last_instr = r.read_u64()?;
+        let cores = r.read_usize()?;
+        let last_per_core = read_per_core(r, cores)?;
+        let mut last_global = GlobalStats::default();
+        last_global.read_state(r)?;
         let n_meta = r.read_usize()?;
-        self.meta.clear();
-        for _ in 0..n_meta {
+        let mut meta = Vec::new();
+        for index in 0..n_meta {
             let start_instr = r.read_u64()?;
             let end_instr = r.read_u64()?;
             let mut global = GlobalStats::default();
             global.read_state(r)?;
             let deltas_start = r.read_usize()?;
             let n_cores = r.read_usize()?;
-            self.meta.push(WindowMeta {
+            let follows = meta.last().map_or(0, |m: &WindowMeta| m.end_instr);
+            if start_instr != follows
+                || end_instr <= start_instr
+                || deltas_start != index * cores
+                || n_cores != cores
+            {
+                return Err(SnapshotError::Corrupt(format!(
+                    "windowed series: window {index} does not follow its predecessor"
+                )));
+            }
+            meta.push(WindowMeta {
                 start_instr,
                 end_instr,
                 global,
@@ -271,20 +280,41 @@ impl Snapshot for WindowedSeries {
             });
         }
         let n_deltas = r.read_usize()?;
-        self.deltas.clear();
-        self.deltas.resize(n_deltas, PerCoreStats::default());
-        for s in &mut self.deltas {
-            s.read_state(r)?;
+        let deltas = read_per_core(r, n_deltas)?;
+        let closed = meta.last().map_or(0, |m| m.end_instr);
+        if n_deltas != n_meta * cores
+            || last_instr != closed
+            || next_boundary != (last_instr / window + 1) * window
+        {
+            return Err(SnapshotError::Corrupt(
+                "windowed series: the deltas or boundary clocks disagree with the windows"
+                    .to_string(),
+            ));
         }
-        if let Some(m) = self.meta.last() {
-            if m.deltas_start + m.n_cores > self.deltas.len() {
-                return Err(SnapshotError::Corrupt(
-                    "windowed series: window metadata points past the delta storage".to_string(),
-                ));
-            }
-        }
+        *self = WindowedSeries {
+            window,
+            next_boundary,
+            last_instr,
+            last_per_core,
+            last_global,
+            meta,
+            deltas,
+        };
         Ok(())
     }
+}
+
+/// Decodes `n` per-core counter sets. The vector grows only as records
+/// decode, so an inflated `n` fails at the end of the input instead of
+/// sizing an allocation.
+fn read_per_core(r: &mut SnapshotReader, n: usize) -> Result<Vec<PerCoreStats>, SnapshotError> {
+    let mut out = Vec::new();
+    for _ in 0..n {
+        let mut s = PerCoreStats::default();
+        s.read_state(r)?;
+        out.push(s);
+    }
+    Ok(out)
 }
 
 #[cfg(test)]

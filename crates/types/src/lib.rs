@@ -22,7 +22,7 @@ pub mod pages;
 pub mod stats;
 
 pub use counters::{GlobalStats, IoAgentStats, IoStats, PerCoreStats};
-pub use pages::{LineBuildHasher, LinePages};
+pub use pages::LinePages;
 
 use std::fmt;
 

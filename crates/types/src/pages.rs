@@ -1,15 +1,15 @@
-//! Per-line state kept in 64-line pages, and the integer hasher it uses.
+//! Per-line state kept in 64-line pages.
 //!
 //! Simulator bookkeeping that remembers something about every line ever
 //! touched (a core's first-touch and kill marks, the MIN oracle's latest
-//! reference per line) would cost a hash-map entry per line. Programs
-//! touch lines in runs, so [`LinePages`] instead stores one fixed-size
-//! page per aligned block of [`PAGE_LINES`] lines and leaves the
-//! per-line layout to the page type: a bitmap costs bits per line, a
-//! slot array a few bytes.
+//! reference per line, the reuse profiler's previous-access clocks) would
+//! cost a hash-map entry per line. Programs touch lines in runs, so
+//! [`LinePages`] instead stores one page per aligned block of
+//! [`PAGE_LINES`] lines and leaves the per-line layout to the page type:
+//! a bitmap costs bits per line, a slot array a few bytes, a bitmap with
+//! values packed by rank a word per present line.
 
 use crate::LineAddr;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// Lines per [`LinePages`] page.
 pub const PAGE_LINES: usize = 64;
@@ -18,37 +18,8 @@ pub const PAGE_LINES: usize = 64;
 const PAGE_SHIFT: u32 = PAGE_LINES.trailing_zeros();
 
 /// 2^64 divided by the golden ratio. Multiplying by it carries every key
-/// bit into the product's high bits, which both hashes below keep.
+/// bit into the product's high bits, which the slot table indexes by.
 const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// A fixed multiplicative hasher for integer keys such as line addresses.
-///
-/// The standard library's default hasher is keyed per map (SipHash with
-/// random keys), which costs far more than a line-address key needs. This
-/// one is deterministic and a single multiply: the product's high half
-/// is rotated into the low bits `HashMap` indexes by, so keys that differ
-/// only in high bits (lines of one cache set, say) still spread out.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct LineHasher(u64);
-
-impl Hasher for LineHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        self.0 = self.0.rotate_left(5) ^ x;
-    }
-
-    fn finish(&self) -> u64 {
-        self.0.wrapping_mul(GOLDEN).rotate_left(32)
-    }
-}
-
-/// `BuildHasher` for `HashMap`s keyed by line addresses.
-pub type LineBuildHasher = BuildHasherDefault<LineHasher>;
 
 /// A map from line addresses to pages of per-line state: one `P` per
 /// aligned block of [`PAGE_LINES`] lines, created on first use.
@@ -168,7 +139,6 @@ impl<P> LinePages<P> {
 mod tests {
     use super::*;
     use std::collections::BTreeMap;
-    use std::hash::BuildHasher;
     use tla_rng::SmallRng;
 
     #[test]
@@ -208,21 +178,5 @@ mod tests {
             let expect: Vec<(u64, u32)> = model.into_iter().collect();
             assert_eq!(pages, expect, "stride {stride}");
         }
-    }
-
-    #[test]
-    fn hasher_spreads_keys_that_share_low_bits() {
-        // Lines of one set of a 4096-set cache differ only above bit 12;
-        // their hashes must still differ in the low bits a map indexes by.
-        let build = LineBuildHasher::default();
-        let mut buckets = std::collections::BTreeSet::new();
-        for j in 0..64u64 {
-            buckets.insert(build.hash_one(5 + (j << 12)) & 63);
-        }
-        assert!(
-            buckets.len() > 32,
-            "only {} of 64 buckets used",
-            buckets.len()
-        );
     }
 }

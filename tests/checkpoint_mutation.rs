@@ -26,14 +26,37 @@
 //! in the payload (an address, a replacement word, a counter) decode to
 //! a different but well-formed state, so they are not part of the sweep.
 //!
-//! The binary holds one test, so no other test allocates while the
-//! largest allocation is tracked.
+//! A second sweep covers the `telemetry` section of an instrumented
+//! `lib,mcf` image taken on a small LLC, so its per-set histogram has
+//! evictions and a full reservoir, and with a window short enough for
+//! several closed windows. A walker finds the event counts, the per-set
+//! histogram with its reservoir of sampled events, and the windowed
+//! series, and the sweep makes
+//!
+//! * inflated length fields: the count array's, the histogram's set
+//!   count, the reservoir's, and the series' per-core, window and delta
+//!   counts, each raised by 1, by 2^24 and to `u64::MAX`;
+//! * byte flips in those lengths, in the series' window size, in each
+//!   window's instruction span and delta placement, and invalid values
+//!   in every bool and in each sampled event's kind (out of range, or a
+//!   kind the histogram never samples);
+//! * truncations at seeded offsets inside the section.
+//!
+//! Each telemetry mutant has its `telemetry` length patched and its
+//! checksum re-sealed, and is resumed for a report, so the read-out of
+//! the restored collectors runs too. The same rules hold: `Err`, no
+//! panic, no allocation above a clean resume's largest.
+//!
+//! Both sweeps hold one lock for their whole run, so no other test
+//! allocates while the largest allocation is tracked.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::Mutex;
 use tla::rng::SmallRng;
 use tla::sim::{Checkpoint, MixRun, SimConfig, SnapshotError};
+use tla::telemetry::EventKind;
 use tla::workloads::SpecApp;
 
 /// Remembers the largest single allocation request.
@@ -66,6 +89,9 @@ unsafe impl GlobalAlloc for Largest {
 
 #[global_allocator]
 static GLOBAL: Largest = Largest;
+
+/// Held by each sweep for its whole run.
+static SWEEP: Mutex<()> = Mutex::new(());
 
 const MIX: [SpecApp; 2] = [SpecApp::Sjeng, SpecApp::Mcf];
 
@@ -193,11 +219,11 @@ fn walk(b: &[u8]) -> ImageLayout {
     ImageLayout { sim_len_at, caches }
 }
 
-/// Patches the `sim` length to the image's new size and re-seals the
-/// checksum over everything before it.
-fn reseal(mut body: Vec<u8>, sim_len_at: usize) -> Vec<u8> {
-    let sim_len = body.len() - sim_len_at - 8;
-    put_u64(&mut body, sim_len_at, sim_len as u64);
+/// Patches the length of the image's last section, at `len_at`, to the
+/// image's new size and re-seals the checksum over everything before it.
+fn reseal(mut body: Vec<u8>, len_at: usize) -> Vec<u8> {
+    let len = body.len() - len_at - 8;
+    put_u64(&mut body, len_at, len as u64);
     let sum = fnv1a(&body);
     body.extend_from_slice(&sum.to_le_bytes());
     body
@@ -216,6 +242,7 @@ fn resume(bytes: Vec<u8>) -> (std::thread::Result<Result<(), SnapshotError>>, us
 
 #[test]
 fn mutated_cache_sections_are_refused() {
+    let _sweep = SWEEP.lock().unwrap_or_else(|e| e.into_inner());
     let image = MixRun::new(&cfg(), &MIX)
         .warm_checkpoint()
         .as_bytes()
@@ -307,9 +334,21 @@ fn mutated_cache_sections_are_refused() {
         );
     }
 
+    check_refused(&mutants, limit, |body| {
+        resume(reseal(body, layout.sim_len_at))
+    });
+}
+
+/// Asserts that every mutant is refused: `outcome` resumes one body and
+/// returns its result with the largest allocation it made.
+fn check_refused(
+    mutants: &[(String, Vec<u8>)],
+    limit: usize,
+    outcome: impl Fn(Vec<u8>) -> (std::thread::Result<Result<(), SnapshotError>>, usize),
+) {
     let mut failures = Vec::new();
-    for (name, body) in mutants.iter() {
-        let (outcome, largest) = resume(reseal(body.clone(), layout.sim_len_at));
+    for (name, body) in mutants {
+        let (outcome, largest) = outcome(body.clone());
         match outcome {
             Err(_) => failures.push(format!("{name}: panicked")),
             Ok(Ok(())) => failures.push(format!("{name}: resumed without an error")),
@@ -326,4 +365,183 @@ fn mutated_cache_sections_are_refused() {
         mutants.len(),
         failures.join("\n")
     );
+}
+
+const TELEMETRY_MIX: [SpecApp; 2] = [SpecApp::Libquantum, SpecApp::Mcf];
+/// The instrumented image's window and (full-scale) LLC capacity.
+const WINDOW: u64 = 4_000;
+const SMALL_LLC: usize = 1 << 17;
+
+fn telemetry_run() -> MixRun<'static> {
+    static CFG: std::sync::OnceLock<SimConfig> = std::sync::OnceLock::new();
+    let cfg = CFG.get_or_init(|| SimConfig::scaled_down().warmup(20_000).instructions(4_000));
+    MixRun::new(cfg, &TELEMETRY_MIX).llc_capacity_full_scale(SMALL_LLC)
+}
+
+/// Where the `telemetry` section's fields sit in the image.
+#[derive(Default)]
+struct TelemetryLayout {
+    /// Offset of the section's body length.
+    len_at: usize,
+    start: usize,
+    end: usize,
+    /// Length prefixes.
+    lengths: Vec<(String, usize)>,
+    /// Bool bytes.
+    bools: Vec<(String, usize)>,
+    /// Sampled events' kind bytes.
+    kinds: Vec<usize>,
+    /// Other structural words: the window size, each window's span and
+    /// delta placement.
+    words: Vec<(String, usize)>,
+}
+
+/// Walks the `telemetry` section, the image's last: the count array,
+/// the per-set histogram (set count, two `u32` arrays, the reservoir of
+/// events, `seen` and the RNG word) and the windowed series.
+fn walk_telemetry(b: &[u8]) -> TelemetryLayout {
+    const PER_CORE: usize = 15 * 8;
+    const GLOBAL: usize = 16 * 8;
+    // Skip the header and every section before the last.
+    let mut pos = 5;
+    let mut t = TelemetryLayout::default();
+    loop {
+        let n = b[pos] as usize;
+        let name = &b[pos + 1..pos + 1 + n];
+        pos += 1 + n;
+        let len = u64_at(b, pos) as usize;
+        if name == b"telemetry" {
+            t.len_at = pos;
+            assert_eq!(pos + 8 + len, b.len() - 8, "telemetry is the last section");
+            break;
+        }
+        pos += 8 + len;
+    }
+    pos += 8;
+    t.start = pos;
+    let length = |t: &mut TelemetryLayout, name: &str, pos: &mut usize| {
+        t.lengths.push((name.to_string(), *pos));
+        *pos += 8;
+        u64_at(b, *pos - 8) as usize
+    };
+    let kinds = length(&mut t, "event counts", &mut pos);
+    pos += 8 * kinds;
+    let sets = length(&mut t, "histogram sets", &mut pos);
+    pos += 2 * 4 * sets;
+    let events = length(&mut t, "reservoir", &mut pos);
+    for e in 0..events {
+        t.kinds.push(pos);
+        pos += 1;
+        // Core (a byte), level (a byte), set (u32), address (u64).
+        for (field, width) in [("core", 1), ("level", 1), ("set", 4), ("address", 8)] {
+            t.bools.push((format!("event {e} {field} flag"), pos));
+            let present = b[pos] == 1;
+            pos += 1;
+            if present {
+                pos += width;
+            }
+        }
+        pos += 8;
+    }
+    pos += 2 * 8;
+    t.bools.push(("series flag".into(), pos));
+    assert_eq!(b[pos], 1, "the image has a series");
+    pos += 1;
+    t.words.push(("window size".into(), pos));
+    pos += 8;
+    t.words.push(("next boundary".into(), pos));
+    t.words.push(("last instruction".into(), pos + 8));
+    pos += 2 * 8;
+    let cores = length(&mut t, "series cores", &mut pos);
+    pos += cores * PER_CORE + GLOBAL;
+    let windows = length(&mut t, "windows", &mut pos);
+    for w in 0..windows {
+        t.words.push((format!("window {w} start"), pos));
+        t.words.push((format!("window {w} end"), pos + 8));
+        pos += 2 * 8 + GLOBAL;
+        t.words.push((format!("window {w} deltas start"), pos));
+        t.words.push((format!("window {w} cores"), pos + 8));
+        pos += 2 * 8;
+    }
+    let deltas = length(&mut t, "deltas", &mut pos);
+    pos += deltas * PER_CORE;
+    assert_eq!(pos, b.len() - 8, "the walk ends at the checksum");
+    assert!(
+        windows >= 3 && events > 0,
+        "{windows} windows, {events} sampled events"
+    );
+    t.end = pos;
+    t
+}
+
+/// Resumes `bytes` for a report, catching panics; also returns the
+/// largest single allocation made on the way.
+fn resume_report(bytes: Vec<u8>) -> (std::thread::Result<Result<(), SnapshotError>>, usize) {
+    LARGEST.store(0, Relaxed);
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let checkpoint = Checkpoint::from_bytes(bytes)?;
+        telemetry_run()
+            .resume_report(&checkpoint, Some(WINDOW))
+            .map(drop)
+    }));
+    (outcome, LARGEST.load(Relaxed))
+}
+
+#[test]
+fn mutated_telemetry_sections_are_refused() {
+    let _sweep = SWEEP.lock().unwrap_or_else(|e| e.into_inner());
+    let image = telemetry_run()
+        .warm_checkpoint_instrumented(Some(WINDOW))
+        .as_bytes()
+        .to_vec();
+    let layout = walk_telemetry(&image);
+    let body = &image[..image.len() - 8];
+
+    let (clean, limit) = resume_report(reseal(body.to_vec(), layout.len_at));
+    assert!(matches!(clean, Ok(Ok(()))), "the clean image must resume");
+
+    let mut rng = SmallRng::seed_from_u64(0x7e1e_0f11e5);
+    let mut mutants: Vec<(String, Vec<u8>)> = Vec::new();
+    let mut flip = |name: String, at: usize, width: usize, mutants: &mut Vec<_>| {
+        let byte = at + rng.gen_range(0..width);
+        let mut m = body.to_vec();
+        m[byte] ^= rng.gen_range(1..=255u64) as u8;
+        mutants.push((format!("{name} byte {byte}"), m));
+    };
+    for (field, at) in &layout.lengths {
+        let n = u64_at(body, *at);
+        for inflated in [n + 1, n + (1 << 24), u64::MAX] {
+            let mut m = body.to_vec();
+            put_u64(&mut m, *at, inflated);
+            mutants.push((format!("{field} length {inflated}"), m));
+        }
+        flip(format!("{field} length"), *at, 8, &mut mutants);
+    }
+    for (field, at) in &layout.words {
+        flip(field.clone(), *at, 8, &mut mutants);
+    }
+    for (field, at) in &layout.bools {
+        let mut m = body.to_vec();
+        m[*at] = 2 + rng.gen_range(0..254u64) as u8;
+        mutants.push((format!("{field} {}", m[*at]), m));
+    }
+    let unsampled = EventKind::ALL
+        .iter()
+        .position(|&k| k == EventKind::LlcAccess)
+        .unwrap() as u8;
+    for (i, &at) in layout.kinds.iter().enumerate() {
+        for kind in [unsampled, EventKind::ALL.len() as u8, u8::MAX] {
+            let mut m = body.to_vec();
+            m[at] = kind;
+            mutants.push((format!("event {i} kind {kind}"), m));
+        }
+    }
+    for _ in 0..8 {
+        let cut = rng.gen_range(layout.start..layout.end);
+        mutants.push((format!("truncated at {cut}"), body[..cut].to_vec()));
+    }
+
+    check_refused(&mutants, limit, |body| {
+        resume_report(reseal(body, layout.len_at))
+    });
 }

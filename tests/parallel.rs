@@ -7,7 +7,8 @@
 //! counters, byte-identical JSON reports for `--jobs 1` vs `--jobs 4`.
 
 use tla::sim::{
-    mpki_table, run_alone_many, run_mix_suite, run_policy_reports, PolicySpec, SimConfig,
+    mpki_table, run_alone_many, run_mix_suite, run_policy_reports, run_policy_reports_analyzed,
+    PolicySpec, SimConfig,
 };
 use tla::telemetry::json::JsonValue;
 use tla::workloads::{table2_mixes, SpecApp};
@@ -86,4 +87,41 @@ fn compare_reports_are_byte_identical_across_job_counts() {
     let parallel = render(4);
     assert!(!serial.is_empty());
     assert_eq!(serial, parallel, "serial and parallel JSON diverged");
+}
+
+#[test]
+fn analyzed_reports_are_byte_identical_across_job_counts_and_strides() {
+    // `tla-cli analyze`'s reports, reuse profiles included, at one job
+    // and at three (the caller and two spawned workers), for reuse
+    // sampling strides 1, 3 and 4.
+    let mix = [SpecApp::Libquantum, SpecApp::Sjeng];
+    let specs = [
+        PolicySpec::baseline(),
+        PolicySpec::qbs(),
+        PolicySpec::non_inclusive(),
+    ];
+    let cfg = quick().warmup(20_000);
+    for sample_every in [1, 3, 4] {
+        let render = |jobs: usize| {
+            let results = run_policy_reports_analyzed(
+                &cfg.clone().jobs(jobs),
+                &mix,
+                &specs,
+                None,
+                Some(5_000),
+                sample_every,
+            );
+            JsonValue::array(results.iter().map(|(_, rep)| rep.to_json())).to_pretty()
+        };
+        let serial = render(1);
+        assert!(
+            serial.contains(&format!("\"sample_every\": {sample_every}")),
+            "stride {sample_every} reaches the report"
+        );
+        assert_eq!(
+            serial,
+            render(3),
+            "stride {sample_every}: serial and parallel JSON diverged"
+        );
+    }
 }
