@@ -1,13 +1,19 @@
 //! Every table and figure of the paper's evaluation as a library function.
 //!
-//! [`run`] takes a [`Figure`] and a [`SimConfig`] and returns a [`Report`]:
-//! the figure's tables, its summary lines and the numbers behind them.
-//! Nothing here prints; `tla-cli paper` is the front end.
+//! [`run`] takes a list of [`Figure`]s and a [`SimConfig`] and returns one
+//! [`Report`] per figure: its tables, its summary lines and the numbers
+//! behind them. Nothing here prints; `tla-cli paper` is the front end.
 //!
-//! Every suite runs straight through [`run_mix_suite`], so each
-//! `(spec, mix)` pair warms up under its own spec. Non-inclusive and
-//! exclusive hierarchies therefore never start from an inclusive image.
-//! Results are bit-identical for any [`SimConfig::jobs`] value.
+//! Each figure has two halves: a declaration names the [`Suite`]s it
+//! reads, and a render turns their results into the report. [`run`]
+//! declares every suite of every figure ([`suites`]), runs them on one
+//! grid ([`run_suites`]), so a run several figures share (the inclusive
+//! baseline on the 105 pairs, say) executes once, then renders in order.
+//!
+//! Every run goes straight through, so each `(spec, mix)` pair warms up
+//! under its own spec. Non-inclusive and exclusive hierarchies therefore
+//! never start from an inclusive image. Results are bit-identical for any
+//! [`SimConfig::jobs`] value.
 //!
 //! The mix populations follow the configuration. At `cfg.scale() == 1`
 //! the cache-ratio sweeps (Figures 2 and 10) cover all 105 two-core mixes
@@ -23,9 +29,9 @@ use std::str::FromStr;
 use tla_cache::Policy;
 use tla_core::TlaPolicy;
 use tla_cpu::{CoreModelConfig, Latencies};
-use tla_sim::{mpki_table, run_mix_suite, PolicySpec, SimConfig, SuiteResult, Table};
+use tla_sim::{run_suites, PolicySpec, SimConfig, Suite, SuiteResult, Table, ThreadResult};
 use tla_types::stats;
-use tla_workloads::{all_two_core_mixes, random_mixes, table2_mixes, Category, Mix};
+use tla_workloads::{all_two_core_mixes, random_mixes, table2_mixes, Category, Mix, SpecApp};
 
 /// One table or figure of the paper's evaluation, or one of its ablations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,10 +96,38 @@ impl Figure {
     }
 }
 
-/// Fills a fresh [`Report`] with one figure's tables, notes and series.
-type FigureFn = fn(&SimConfig, &mut Report);
+/// One figure, in two halves split by [`Pass::declare`]: the first names
+/// the suites it reads, the second fills its [`Report`] from their
+/// results. A declaring pass returns `None` at the split.
+type FigureFn = fn(&SimConfig, &mut Pass) -> Option<()>;
 
-/// Each figure's id, title and implementation, in [`Figure`] order.
+/// What a call of a [`FigureFn`] is for.
+enum Pass<'a> {
+    /// Collecting every figure's suites into one grid.
+    Declare(&'a mut Vec<Suite>),
+    /// Rendering: the grid's results, in declaration order, and the
+    /// figure's report.
+    Render(
+        &'a mut dyn Iterator<Item = Vec<SuiteResult>>,
+        &'a mut Report,
+    ),
+}
+
+impl Pass<'_> {
+    /// Declares `suites`. A rendering pass gets back their results,
+    /// indexed `[suite][spec]`, and the report to fill.
+    fn declare(&mut self, suites: Vec<Suite>) -> Option<(Vec<Vec<SuiteResult>>, &mut Report)> {
+        match self {
+            Pass::Declare(grid) => {
+                grid.extend(suites);
+                None
+            }
+            Pass::Render(results, report) => Some((results.take(suites.len()).collect(), report)),
+        }
+    }
+}
+
+/// Each figure's id, title and declaration, in [`Figure`] order.
 const FIGURES: [(&str, &str, FigureFn); 14] = [
     ("table1", "Table I — isolated MPKI (prefetcher off)", table1),
     (
@@ -217,11 +251,39 @@ impl fmt::Display for Report {
     }
 }
 
-/// Runs one figure under `cfg` and returns its tables and numbers.
-pub fn run(figure: Figure, cfg: &SimConfig) -> Report {
-    let mut report = Report::new(figure);
-    (FIGURES[figure as usize].2)(cfg, &mut report);
-    report
+/// Every suite `figures` read under `cfg`, in order: the whole grid of a
+/// [`run`], declared without running anything.
+pub fn suites(figures: &[Figure], cfg: &SimConfig) -> Vec<Suite> {
+    let mut suites = Vec::new();
+    for &figure in figures {
+        (FIGURES[figure as usize].2)(cfg, &mut Pass::Declare(&mut suites));
+    }
+    suites
+}
+
+/// Runs `figures` under `cfg` on one grid and returns their reports, in
+/// order. A run two figures share executes once, and every report is the
+/// same as the figure run alone.
+pub fn run(figures: &[Figure], cfg: &SimConfig) -> Vec<Report> {
+    let mut results = run_suites(&suites(figures, cfg), cfg.effective_jobs()).into_iter();
+    figures
+        .iter()
+        .map(|&figure| {
+            let mut report = Report::new(figure);
+            (FIGURES[figure as usize].2)(cfg, &mut Pass::Render(&mut results, &mut report));
+            report
+        })
+        .collect()
+}
+
+/// One suite: every spec over every mix under `cfg`.
+fn suite(cfg: &SimConfig, mixes: &[Mix], specs: &[PolicySpec], llc: Option<usize>) -> Suite {
+    Suite {
+        cfg: cfg.clone(),
+        mixes: mixes.to_vec(),
+        specs: specs.to_vec(),
+        llc_capacity_full_scale: llc,
+    }
 }
 
 /// Full-scale LLC capacities of the cache-ratio sweeps: the paper's 1, 2,
@@ -316,30 +378,33 @@ fn s_curve(mixes: &[Mix], reference: &[f64], series: &[(&str, &[f64])]) -> Table
     t
 }
 
-fn table1(cfg: &SimConfig, report: &mut Report) {
-    let rows = mpki_table(cfg);
+fn table1(cfg: &SimConfig, pass: &mut Pass) -> Option<()> {
+    let alone: Vec<Mix> = SpecApp::ALL.iter().map(|&a| Mix::new(vec![a])).collect();
+    let cfg = cfg.clone().prefetch(false);
+    let suites = vec![suite(&cfg, &alone, &[PolicySpec::baseline()], None)];
+    let (results, report) = pass.declare(suites)?;
+    let rows: Vec<&ThreadResult> = results[0][0].runs.iter().map(|r| &r.threads[0]).collect();
     let mut t = Table::new(&["app", "category", "L1 MPKI", "L2 MPKI", "LLC MPKI"]);
     for r in &rows {
+        let (l1, l2, llc) = (r.l1_mpki(), r.l2_mpki(), r.llc_mpki());
         t.add_row(vec![
             r.app.short_name().to_string(),
             r.app.category().to_string(),
-            format!("{:.2}", r.l1_mpki),
-            format!("{:.2}", r.l2_mpki),
-            format!("{:.2}", r.llc_mpki),
+            format!("{l1:.2}"),
+            format!("{l2:.2}"),
+            format!("{llc:.2}"),
         ]);
         // §IV-B's classification criteria.
         let in_profile = match r.app.category() {
-            Category::CoreCacheFitting => r.l2_mpki < 2.0,
-            Category::LlcFitting => r.l2_mpki >= 2.0 && r.llc_mpki < 0.8 * r.l2_mpki,
-            Category::LlcThrashing => r.llc_mpki >= 0.6 * r.l2_mpki && r.llc_mpki > 4.0,
+            Category::CoreCacheFitting => l2 < 2.0,
+            Category::LlcFitting => l2 >= 2.0 && llc < 0.8 * l2,
+            Category::LlcThrashing => llc >= 0.6 * l2 && llc > 4.0,
         };
         if !in_profile {
             report.add_note(format!(
-                "note: {} ({}) off-profile: L2 {:.2}, LLC {:.2}",
+                "note: {} ({}) off-profile: L2 {l2:.2}, LLC {llc:.2}",
                 r.app.short_name(),
                 r.app.category(),
-                r.l2_mpki,
-                r.llc_mpki
             ));
         }
     }
@@ -350,18 +415,21 @@ fn table1(cfg: &SimConfig, report: &mut Report) {
     };
     report.add_note(format!("category check: {verdict}"));
     report.add_table("Table I — MPKI of representative apps (no prefetching)", t);
-    report.add_series("L1 MPKI", rows.iter().map(|r| r.l1_mpki).collect());
-    report.add_series("L2 MPKI", rows.iter().map(|r| r.l2_mpki).collect());
-    report.add_series("LLC MPKI", rows.iter().map(|r| r.llc_mpki).collect());
+    report.add_series("L1 MPKI", rows.iter().map(|r| r.l1_mpki()).collect());
+    report.add_series("L2 MPKI", rows.iter().map(|r| r.l2_mpki()).collect());
+    report.add_series("LLC MPKI", rows.iter().map(|r| r.llc_mpki()).collect());
+    Some(())
 }
 
-fn fig2(cfg: &SimConfig, report: &mut Report) {
+fn fig2(cfg: &SimConfig, pass: &mut Pass) -> Option<()> {
     let mixes = ratio_mixes(cfg);
     let specs = [
         PolicySpec::baseline(),
         PolicySpec::non_inclusive(),
         PolicySpec::exclusive(),
     ];
+    let suites = LLC_SIZES_MB.map(|mb| suite(cfg, &mixes, &specs, Some(mb << 20)));
+    let (results, report) = pass.declare(suites.into())?;
     let mut t = Table::new(&[
         "L2:LLC ratio",
         "LLC (full-scale)",
@@ -369,8 +437,7 @@ fn fig2(cfg: &SimConfig, report: &mut Report) {
         "Exclusive",
         "max Non-Incl",
     ]);
-    for mb in LLC_SIZES_MB {
-        let suites = run_mix_suite(cfg, &mixes, &specs, Some(mb << 20));
+    for (mb, suites) in LLC_SIZES_MB.into_iter().zip(&results) {
         let ni = suites[1].normalized_throughput(&suites[0]);
         let ex = suites[2].normalized_throughput(&suites[0]);
         t.add_row(vec![
@@ -393,19 +460,11 @@ fn fig2(cfg: &SimConfig, report: &mut Report) {
     report.add_note(
         "expected shape: gains shrink monotonically as the LLC grows; exclusive >= non-inclusive",
     );
+    Some(())
 }
 
-fn fig5(cfg: &SimConfig, report: &mut Report) {
+fn fig5(cfg: &SimConfig, pass: &mut Pass) -> Option<()> {
     let (mixes, n) = showcase_and_all();
-    let (showcase, all) = mixes.split_at(n);
-
-    let mut t2 = Table::new(&["mix", "apps", "category"]);
-    for m in showcase {
-        let apps: Vec<&str> = m.apps.iter().map(|a| a.short_name()).collect();
-        t2.add_row(vec![m.name.clone(), apps.join(", "), m.category_label()]);
-    }
-    report.add_table("Table II — workload mixes", t2);
-
     let specs = [
         PolicySpec::baseline(),
         PolicySpec::tlh_il1(),
@@ -415,8 +474,26 @@ fn fig5(cfg: &SimConfig, report: &mut Report) {
         PolicySpec::tlh_l1_l2(),
         PolicySpec::non_inclusive(),
     ];
-    let suites = run_mix_suite(cfg, &mixes, &specs, None);
-    let series = normalized(&suites);
+    // Hint-fraction sensitivity over the showcase mixes.
+    let fractions = [0.01, 0.02, 0.10, 0.20, 1.0];
+    let filtered: Vec<PolicySpec> = fractions
+        .iter()
+        .map(|&p| PolicySpec::tlh_l1_filtered(p))
+        .collect();
+    let (results, report) = pass.declare(vec![
+        suite(cfg, &mixes, &specs, None),
+        suite(cfg, &mixes[..n], &filtered, None),
+    ])?;
+    let (showcase, all) = mixes.split_at(n);
+    let mut t2 = Table::new(&["mix", "apps", "category"]);
+    for m in showcase {
+        let apps: Vec<&str> = m.apps.iter().map(|a| a.short_name()).collect();
+        t2.add_row(vec![m.name.clone(), apps.join(", "), m.category_label()]);
+    }
+    report.add_table("Table II — workload mixes", t2);
+
+    let suites = &results[0];
+    let series = normalized(suites);
     report.add_table(
         "Figure 5 — throughput normalized to the inclusive baseline",
         bar_table(showcase, &series),
@@ -454,26 +531,17 @@ fn fig5(cfg: &SimConfig, report: &mut Report) {
         gap,
     );
 
-    // Hint-fraction sensitivity over the showcase mixes. A showcase-only
-    // suite normalizes against the first `n` baseline runs.
-    let fractions = [0.01, 0.02, 0.10, 0.20, 1.0];
-    let filtered: Vec<PolicySpec> = fractions
-        .iter()
-        .map(|&p| PolicySpec::tlh_l1_filtered(p))
-        .collect();
+    // A showcase-only suite normalizes against the first `n` baseline runs.
     let ni_showcase = &series[5].1[..n];
     let mut hints = Table::new(&["hints sent", "TLH-L1 vs inclusive", "gap bridged"]);
-    for (p, suite) in fractions
-        .iter()
-        .zip(run_mix_suite(cfg, showcase, &filtered, None))
-    {
+    for (p, suite) in fractions.iter().zip(&results[1]) {
         let values = suite.normalized_throughput(&suites[0]);
         hints.add_row(vec![
             format!("{:.0}% of hits", p * 100.0),
             fmt_geomean(&values),
             fmt_bridged(gap_bridged(&values, ni_showcase)),
         ]);
-        report.add_series(suite.spec.name, values);
+        report.add_series(suite.spec.name.clone(), values);
     }
     report.add_table(
         format!("TLH-L1 hint-fraction sensitivity (geomean over {n} mixes)"),
@@ -495,18 +563,20 @@ fn fig5(cfg: &SimConfig, report: &mut Report) {
         amplification(&suites[4]),
     ));
     report.series.splice(0..0, series);
+    Some(())
 }
 
-fn fig6(cfg: &SimConfig, report: &mut Report) {
+fn fig6(cfg: &SimConfig, pass: &mut Pass) -> Option<()> {
     let (mixes, n) = showcase_and_all();
-    let (showcase, all) = mixes.split_at(n);
     let specs = [
         PolicySpec::baseline(),
         PolicySpec::eci(),
         PolicySpec::non_inclusive(),
     ];
-    let suites = run_mix_suite(cfg, &mixes, &specs, None);
-    let series = normalized(&suites);
+    let (results, report) = pass.declare(vec![suite(cfg, &mixes, &specs, None)])?;
+    let (showcase, all) = mixes.split_at(n);
+    let suites = &results[0];
+    let series = normalized(suites);
     report.add_table(
         "Figure 6 — throughput normalized to the inclusive baseline",
         bar_table(showcase, &series),
@@ -553,11 +623,11 @@ fn fig6(cfg: &SimConfig, report: &mut Report) {
         (eci_inv as f64 / base_inv.max(1) as f64 - 1.0) * 100.0
     ));
     report.series = series;
+    Some(())
 }
 
-fn fig7(cfg: &SimConfig, report: &mut Report) {
+fn fig7(cfg: &SimConfig, pass: &mut Pass) -> Option<()> {
     let (mixes, n) = showcase_and_all();
-    let (showcase, all) = mixes.split_at(n);
     let specs = [
         PolicySpec::baseline(),
         PolicySpec::qbs_il1(),
@@ -567,8 +637,17 @@ fn fig7(cfg: &SimConfig, report: &mut Report) {
         PolicySpec::qbs(),
         PolicySpec::non_inclusive(),
     ];
-    let suites = run_mix_suite(cfg, &mixes, &specs, None);
-    let series = normalized(&suites);
+    // Query-limit sensitivity over the showcase mixes (paper: 1/2/4/8
+    // queries give 6.2/6.5/6.6/6.6%).
+    let limits = [1usize, 2, 4, 8];
+    let limited: Vec<PolicySpec> = limits.iter().map(|&q| PolicySpec::qbs_limited(q)).collect();
+    let (results, report) = pass.declare(vec![
+        suite(cfg, &mixes, &specs, None),
+        suite(cfg, &mixes[..n], &limited, None),
+    ])?;
+    let (showcase, all) = mixes.split_at(n);
+    let suites = &results[0];
+    let series = normalized(suites);
     report.add_table(
         "Figure 7 — throughput normalized to the inclusive baseline",
         bar_table(showcase, &series),
@@ -588,18 +667,11 @@ fn fig7(cfg: &SimConfig, report: &mut Report) {
         stats::fmt_gain_pct(geomean(ni)),
     ));
 
-    // Query-limit sensitivity over the showcase mixes (paper: 1/2/4/8
-    // queries give 6.2/6.5/6.6/6.6%).
-    let limits = [1usize, 2, 4, 8];
-    let limited: Vec<PolicySpec> = limits.iter().map(|&q| PolicySpec::qbs_limited(q)).collect();
     let mut t = Table::new(&["queries", "QBS vs inclusive"]);
-    for (q, suite) in limits
-        .iter()
-        .zip(run_mix_suite(cfg, showcase, &limited, None))
-    {
+    for (q, suite) in limits.iter().zip(&results[1]) {
         let values = suite.normalized_throughput(&suites[0]);
         t.add_row(vec![q.to_string(), stats::fmt_gain_pct(geomean(&values))]);
-        report.add_series(suite.spec.name, values);
+        report.add_series(suite.spec.name.clone(), values);
     }
     report.add_table(
         format!("QBS query-limit sensitivity (geomean over {n} mixes)"),
@@ -617,9 +689,10 @@ fn fig7(cfg: &SimConfig, report: &mut Report) {
         rejections as f64 / queries.max(1) as f64 * 100.0
     ));
     report.series.splice(0..0, series);
+    Some(())
 }
 
-fn fig8(cfg: &SimConfig, report: &mut Report) {
+fn fig8(cfg: &SimConfig, pass: &mut Pass) -> Option<()> {
     let all = all_two_core_mixes();
     let specs = [
         PolicySpec::baseline(),
@@ -630,8 +703,9 @@ fn fig8(cfg: &SimConfig, report: &mut Report) {
         PolicySpec::non_inclusive(),
         PolicySpec::exclusive(),
     ];
+    let (results, report) = pass.declare(vec![suite(cfg, &all, &specs, None)])?;
+    let suites = &results[0];
     let paper = ["8.2%", "4.8%", "6.5%", "9.6%", "9.3%", "18.2%"];
-    let suites = run_mix_suite(cfg, &all, &specs, None);
     let mut t = Table::new(&["policy", "avg LLC miss reduction", "paper"]);
     for (suite, paper) in suites[1..].iter().zip(paper) {
         let reduction = suite.miss_reduction_pct(&suites[0]);
@@ -666,9 +740,10 @@ fn fig8(cfg: &SimConfig, report: &mut Report) {
     report.add_note(format!(
         "max QBS miss reduction: {max_qbs:+.1}% (paper: up to ~80%)"
     ));
+    Some(())
 }
 
-fn fig9(cfg: &SimConfig, report: &mut Report) {
+fn fig9(cfg: &SimConfig, pass: &mut Pass) -> Option<()> {
     let all = all_two_core_mixes();
     let mut specs_a = vec![PolicySpec::baseline()];
     specs_a.extend(PolicySpec::figure9_set());
@@ -680,11 +755,15 @@ fn fig9(cfg: &SimConfig, report: &mut Report) {
         PolicySpec::on_non_inclusive(TlaPolicy::qbs()),
         PolicySpec::exclusive(),
     ];
-    for (part, specs, base) in [
-        ("9a", &specs_a[..], "inclusive"),
-        ("9b", &specs_b[..], "non-inclusive"),
-    ] {
-        let series = normalized(&run_mix_suite(cfg, &all, specs, None));
+    let (results, report) = pass.declare(vec![
+        suite(cfg, &all, &specs_a, None),
+        suite(cfg, &all, &specs_b, None),
+    ])?;
+    for ((part, base), suites) in [("9a", "inclusive"), ("9b", "non-inclusive")]
+        .into_iter()
+        .zip(&results)
+    {
+        let series = normalized(suites);
         let mut t = Table::new(&["policy", &format!("vs {base} (geomean)")]);
         for (label, values) in &series {
             t.add_row(vec![label.clone(), fmt_geomean(values)]);
@@ -703,9 +782,10 @@ fn fig9(cfg: &SimConfig, report: &mut Report) {
          a non-inclusive base (paper: 0.4-1.2%); exclusive keeps a small capacity edge \
          (paper: +2.5%)",
     );
+    Some(())
 }
 
-fn fig10(cfg: &SimConfig, report: &mut Report) {
+fn fig10(cfg: &SimConfig, pass: &mut Pass) -> Option<()> {
     let mixes = ratio_mixes(cfg);
     let specs = [
         PolicySpec::baseline(),
@@ -715,12 +795,14 @@ fn fig10(cfg: &SimConfig, report: &mut Report) {
         PolicySpec::non_inclusive(),
         PolicySpec::exclusive(),
     ];
+    let suites = LLC_SIZES_MB.map(|mb| suite(cfg, &mixes, &specs, Some(mb << 20)));
+    let (results, report) = pass.declare(suites.into())?;
     let mut headers = vec!["L2:LLC"];
     headers.extend(specs[1..].iter().map(|s| s.name.as_str()));
     let mut t = Table::new(&headers);
-    for mb in LLC_SIZES_MB {
+    for (mb, suites) in LLC_SIZES_MB.into_iter().zip(&results) {
         let mut row = vec![format!("1:{}", 2 * mb)];
-        for (label, values) in normalized(&run_mix_suite(cfg, &mixes, &specs, Some(mb << 20))) {
+        for (label, values) in normalized(suites) {
             row.push(fmt_geomean(&values));
             report.add_series(format!("{label}@{mb}MB"), values);
         }
@@ -737,9 +819,10 @@ fn fig10(cfg: &SimConfig, report: &mut Report) {
         "expected shape: every column's gain shrinks as the ratio grows toward 1:16; QBS ~ \
          non-inclusive at every ratio; TLH-L1-L2 >= TLH-L1 with the gap widest at 1:2",
     );
+    Some(())
 }
 
-fn fig11(cfg: &SimConfig, report: &mut Report) {
+fn fig11(cfg: &SimConfig, pass: &mut Pass) -> Option<()> {
     // The 2-core population is the 105-pair sweep; 4- and 8-core
     // populations are random draws as in §V-G.
     let count = if cfg.scale() == 1 { 100 } else { 30 };
@@ -753,12 +836,15 @@ fn fig11(cfg: &SimConfig, report: &mut Report) {
         PolicySpec::qbs(),
         PolicySpec::non_inclusive(),
     ];
+    // §V-G keeps the 1:4 hierarchy as cores scale: the LLC grows with
+    // the core count (2 MB per 2 cores at full scale).
+    let suites = populations
+        .each_ref()
+        .map(|m| suite(cfg, m, &specs, Some(m[0].cores() << 20)));
+    let (results, report) = pass.declare(suites.into())?;
     let mut t = Table::new(&["CMP", "mixes", "QBS", "Non-Inclusive", "max QBS"]);
-    for mixes in &populations {
-        // §V-G keeps the 1:4 hierarchy as cores scale: the LLC grows with
-        // the core count (2 MB per 2 cores at full scale).
+    for (mixes, suites) in populations.iter().zip(&results) {
         let cores = mixes[0].cores();
-        let suites = run_mix_suite(cfg, mixes, &specs, Some(cores << 20));
         let qbs = suites[1].normalized_throughput(&suites[0]);
         let ni = suites[2].normalized_throughput(&suites[0]);
         t.add_row(vec![
@@ -776,9 +862,10 @@ fn fig11(cfg: &SimConfig, report: &mut Report) {
         "expected shape: QBS's gain grows with core count (more LLC contention) and tracks \
          non-inclusive at every width",
     );
+    Some(())
 }
 
-fn victim_cache(cfg: &SimConfig, report: &mut Report) {
+fn victim_cache(cfg: &SimConfig, pass: &mut Pass) -> Option<()> {
     let all = all_two_core_mixes();
     let specs = [
         PolicySpec::baseline(),
@@ -786,9 +873,10 @@ fn victim_cache(cfg: &SimConfig, report: &mut Report) {
         PolicySpec::eci(),
         PolicySpec::qbs(),
     ];
-    let suites = run_mix_suite(cfg, &all, &specs, None);
+    let (results, report) = pass.declare(vec![suite(cfg, &all, &specs, None)])?;
+    let suites = &results[0];
     let mut t = Table::new(&["configuration", "vs inclusive (geomean)", "paper"]);
-    for ((label, values), paper) in normalized(&suites)
+    for ((label, values), paper) in normalized(suites)
         .into_iter()
         .zip(["+0.8%", "+4.5%", "+6.5%"])
     {
@@ -813,16 +901,18 @@ fn victim_cache(cfg: &SimConfig, report: &mut Report) {
         .sum();
     report.add_note(format!("victim-cache rescues across the sweep: {rescues}"));
     report.add_note("expected shape: VC-32 << ECI < QBS");
+    Some(())
 }
 
-fn qbs_variants(cfg: &SimConfig, report: &mut Report) {
+fn qbs_variants(cfg: &SimConfig, pass: &mut Pass) -> Option<()> {
     let mixes = table2_mixes();
     let specs = [
         PolicySpec::baseline(),
         PolicySpec::qbs(),
         PolicySpec::qbs_invalidating(),
     ];
-    let series = normalized(&run_mix_suite(cfg, &mixes, &specs, None));
+    let (results, report) = pass.declare(vec![suite(cfg, &mixes, &specs, None)])?;
+    let series = normalized(&results[0]);
     let (qbs, qbsi) = (&series[0].1, &series[1].1);
     let mut t = Table::new(&["mix", "QBS", "QBS-inval"]);
     for (i, mix) in mixes.iter().enumerate() {
@@ -843,24 +933,30 @@ fn qbs_variants(cfg: &SimConfig, report: &mut Report) {
          misses, not avoiding the LLC hit penalty",
     );
     report.series = series;
+    Some(())
 }
 
-fn replacement(cfg: &SimConfig, report: &mut Report) {
+fn replacement(cfg: &SimConfig, pass: &mut Pass) -> Option<()> {
     let mixes = table2_mixes();
-    let mut t = Table::new(&["LLC replacement", "QBS", "Non-Inclusive"]);
-    for policy in [
+    let policies = [
         Policy::Nru,
         Policy::Lru,
         Policy::Srrip,
         Policy::Drrip,
         Policy::Dip,
-    ] {
+    ];
+    let suites = policies.map(|policy| {
         let specs = [
             PolicySpec::baseline().with_llc_replacement(policy),
             PolicySpec::qbs().with_llc_replacement(policy),
             PolicySpec::non_inclusive().with_llc_replacement(policy),
         ];
-        let series = normalized(&run_mix_suite(cfg, &mixes, &specs, None));
+        suite(cfg, &mixes, &specs, None)
+    });
+    let (results, report) = pass.declare(suites.into())?;
+    let mut t = Table::new(&["LLC replacement", "QBS", "Non-Inclusive"]);
+    for (policy, suites) in policies.iter().zip(&results) {
+        let series = normalized(suites);
         t.add_row(vec![
             policy.to_string(),
             stats::fmt_gain_pct(geomean(&series[0].1)),
@@ -880,9 +976,10 @@ fn replacement(cfg: &SimConfig, report: &mut Report) {
         "expected shape: a positive QBS and non-inclusive gain under every policy — the \
          inclusion problem is not an artifact of NRU",
     );
+    Some(())
 }
 
-fn latency(cfg: &SimConfig, report: &mut Report) {
+fn latency(cfg: &SimConfig, pass: &mut Pass) -> Option<()> {
     let mixes = table2_mixes();
     let memory = |memory| Latencies {
         memory,
@@ -903,13 +1000,16 @@ fn latency(cfg: &SimConfig, report: &mut Report) {
         ),
     ];
     let specs = [PolicySpec::baseline(), PolicySpec::qbs()];
-    let mut t = Table::new(&["latency model", "QBS vs inclusive", "miss reduction"]);
-    for (label, latencies) in points {
+    let suites = points.map(|(_, latencies)| {
         let cfg = cfg.clone().core_model(CoreModelConfig {
             latencies,
             ..*cfg.core_config()
         });
-        let suites = run_mix_suite(&cfg, &mixes, &specs, None);
+        suite(&cfg, &mixes, &specs, None)
+    });
+    let (results, report) = pass.declare(suites.into())?;
+    let mut t = Table::new(&["latency model", "QBS vs inclusive", "miss reduction"]);
+    for ((label, _), suites) in points.into_iter().zip(&results) {
         let values = suites[1].normalized_throughput(&suites[0]);
         let reduction = stats::mean(suites[1].miss_reduction_pct(&suites[0])).unwrap_or(0.0);
         t.add_row(vec![
@@ -927,9 +1027,10 @@ fn latency(cfg: &SimConfig, report: &mut Report) {
         "expected shape: positive throughput gain everywhere, growing with the memory \
          penalty; miss reduction roughly constant (it is latency-free)",
     );
+    Some(())
 }
 
-fn snoop_filter(cfg: &SimConfig, report: &mut Report) {
+fn snoop_filter(cfg: &SimConfig, pass: &mut Pass) -> Option<()> {
     let mixes = table2_mixes();
     let specs = [
         PolicySpec::baseline(),
@@ -937,13 +1038,14 @@ fn snoop_filter(cfg: &SimConfig, report: &mut Report) {
         PolicySpec::non_inclusive(),
         PolicySpec::exclusive(),
     ];
-    let suites = run_mix_suite(cfg, &mixes, &specs, None);
+    let (results, report) = pass.declare(vec![suite(cfg, &mixes, &specs, None)])?;
+    let suites = &results[0];
     let mut t = Table::new(&[
         "configuration",
         "throughput vs inclusive",
         "snoop probes / 1k instr",
     ]);
-    for suite in &suites {
+    for suite in suites {
         let values = suite.normalized_throughput(&suites[0]);
         let probes: u64 = suite.runs.iter().map(|r| r.global.snoop_probes).sum();
         let instr: u64 = suite
@@ -971,6 +1073,7 @@ fn snoop_filter(cfg: &SimConfig, report: &mut Report) {
         "(probe counts cover whole runs including post-freeze tails, so they are indicative \
          rates, not exact per-quota counts)",
     );
+    Some(())
 }
 
 #[cfg(test)]

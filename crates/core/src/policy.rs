@@ -8,7 +8,10 @@ use std::fmt;
 /// promotes the line's LLC replacement state to MRU (§III-A). The paper
 /// evaluates hints from the L1I, L1D, both L1s, the L2, and all levels, plus
 /// a sensitivity study where only a fraction of hits send hints.
-#[derive(Debug, Clone, Copy, PartialEq)]
+///
+/// Equality and hashing compare `probability` by its bits, so a config is
+/// a well-behaved map key (see `tla_sim::RunKey`).
+#[derive(Debug, Clone, Copy)]
 pub struct TlhConfig {
     /// Send a hint on every L1 instruction-cache hit.
     pub from_l1i: bool,
@@ -45,6 +48,27 @@ impl TlhConfig {
         from_l2: true,
         probability: 1.0,
     };
+
+    /// What equality and hashing compare: every field, `probability` by
+    /// its bits.
+    fn bits(&self) -> (bool, bool, bool, u64) {
+        let p = self.probability.to_bits();
+        (self.from_l1i, self.from_l1d, self.from_l2, p)
+    }
+}
+
+impl PartialEq for TlhConfig {
+    fn eq(&self, other: &Self) -> bool {
+        self.bits() == other.bits()
+    }
+}
+
+impl Eq for TlhConfig {}
+
+impl std::hash::Hash for TlhConfig {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.bits().hash(state);
+    }
 }
 
 impl Default for TlhConfig {
@@ -60,7 +84,7 @@ impl Default for TlhConfig {
 /// candidate is promoted to MRU and the next candidate is tried; once
 /// `max_queries` candidates have been rejected, the next candidate is
 /// evicted without further queries (§III-C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct QbsConfig {
     /// Consider lines resident in L1 instruction caches unevictable.
     pub check_l1i: bool,
@@ -113,7 +137,7 @@ impl Default for QbsConfig {
 }
 
 /// A Temporal Locality Aware management policy for the LLC.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TlaPolicy {
     /// Plain inclusive management: LLC replacement sees only the filtered
     /// miss stream.

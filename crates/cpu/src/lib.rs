@@ -39,7 +39,7 @@ use tla_snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use tla_types::{AccessKind, Cycle, DataSource};
 
 /// Load-to-use latencies of the hierarchy (§IV-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Latencies {
     /// L1 hit latency in cycles.
     pub l1: Cycle,
@@ -75,7 +75,7 @@ impl Latencies {
 }
 
 /// Configuration of one modelled core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CoreModelConfig {
     /// Fetch/retire width (instructions per cycle).
     pub width: usize,

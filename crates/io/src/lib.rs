@@ -48,7 +48,7 @@ const NIC_STAY: u64 = 2;
 const NIC_WRITE_RATIO: f64 = 0.5;
 
 /// The traffic shape of one I/O agent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IoAgentKind {
     /// NIC receive/transmit ring: a bounded circular buffer the device
     /// wraps over, touching each descriptor line a couple of times in
@@ -79,7 +79,7 @@ impl IoAgentKind {
 }
 
 /// One device agent: a traffic shape plus its intensity knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct IoAgentSpec {
     /// The traffic shape.
     pub kind: IoAgentKind,
@@ -331,7 +331,7 @@ impl TraceSource for IoStream {
 
 /// The I/O side of one simulation run: which agents inject, and how the
 /// LLC constrains them.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct IoMixConfig {
     /// The device agents, scheduled alongside the cores.
     pub agents: Vec<IoAgentSpec>,

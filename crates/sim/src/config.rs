@@ -19,7 +19,7 @@ use tla_cpu::CoreModelConfig;
 /// let fast = SimConfig::scaled_down();  // 1/8-size, same ratios
 /// assert_eq!(fast.scale(), 8);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SimConfig {
     scale: u64,
     instructions: u64,
@@ -145,8 +145,8 @@ impl SimConfig {
         self.prefetch
     }
 
-    /// Caps the worker threads the batch experiment helpers
-    /// ([`crate::mpki_table`], [`crate::run_mix_suite`], …) may use.
+    /// Caps the worker threads a run grid ([`crate::run_grid`] and the
+    /// helpers built on it) may use.
     /// `0` means "use every available core" (the default). A single
     /// [`crate::MixRun`] is always single-threaded; this knob only fans
     /// out *batches* of independent runs, and results are bit-identical
@@ -202,6 +202,17 @@ impl SimConfig {
             Some(0) => tla_pool::resolve_jobs(None),
             Some(n) => n,
             None => 1,
+        }
+    }
+
+    /// This configuration with the thread knobs cleared: the part of it a
+    /// [`crate::RunKey`] compares, since `jobs` and `shard_jobs` never
+    /// change a result.
+    pub(crate) fn without_jobs(&self) -> SimConfig {
+        SimConfig {
+            jobs: None,
+            shard_jobs: None,
+            ..self.clone()
         }
     }
 }

@@ -40,12 +40,11 @@ pub use oracle::{
 };
 pub use policyspec::PolicySpec;
 pub use report::{Table, TableError};
-pub use run::{EngineMode, MixRun, RunResult, RunTelemetry, ThreadResult};
+pub use run::{EngineMode, MixRun, RunResult, ThreadResult};
 pub use runner::{
-    mpki_table, normalized_throughput, run_alone, run_alone_many, run_mix_suite,
-    run_policy_reports, run_policy_reports_analyzed, run_policy_reports_analyzed_io,
-    run_policy_reports_io, run_policy_reports_warm_start, run_policy_reports_warm_start_cached,
-    SuiteResult, Table1Row,
+    grid_jobs, policy_keys, run_grid, run_policy_reports_analyzed, run_policy_reports_io,
+    run_policy_reports_warm_start, run_policy_reports_warm_start_cached, run_suites, Observe,
+    RunKey, RunOutput, Suite, SuiteResult,
 };
 pub use tla_snapshot::SnapshotError;
 pub use tla_telemetry::{RunReport, Window};

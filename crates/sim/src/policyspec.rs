@@ -9,7 +9,7 @@ use tla_core::{InclusionPolicy, TlaPolicy};
 ///
 /// Constructors cover every configuration the paper evaluates; compose
 /// custom ones with the public fields.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PolicySpec {
     /// Label used in report tables.
     pub name: String,

@@ -4,6 +4,7 @@ use crate::checkpoint::{self, Checkpoint, CheckpointInfo};
 use crate::config::SimConfig;
 use crate::policyspec::PolicySpec;
 use crate::sched::CoreScheduler;
+use std::borrow::Cow;
 use tla_core::{
     CacheHierarchy, GlobalStats, HierarchyConfig, InclusionPolicy, IoInjectConfig, PerCoreStats,
     TlaPolicy, VictimCacheConfig,
@@ -170,12 +171,12 @@ impl RunResult {
 #[derive(Debug, Clone)]
 pub struct MixRun<'a> {
     cfg: &'a SimConfig,
-    apps: Vec<SpecApp>,
-    spec: PolicySpec,
+    apps: Cow<'a, [SpecApp]>,
+    spec: Cow<'a, PolicySpec>,
     llc_capacity_full_scale: Option<usize>,
     profile_llc: bool,
     engine: EngineMode,
-    io: IoMixConfig,
+    io: Cow<'a, IoMixConfig>,
 }
 
 impl<'a> MixRun<'a> {
@@ -189,12 +190,33 @@ impl<'a> MixRun<'a> {
         assert!(!apps.is_empty(), "a mix needs at least one app");
         MixRun {
             cfg,
-            apps: apps.to_vec(),
-            spec: PolicySpec::baseline(),
+            apps: Cow::Owned(apps.to_vec()),
+            spec: Cow::Owned(PolicySpec::baseline()),
             llc_capacity_full_scale: None,
             profile_llc: false,
             engine: EngineMode::Batched,
-            io: IoMixConfig::none(),
+            io: Cow::Owned(IoMixConfig::none()),
+        }
+    }
+
+    /// The run a [`crate::RunKey`] requests, borrowing the key's parts
+    /// instead of copying them.
+    pub(crate) fn borrowed(
+        cfg: &'a SimConfig,
+        apps: &'a [SpecApp],
+        spec: &'a PolicySpec,
+        llc_capacity_full_scale: Option<usize>,
+        io: &'a IoMixConfig,
+    ) -> Self {
+        assert!(!apps.is_empty(), "a mix needs at least one app");
+        MixRun {
+            cfg,
+            apps: Cow::Borrowed(apps),
+            spec: Cow::Borrowed(spec),
+            llc_capacity_full_scale,
+            profile_llc: false,
+            engine: EngineMode::Batched,
+            io: Cow::Borrowed(io),
         }
     }
 
@@ -205,7 +227,7 @@ impl<'a> MixRun<'a> {
     /// call.
     #[must_use]
     pub fn io(mut self, io: IoMixConfig) -> Self {
-        self.io = io;
+        self.io = Cow::Owned(io);
         self
     }
 
@@ -221,22 +243,23 @@ impl<'a> MixRun<'a> {
     /// Sets the whole policy configuration at once.
     #[must_use]
     pub fn spec(mut self, spec: &PolicySpec) -> Self {
-        self.spec = spec.clone();
+        self.spec = Cow::Owned(spec.clone());
         self
     }
 
     /// Sets just the TLA policy (keeping the inclusive base).
     #[must_use]
     pub fn policy(mut self, tla: TlaPolicy) -> Self {
-        self.spec.name = tla.label();
-        self.spec.tla = tla;
+        let spec = self.spec.to_mut();
+        spec.name = tla.label();
+        spec.tla = tla;
         self
     }
 
     /// Sets just the inclusion mode.
     #[must_use]
     pub fn inclusion(mut self, inclusion: InclusionPolicy) -> Self {
-        self.spec.inclusion = inclusion;
+        self.spec.to_mut().inclusion = inclusion;
         self
     }
 
@@ -260,19 +283,6 @@ impl<'a> MixRun<'a> {
     /// [`SharedSink`] clone to read the collector back afterwards.
     pub fn run_with_sink(self, sink: impl TelemetrySink + 'static) -> RunResult {
         self.execute(None, Some(Box::new(sink))).0
-    }
-
-    /// Executes the run with telemetry collection: event totals, per-set
-    /// eviction/inclusion-victim histograms and — when `window` is set — a
-    /// windowed time series closed every `window` committed instructions
-    /// (summed across cores).
-    ///
-    /// Collection spans the whole run including warm-up (the time series
-    /// is precisely what makes the warm-up transient visible); the
-    /// [`RunResult`] keeps its usual measured-phase semantics.
-    pub fn run_instrumented(self, window: Option<u64>) -> (RunResult, RunTelemetry) {
-        let (result, telemetry) = self.execute(Some(window), None);
-        (result, telemetry.expect("telemetry was requested"))
     }
 
     /// The hierarchy configuration this run would build.
@@ -305,13 +315,13 @@ impl<'a> MixRun<'a> {
     }
 
     fn execute(
-        self,
+        &self,
         telemetry: Option<Option<u64>>,
         extra_sink: Option<Box<dyn TelemetrySink>>,
     ) -> (RunResult, Option<RunTelemetry>) {
         let collect = telemetry.is_some();
         let spec_name = self.spec.name.clone();
-        let mut engine = Engine::new(&self, telemetry, extra_sink);
+        let mut engine = Engine::new(self, telemetry, extra_sink);
         engine.run_to_completion();
         engine.finish(collect, spec_name)
     }
@@ -324,39 +334,17 @@ impl<'a> MixRun<'a> {
 
     /// Executes the run with telemetry and packages everything into a
     /// machine-readable [`RunReport`] (config echo, final stats, time
-    /// series, histograms) ready for JSON output.
+    /// series, histograms) ready for JSON output: event totals, per-set
+    /// eviction/inclusion-victim histograms and — when `window` is set — a
+    /// windowed time series closed every `window` committed instructions
+    /// (summed across cores).
+    ///
+    /// Collection spans the whole run including warm-up (the time series
+    /// is precisely what makes the warm-up transient visible); the
+    /// [`RunResult`] keeps its usual measured-phase semantics.
     pub fn run_report(self, window: Option<u64>) -> (RunResult, RunReport) {
-        let mix = self.mix_label();
-        let config = self.config_echo();
-        let spec_name = self.spec.name.clone();
-        let apps = self.apps.clone();
-        let io_labels = self.io_labels();
-        let (result, telemetry) = self.run_instrumented(window);
-        let report = RunReport {
-            mix,
-            policy: spec_name,
-            config,
-            threads: apps
-                .iter()
-                .zip(&result.threads)
-                .map(|(app, t)| ThreadReport {
-                    app: app.short_name().to_string(),
-                    instructions: t.instructions,
-                    cycles: t.cycles,
-                    stats: t.stats,
-                })
-                .collect(),
-            global: result.global,
-            event_totals: telemetry.event_totals,
-            window_size: telemetry.window_size,
-            windows: telemetry.windows,
-            set_histogram: Some(telemetry.set_histogram),
-            opt_misses: None,
-            gap_to_opt: None,
-            inclusion_victim_rate: None,
-            reuse: None,
-            io: io_report(&io_labels, &result),
-        };
+        let (result, telemetry) = self.execute(Some(window), None);
+        let report = self.report(&result, telemetry);
         (result, report)
     }
 
@@ -377,11 +365,6 @@ impl<'a> MixRun<'a> {
         window: Option<u64>,
         sample_every: u32,
     ) -> (RunResult, RunReport) {
-        let mix = self.mix_label();
-        let config = self.config_echo();
-        let spec_name = self.spec.name.clone();
-        let apps = self.apps.clone();
-        let io_labels = self.io_labels();
         let llc_sets = self.hierarchy_config().llc().sets();
         let profiler = SharedSink::new(ReuseProfiler::new(
             llc_sets,
@@ -390,12 +373,51 @@ impl<'a> MixRun<'a> {
         ));
         self.profile_llc = true;
         let (result, telemetry) = self.execute(Some(window), Some(Box::new(profiler.clone())));
-        let telemetry = telemetry.expect("telemetry was requested");
-        let mut report = build_report(mix, spec_name, config, &apps, &result, telemetry);
+        let mut report = self.report(&result, telemetry);
         report.reuse = Some(profiler.with(|p| ReuseReport::from(p)));
         report.inclusion_victim_rate = Some(report.measured_victim_rate());
-        report.io = io_report(&io_labels, &result);
         (result, report)
+    }
+
+    /// Packages this finished run plus its telemetry as a [`RunReport`];
+    /// the report has an `"io"` key only when the run had I/O agents.
+    fn report(&self, result: &RunResult, telemetry: Option<RunTelemetry>) -> RunReport {
+        let telemetry = telemetry.expect("telemetry was requested");
+        RunReport {
+            mix: self.mix_label(),
+            policy: self.spec.name.clone(),
+            config: self.config_echo(),
+            threads: self
+                .apps
+                .iter()
+                .zip(&result.threads)
+                .map(|(app, t)| ThreadReport {
+                    app: app.short_name().to_string(),
+                    instructions: t.instructions,
+                    cycles: t.cycles,
+                    stats: t.stats,
+                })
+                .collect(),
+            global: result.global,
+            event_totals: telemetry.event_totals,
+            window_size: telemetry.window_size,
+            windows: telemetry.windows,
+            set_histogram: Some(telemetry.set_histogram),
+            opt_misses: None,
+            gap_to_opt: None,
+            inclusion_victim_rate: None,
+            reuse: None,
+            io: result.io.as_ref().map(|(stats, agents)| IoReport {
+                stats: *stats,
+                agents: self
+                    .io
+                    .agents
+                    .iter()
+                    .map(|a| a.label())
+                    .zip(agents.iter().copied())
+                    .collect(),
+            }),
+        }
     }
 
     /// Echo of every knob that shaped this run, for report provenance.
@@ -422,11 +444,6 @@ impl<'a> MixRun<'a> {
             echo.set("io", self.io.label());
         }
         echo
-    }
-
-    /// Agent labels in spec order, for the report's per-agent breakdown.
-    fn io_labels(&self) -> Vec<String> {
-        self.io.agents.iter().map(|a| a.label()).collect()
     }
 
     /// Runs the warm-up phase only and freezes the complete simulator
@@ -512,20 +529,15 @@ impl<'a> MixRun<'a> {
         checkpoint: &Checkpoint,
         window: Option<u64>,
     ) -> Result<(RunResult, RunReport), SnapshotError> {
-        let mix = self.mix_label();
-        let config = self.config_echo();
-        let spec_name = self.spec.name.clone();
-        let apps = self.apps.clone();
         let (result, telemetry) = self.resume_inner(checkpoint, Some(window))?;
-        let telemetry = telemetry.expect("telemetry was requested");
-        let report = build_report(mix, spec_name, config, &apps, &result, telemetry);
+        let report = self.report(&result, telemetry);
         Ok((result, report))
     }
 
     /// `want`: `None` resumes plain; `Some(window)` demands telemetry
     /// recorded with exactly that window.
     fn resume_inner(
-        self,
+        &self,
         checkpoint: &Checkpoint,
         want: Option<Option<u64>>,
     ) -> Result<(RunResult, Option<RunTelemetry>), SnapshotError> {
@@ -553,7 +565,7 @@ impl<'a> MixRun<'a> {
         let engine_telemetry = info.instrumented.then_some(info.window);
         let collect = want.is_some();
         let spec_name = self.spec.name.clone();
-        let mut engine = Engine::new(&self, engine_telemetry, None);
+        let mut engine = Engine::new(self, engine_telemetry, None);
         let mut r = SnapshotReader::new(checkpoint.as_bytes())?;
         r.begin_section("meta")?;
         // Re-parsed only to advance the reader past the section.
@@ -583,7 +595,7 @@ impl<'a> MixRun<'a> {
                 "checkpoint was warmed with {what} {ck}, this run is configured for {here}"
             )))
         };
-        if info.apps != self.apps {
+        if info.apps[..] != self.apps[..] {
             return mismatch("mix", info.mix_label(), self.mix_label());
         }
         if info.scale != self.cfg.scale() {
@@ -637,52 +649,6 @@ impl<'a> MixRun<'a> {
         }
         Ok(())
     }
-}
-
-/// Packages a finished run plus its telemetry as a [`RunReport`].
-fn build_report(
-    mix: String,
-    policy: String,
-    config: ConfigEcho,
-    apps: &[SpecApp],
-    result: &RunResult,
-    telemetry: RunTelemetry,
-) -> RunReport {
-    RunReport {
-        mix,
-        policy,
-        config,
-        threads: apps
-            .iter()
-            .zip(&result.threads)
-            .map(|(app, t)| ThreadReport {
-                app: app.short_name().to_string(),
-                instructions: t.instructions,
-                cycles: t.cycles,
-                stats: t.stats,
-            })
-            .collect(),
-        global: result.global,
-        event_totals: telemetry.event_totals,
-        window_size: telemetry.window_size,
-        windows: telemetry.windows,
-        set_histogram: Some(telemetry.set_histogram),
-        opt_misses: None,
-        gap_to_opt: None,
-        inclusion_victim_rate: None,
-        reuse: None,
-        io: None,
-    }
-}
-
-/// Zips the result's per-agent I/O counters with their spec labels.
-/// `None` (and therefore no `"io"` report key) whenever the run had no
-/// I/O configured.
-fn io_report(labels: &[String], result: &RunResult) -> Option<IoReport> {
-    result.io.as_ref().map(|(stats, agents)| IoReport {
-        stats: *stats,
-        agents: labels.iter().cloned().zip(agents.iter().copied()).collect(),
-    })
 }
 
 /// One device agent in flight: its deterministic line stream and its
@@ -820,7 +786,7 @@ impl Engine {
             next_io,
             warmup,
             quota,
-            apps: run.apps.clone(),
+            apps: run.apps.to_vec(),
             collectors,
             series,
         }
@@ -1218,9 +1184,10 @@ impl Snapshot for Engine {
     }
 }
 
-/// Telemetry collected by [`MixRun::run_instrumented`].
+/// Telemetry collected by an instrumented run, before it is packaged as a
+/// [`RunReport`].
 #[derive(Debug, Clone)]
-pub struct RunTelemetry {
+pub(crate) struct RunTelemetry {
     /// Window size in instructions, when a time series was requested.
     pub window_size: Option<u64>,
     /// Windowed counter deltas, oldest first (empty without a window).
@@ -1557,7 +1524,7 @@ mod tests {
             .run();
         let (instr, telemetry) = MixRun::new(&cfg, &[SpecApp::Sjeng, SpecApp::Mcf])
             .spec(&PolicySpec::qbs())
-            .run_instrumented(Some(5_000));
+            .run_report(Some(5_000));
         assert_eq!(plain.global, instr.global);
         assert_eq!(plain.threads[0].stats, instr.threads[0].stats);
         assert_eq!(plain.threads[1].cycles, instr.threads[1].cycles);

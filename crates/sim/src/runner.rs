@@ -1,63 +1,226 @@
-//! Experiment helpers behind `tla-cli` and the paper's figures: isolated
-//! runs, Table I MPKI measurement, and policy suites over mix lists.
+//! The run grid behind `tla-cli` and the paper's figures.
 //!
-//! Every helper that executes more than one [`MixRun`] fans the batch out
-//! over [`tla_pool::scoped_map`] with [`SimConfig::effective_jobs`]
-//! workers. Each run is self-contained and seeded, so results are
+//! Every experiment is a list of [`RunKey`]s: one request per run, naming
+//! everything that shapes its result and how it is observed.
+//! [`run_grid`] runs each distinct key once, over a single
+//! [`tla_pool::scoped_map`] fan-out, and hands every requester its
+//! output. Each run is self-contained and seeded, so results are
 //! bit-identical to serial execution and outputs keep input order; the
 //! job count only changes wall-clock time.
 
-use crate::checkpoint::{Checkpoint, CheckpointInfo};
+use crate::checkpoint::CheckpointInfo;
 use crate::config::SimConfig;
 use crate::policyspec::PolicySpec;
-use crate::run::{MixRun, RunResult, ThreadResult};
+use crate::run::{MixRun, RunResult};
 use crate::warmcache::WarmCache;
+use std::cmp::Reverse;
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use tla_io::IoMixConfig;
 use tla_pool::scoped_map;
 use tla_snapshot::SnapshotError;
 use tla_telemetry::RunReport;
 use tla_workloads::{Mix, SpecApp};
 
-/// Runs `app` alone on a single core (for Table I and weighted speedups).
-pub fn run_alone(cfg: &SimConfig, app: SpecApp) -> ThreadResult {
-    MixRun::new(cfg, &[app]).run().threads.remove(0)
+/// How a run is observed: what it yields beside its [`RunResult`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Observe {
+    /// Statistics only; no telemetry is collected.
+    Plain,
+    /// A [`RunReport`] with a time series closed every `window` committed
+    /// instructions.
+    Report(u64),
+    /// A [`RunReport`] with the analytics layer attached
+    /// ([`MixRun::run_report_analyzed`]): reuse distances sampled in every
+    /// `sample_every`-th LLC set, and the inclusion-victim rate.
+    Analyzed {
+        /// The time-series window, if any.
+        window: Option<u64>,
+        /// The reuse profiler's set-sampling stride.
+        sample_every: u32,
+    },
 }
 
-/// Runs several apps alone in parallel (the weighted-speedup / fairness
-/// denominators), returning results in input order.
-pub fn run_alone_many(cfg: &SimConfig, apps: &[SpecApp]) -> Vec<ThreadResult> {
-    scoped_map(cfg.effective_jobs(), apps.to_vec(), |app| {
-        run_alone(cfg, app)
-    })
+/// What one run yields: its result, plus a report unless it was observed
+/// [plain](Observe::Plain).
+pub type RunOutput = (RunResult, Option<RunReport>);
+
+/// One run request: the mix, the policy spec, the LLC override, the
+/// device-I/O mix, every [`SimConfig`] field that shapes results, and the
+/// [observation level](Observe).
+///
+/// Two keys are equal exactly when their runs are: the thread knobs
+/// ([`SimConfig::jobs`], [`SimConfig::shard_jobs`]) are left out, and the
+/// spec's name is kept because it flows into [`RunResult::spec_name`] and
+/// every report.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RunKey {
+    cfg: SimConfig,
+    apps: Vec<SpecApp>,
+    spec: PolicySpec,
+    llc_capacity_full_scale: Option<usize>,
+    io: IoMixConfig,
+    observe: Observe,
 }
 
-/// One row of Table I: isolated MPKI at each level.
-#[derive(Debug, Clone)]
-pub struct Table1Row {
-    /// The benchmark.
-    pub app: SpecApp,
-    /// Combined L1 (I+D) misses per 1000 instructions.
-    pub l1_mpki: f64,
-    /// L2 MPKI.
-    pub l2_mpki: f64,
-    /// LLC MPKI.
-    pub llc_mpki: f64,
-}
-
-/// Measures the isolated L1/L2/LLC MPKI of every benchmark with the
-/// prefetcher off, reproducing Table I ("the MPKI numbers are reported in
-/// the absence of a prefetcher").
-pub fn mpki_table(cfg: &SimConfig) -> Vec<Table1Row> {
-    let cfg = cfg.clone().prefetch(false);
-    scoped_map(cfg.effective_jobs(), SpecApp::ALL.to_vec(), |app| {
-        let t = run_alone(&cfg, app);
-        Table1Row {
-            app,
-            l1_mpki: t.l1_mpki(),
-            l2_mpki: t.l2_mpki(),
-            llc_mpki: t.llc_mpki(),
+impl RunKey {
+    /// A plain run of `apps` (one per core) under `spec`, with no LLC
+    /// override and no device I/O.
+    pub fn new(cfg: &SimConfig, apps: &[SpecApp], spec: &PolicySpec) -> Self {
+        RunKey {
+            cfg: cfg.without_jobs(),
+            apps: apps.to_vec(),
+            spec: spec.clone(),
+            llc_capacity_full_scale: None,
+            io: IoMixConfig::none(),
+            observe: Observe::Plain,
         }
-    })
+    }
+
+    /// Overrides the LLC capacity, expressed at full (scale 1) size, as
+    /// [`MixRun::llc_capacity_full_scale`] does; `None` keeps the default.
+    #[must_use]
+    pub fn llc_override(mut self, bytes: Option<usize>) -> Self {
+        self.llc_capacity_full_scale = bytes;
+        self
+    }
+
+    /// Attaches a device-I/O mix ([`MixRun::io`]).
+    #[must_use]
+    pub fn io(mut self, io: IoMixConfig) -> Self {
+        self.io = io;
+        self
+    }
+
+    /// Sets the observation level.
+    #[must_use]
+    pub fn observe(mut self, observe: Observe) -> Self {
+        self.observe = observe;
+        self
+    }
+
+    /// Cores the run occupies.
+    pub fn cores(&self) -> usize {
+        self.apps.len()
+    }
+
+    /// The run this key requests, for what the grid does not do
+    /// (checkpoints): the one place a [`MixRun`] is built from a request.
+    pub fn mix_run(&self) -> MixRun<'_> {
+        MixRun::borrowed(
+            &self.cfg,
+            &self.apps,
+            &self.spec,
+            self.llc_capacity_full_scale,
+            &self.io,
+        )
+    }
+
+    /// Runs this key alone (on the calling thread).
+    pub fn run(&self) -> RunOutput {
+        let run = self.mix_run();
+        let (result, report) = match self.observe {
+            Observe::Plain => return (run.run(), None),
+            Observe::Report(window) => run.run_report(Some(window)),
+            Observe::Analyzed {
+                window,
+                sample_every,
+            } => run.run_report_analyzed(window, sample_every),
+        };
+        (result, Some(report))
+    }
+}
+
+/// Hashes only the fields that tell most keys apart; equality still
+/// compares every field. Hashing every field showed in the set-up time
+/// of small grids, such as `io-sweep`'s four runs per device scenario.
+impl Hash for RunKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (&self.apps, &self.spec.name, self.llc_capacity_full_scale).hash(state);
+    }
+}
+
+/// The pool's job list for `keys`. The first vector holds the index of
+/// each distinct key's first occurrence, widest mixes first (so long
+/// many-core runs start early), otherwise in input order. The second maps
+/// every key to the position of its job in the first.
+pub fn grid_jobs(keys: &[RunKey]) -> (Vec<usize>, Vec<usize>) {
+    // Visiting keys widest first (stably) meets each distinct key first
+    // at its first occurrence, in the order its job should run.
+    let mut order: Vec<usize> = (0..keys.len()).collect();
+    order.sort_by_key(|&i| Reverse(keys[i].cores()));
+    let mut position = HashMap::with_capacity(keys.len());
+    let mut jobs = Vec::new();
+    let mut slots = vec![0; keys.len()];
+    for i in order {
+        slots[i] = *position.entry(&keys[i]).or_insert_with(|| {
+            jobs.push(i);
+            jobs.len() - 1
+        });
+    }
+    (jobs, slots)
+}
+
+/// Runs every distinct key of `keys` once on up to `jobs` threads and
+/// returns one output per key, in input order; a repeated key gets a copy
+/// of its run's output.
+pub fn run_grid(keys: &[RunKey], jobs: usize) -> Vec<RunOutput> {
+    let (order, slots) = grid_jobs(keys);
+    let outputs = scoped_map(jobs, order, |i| keys[i].run());
+    if slots.iter().enumerate().all(|(i, &slot)| slot == i) {
+        // Every key is distinct and the jobs ran in input order.
+        return outputs;
+    }
+    slots
+        .into_iter()
+        .map(|slot| outputs[slot].clone())
+        .collect()
+}
+
+/// Every spec over every mix under one configuration and LLC override:
+/// the unit the paper's figures read.
+#[derive(Debug, Clone)]
+pub struct Suite {
+    /// The configuration every run uses.
+    pub cfg: SimConfig,
+    /// The mixes, in result order.
+    pub mixes: Vec<Mix>,
+    /// The specs, in result order.
+    pub specs: Vec<PolicySpec>,
+    /// The LLC capacity override, expressed at scale 1 (for ratio sweeps).
+    pub llc_capacity_full_scale: Option<usize>,
+}
+
+impl Suite {
+    /// The suite's plain runs, spec-major: `[spec][mix]`.
+    pub fn keys(&self) -> impl Iterator<Item = RunKey> + '_ {
+        self.specs.iter().flat_map(move |spec| {
+            self.mixes.iter().map(move |mix| {
+                RunKey::new(&self.cfg, &mix.apps, spec).llc_override(self.llc_capacity_full_scale)
+            })
+        })
+    }
+}
+
+/// Runs every suite on one grid, so a run two suites share executes
+/// once. Results are indexed `[suite][spec]`, each with its runs in mix
+/// order.
+pub fn run_suites(suites: &[Suite], jobs: usize) -> Vec<Vec<SuiteResult>> {
+    let keys: Vec<RunKey> = suites.iter().flat_map(Suite::keys).collect();
+    let mut runs = run_grid(&keys, jobs).into_iter().map(|(result, _)| result);
+    suites
+        .iter()
+        .map(|suite| {
+            suite
+                .specs
+                .iter()
+                .map(|spec| SuiteResult {
+                    spec: spec.clone(),
+                    runs: runs.by_ref().take(suite.mixes.len()).collect(),
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// Results of one policy over a list of mixes.
@@ -75,7 +238,14 @@ impl SuiteResult {
         self.runs
             .iter()
             .zip(&baseline.runs)
-            .map(|(r, b)| normalized_throughput(r, b))
+            .map(|(r, b)| {
+                let b = b.throughput();
+                if b == 0.0 {
+                    0.0
+                } else {
+                    r.throughput() / b
+                }
+            })
             .collect()
     }
 
@@ -105,78 +275,11 @@ impl SuiteResult {
     }
 }
 
-/// Throughput of `run` normalized to `baseline` (1.0 = equal).
-pub fn normalized_throughput(run: &RunResult, baseline: &RunResult) -> f64 {
-    let b = baseline.throughput();
-    if b == 0.0 {
-        0.0
-    } else {
-        run.throughput() / b
-    }
-}
-
-/// Runs every `spec` over every mix in `mixes`. Results are indexed
-/// `[spec][mix]`.
-///
-/// `llc_capacity_full_scale` optionally overrides the LLC size (expressed
-/// at scale 1) for ratio sweeps.
-pub fn run_mix_suite(
-    cfg: &SimConfig,
-    mixes: &[Mix],
-    specs: &[PolicySpec],
-    llc_capacity_full_scale: Option<usize>,
-) -> Vec<SuiteResult> {
-    // Flatten the (spec, mix) grid into one job list so the pool
-    // load-balances across both axes, then slice the ordered results
-    // back into per-spec suites.
-    let grid: Vec<(usize, usize)> = (0..specs.len())
-        .flat_map(|s| (0..mixes.len()).map(move |m| (s, m)))
-        .collect();
-    let mut runs = scoped_map(cfg.effective_jobs(), grid, |(s, m)| {
-        let mut run = MixRun::new(cfg, &mixes[m].apps).spec(&specs[s]);
-        if let Some(bytes) = llc_capacity_full_scale {
-            run = run.llc_capacity_full_scale(bytes);
-        }
-        run.run()
-    })
-    .into_iter();
-    specs
-        .iter()
-        .map(|spec| SuiteResult {
-            spec: spec.clone(),
-            runs: runs.by_ref().take(mixes.len()).collect(),
-        })
-        .collect()
-}
-
-/// Runs every policy in `specs` on one mix in parallel, in `specs` order
-/// — the engine behind `tla-cli compare`.
-///
-/// With `window = Some(w)` each run also produces a machine-readable
-/// [`RunReport`] with a `w`-instruction time series; with `None` the runs
-/// are plain (no telemetry). Like every batch helper, the output is
-/// bit-identical for any job count.
-pub fn run_policy_reports(
-    cfg: &SimConfig,
-    apps: &[SpecApp],
-    specs: &[PolicySpec],
-    llc_capacity_full_scale: Option<usize>,
-    window: Option<u64>,
-) -> Vec<(RunResult, Option<RunReport>)> {
-    run_policy_reports_io(
-        cfg,
-        apps,
-        specs,
-        llc_capacity_full_scale,
-        window,
-        &IoMixConfig::none(),
-    )
-}
-
-/// [`run_policy_reports`] with a device-I/O mix attached to every run —
-/// the engine behind `tla-cli compare --io` and the `io-sweep` scenario
-/// grid. A [trivial](IoMixConfig::is_trivial) `io` is exactly
-/// [`run_policy_reports`], byte for byte.
+/// Every spec in `specs` on one mix, one report per spec in `specs`
+/// order — the benchmark's `io-sweep` job. With `window = Some(w)` each
+/// run also yields a [`RunReport`] with a `w`-instruction time series;
+/// with `None` the runs are plain. A [trivial](IoMixConfig::is_trivial)
+/// `io` runs exactly as no I/O at all.
 pub fn run_policy_reports_io(
     cfg: &SimConfig,
     apps: &[SpecApp],
@@ -184,32 +287,17 @@ pub fn run_policy_reports_io(
     llc_capacity_full_scale: Option<usize>,
     window: Option<u64>,
     io: &IoMixConfig,
-) -> Vec<(RunResult, Option<RunReport>)> {
-    scoped_map(cfg.effective_jobs(), specs.to_vec(), |spec| {
-        let mut run = MixRun::new(cfg, apps).spec(&spec).io(io.clone());
-        if let Some(bytes) = llc_capacity_full_scale {
-            run = run.llc_capacity_full_scale(bytes);
-        }
-        match window {
-            Some(w) => {
-                let (result, report) = run.run_report(Some(w));
-                (result, Some(report))
-            }
-            None => (run.run(), None),
-        }
-    })
+) -> Vec<RunOutput> {
+    let observe = window.map_or(Observe::Plain, Observe::Report);
+    let keys = policy_keys(cfg, apps, specs, llc_capacity_full_scale, io, observe);
+    run_grid(&keys, cfg.effective_jobs())
 }
 
-/// The engine behind `tla-cli analyze`: every policy on one mix with the
-/// analytics layer attached (reuse-distance profiler sampling every
-/// `sample_every`-th LLC set, inclusion-victim attribution), in `specs`
-/// order. Each report carries its [`tla_telemetry::ReuseReport`] and measured
-/// inclusion-victim rate; the caller pairs them with the MIN oracle to
-/// fill in `opt_misses` / `gap_to_opt`.
-///
-/// Like every batch helper, the output is bit-identical for any job
-/// count, and each [`RunResult`] is bit-identical to a plain run (the
-/// analytics stream is observation-only).
+/// Every spec in `specs` on one mix with the analytics layer attached
+/// ([`Observe::Analyzed`]), in `specs` order — the benchmark's `analyze`
+/// job. The caller pairs each report with the MIN oracle to fill in
+/// `opt_misses` / `gap_to_opt`; each [`RunResult`] is bit-identical to a
+/// plain run (the analytics stream is observation-only).
 pub fn run_policy_reports_analyzed(
     cfg: &SimConfig,
     apps: &[SpecApp],
@@ -218,100 +306,37 @@ pub fn run_policy_reports_analyzed(
     window: Option<u64>,
     sample_every: u32,
 ) -> Vec<(RunResult, RunReport)> {
-    run_policy_reports_analyzed_io(
-        cfg,
-        apps,
-        specs,
-        llc_capacity_full_scale,
+    let (llc, none) = (llc_capacity_full_scale, IoMixConfig::none());
+    let observe = Observe::Analyzed {
         window,
         sample_every,
-        &IoMixConfig::none(),
-    )
+    };
+    let keys = policy_keys(cfg, apps, specs, llc, &none, observe);
+    run_grid(&keys, cfg.effective_jobs())
+        .into_iter()
+        .map(|(result, report)| (result, report.expect("analyzed runs carry a report")))
+        .collect()
 }
 
-/// [`run_policy_reports_analyzed`] with a device-I/O mix attached to
-/// every run, so `analyze --io` can put gap-to-opt and victim analytics
-/// next to the I/O damage counters. A trivial `io` is exactly
-/// [`run_policy_reports_analyzed`], byte for byte.
-#[allow(clippy::too_many_arguments)]
-pub fn run_policy_reports_analyzed_io(
+/// One key per spec in `specs`, all on the same mix.
+pub fn policy_keys(
     cfg: &SimConfig,
     apps: &[SpecApp],
     specs: &[PolicySpec],
     llc_capacity_full_scale: Option<usize>,
-    window: Option<u64>,
-    sample_every: u32,
     io: &IoMixConfig,
-) -> Vec<(RunResult, RunReport)> {
-    scoped_map(cfg.effective_jobs(), specs.to_vec(), |spec| {
-        let mut run = MixRun::new(cfg, apps).spec(&spec).io(io.clone());
-        if let Some(bytes) = llc_capacity_full_scale {
-            run = run.llc_capacity_full_scale(bytes);
-        }
-        run.run_report_analyzed(window, sample_every)
-    })
+    observe: Observe,
+) -> Vec<RunKey> {
+    let key = |spec| {
+        RunKey::new(cfg, apps, spec)
+            .llc_override(llc_capacity_full_scale)
+            .io(io.clone())
+            .observe(observe)
+    };
+    specs.iter().map(key).collect()
 }
 
-/// Builds one warm baseline checkpoint for `apps` under `cfg`.
-fn warm_once(
-    cfg: &SimConfig,
-    apps: &[SpecApp],
-    llc_capacity_full_scale: Option<usize>,
-    window: Option<Option<u64>>,
-) -> Checkpoint {
-    let mut run = MixRun::new(cfg, apps).spec(&PolicySpec::baseline());
-    if let Some(bytes) = llc_capacity_full_scale {
-        run = run.llc_capacity_full_scale(bytes);
-    }
-    match window {
-        Some(w) => run.warm_checkpoint_instrumented(w),
-        None => run.warm_checkpoint(),
-    }
-}
-
-/// The [`CheckpointInfo`] the baseline warm-up of this configuration will
-/// produce, with `total_instr` still zero — everything [`WarmCache::key`]
-/// needs, computable before any simulation runs.
-fn prewarm_info(
-    cfg: &SimConfig,
-    apps: &[SpecApp],
-    llc_capacity_full_scale: Option<usize>,
-    window: Option<Option<u64>>,
-) -> CheckpointInfo {
-    CheckpointInfo::new(
-        cfg,
-        apps,
-        llc_capacity_full_scale,
-        &PolicySpec::baseline().name,
-        window,
-    )
-}
-
-/// [`warm_once`] with an optional on-disk cache in front: a valid cached
-/// image is returned as-is, otherwise the warm-up runs and (best-effort)
-/// populates the cache. A store failure is not fatal — the freshly warmed
-/// checkpoint is correct either way, the next invocation just warms again.
-fn warm_once_cached(
-    cfg: &SimConfig,
-    apps: &[SpecApp],
-    llc_capacity_full_scale: Option<usize>,
-    window: Option<Option<u64>>,
-    cache: Option<&WarmCache>,
-) -> Checkpoint {
-    if let Some(cache) = cache {
-        let expected = prewarm_info(cfg, apps, llc_capacity_full_scale, window);
-        if let Some(ck) = cache.lookup(&expected) {
-            return ck;
-        }
-        let ck = warm_once(cfg, apps, llc_capacity_full_scale, window);
-        let _ = cache.store(&ck);
-        ck
-    } else {
-        warm_once(cfg, apps, llc_capacity_full_scale, window)
-    }
-}
-
-/// Warm-start variant of [`run_policy_reports`]: runs the warm-up phase
+/// Warm-start variant of [`run_policy_reports_io`]: runs the warm-up phase
 /// *once* (under the inclusive baseline), checkpoints it, then fans the
 /// per-policy measured phases out over the pool, each resuming the same
 /// warm image.
@@ -322,7 +347,7 @@ fn warm_once_cached(
 /// policy sees a *baseline-warmed* hierarchy rather than warming under
 /// itself (and a thread fast enough to retire its whole quota during
 /// warm-up keeps its baseline-phase result). With `warmup == 0` there is
-/// nothing to share and this falls back to [`run_policy_reports`]
+/// nothing to share and this falls back to [`run_policy_reports_io`]
 /// exactly.
 ///
 /// # Errors
@@ -335,7 +360,7 @@ pub fn run_policy_reports_warm_start(
     specs: &[PolicySpec],
     llc_capacity_full_scale: Option<usize>,
     window: Option<u64>,
-) -> Result<Vec<(RunResult, Option<RunReport>)>, SnapshotError> {
+) -> Result<Vec<RunOutput>, SnapshotError> {
     run_policy_reports_warm_start_cached(cfg, apps, specs, llc_capacity_full_scale, window, None)
 }
 
@@ -358,28 +383,39 @@ pub fn run_policy_reports_warm_start_cached(
     llc_capacity_full_scale: Option<usize>,
     window: Option<u64>,
     warm_cache: Option<&WarmCache>,
-) -> Result<Vec<(RunResult, Option<RunReport>)>, SnapshotError> {
+) -> Result<Vec<RunOutput>, SnapshotError> {
+    let llc = llc_capacity_full_scale;
+    let none = IoMixConfig::none();
     if cfg.warmup_quota() == 0 {
-        return Ok(run_policy_reports(
+        return Ok(run_policy_reports_io(cfg, apps, specs, llc, window, &none));
+    }
+    // One warm baseline image. A valid one in the cache is used as-is;
+    // otherwise the warm-up runs and (best-effort) fills the cache. A
+    // failed store is not fatal: the next invocation just warms again.
+    let baseline = PolicySpec::baseline();
+    let cached = warm_cache.and_then(|cache| {
+        cache.lookup(&CheckpointInfo::new(
             cfg,
             apps,
-            specs,
-            llc_capacity_full_scale,
-            window,
-        ));
-    }
-    let ck = warm_once_cached(
-        cfg,
-        apps,
-        llc_capacity_full_scale,
-        window.map(Some),
-        warm_cache,
-    );
-    scoped_map(cfg.effective_jobs(), specs.to_vec(), |spec| {
-        let mut run = MixRun::new(cfg, apps).spec(&spec);
-        if let Some(bytes) = llc_capacity_full_scale {
-            run = run.llc_capacity_full_scale(bytes);
+            llc,
+            &baseline.name,
+            window.map(Some),
+        ))
+    });
+    let ck = cached.unwrap_or_else(|| {
+        let key = RunKey::new(cfg, apps, &baseline).llc_override(llc);
+        let ck = match window {
+            Some(w) => key.mix_run().warm_checkpoint_instrumented(Some(w)),
+            None => key.mix_run().warm_checkpoint(),
+        };
+        if let Some(cache) = warm_cache {
+            let _ = cache.store(&ck);
         }
+        ck
+    });
+    let keys = policy_keys(cfg, apps, specs, llc, &none, Observe::Plain);
+    scoped_map(cfg.effective_jobs(), keys.iter().collect(), |key| {
+        let run = key.mix_run();
         match window {
             Some(w) => run
                 .resume_report(&ck, Some(w))
@@ -402,19 +438,29 @@ mod tests {
 
     #[test]
     fn run_alone_returns_quota() {
-        let t = run_alone(&quick(), SpecApp::DealII);
-        assert_eq!(t.instructions, 15_000);
-        assert_eq!(t.app, SpecApp::DealII);
+        let (r, report) = RunKey::new(&quick(), &[SpecApp::DealII], &PolicySpec::baseline()).run();
+        assert!(report.is_none(), "a plain run has no report");
+        assert_eq!(r.threads[0].instructions, 15_000);
+        assert_eq!(r.threads[0].app, SpecApp::DealII);
+    }
+
+    /// Table I's runs: every app alone, prefetcher off.
+    fn alone_keys(cfg: &SimConfig, apps: &[SpecApp]) -> Vec<RunKey> {
+        let cfg = cfg.clone().prefetch(false);
+        apps.iter()
+            .map(|&app| RunKey::new(&cfg, &[app], &PolicySpec::baseline()))
+            .collect()
     }
 
     #[test]
     fn mpki_table_covers_all_apps() {
         let cfg = quick().instructions(5_000);
-        let rows = mpki_table(&cfg);
+        let rows = run_grid(&alone_keys(&cfg, &SpecApp::ALL), 2);
         assert_eq!(rows.len(), 15);
-        for r in &rows {
-            assert!(r.l1_mpki >= r.l2_mpki - 1e-9, "{}: L1 >= L2", r.app);
-            assert!(r.l2_mpki >= r.llc_mpki - 1e-9, "{}: L2 >= LLC", r.app);
+        for (r, _) in &rows {
+            let t = &r.threads[0];
+            assert!(t.l1_mpki() >= t.l2_mpki() - 1e-9, "{}: L1 >= L2", t.app);
+            assert!(t.l2_mpki() >= t.llc_mpki() - 1e-9, "{}: L2 >= LLC", t.app);
         }
     }
 
@@ -422,10 +468,15 @@ mod tests {
     fn run_alone_many_matches_individual_runs() {
         let cfg = quick().instructions(5_000);
         let apps = [SpecApp::DealII, SpecApp::Mcf, SpecApp::Sjeng];
-        let many = run_alone_many(&cfg, &apps);
+        let keys: Vec<RunKey> = apps
+            .iter()
+            .map(|&app| RunKey::new(&cfg, &[app], &PolicySpec::baseline()))
+            .collect();
+        let many = run_grid(&keys, 2);
         assert_eq!(many.len(), 3);
-        for (app, t) in apps.iter().zip(&many) {
-            let solo = run_alone(&cfg, *app);
+        for (app, (r, _)) in apps.iter().zip(&many) {
+            let t = &r.threads[0];
+            let solo = &MixRun::new(&cfg, &[*app]).run().threads[0];
             assert_eq!(t.app, *app);
             assert_eq!(t.stats, solo.stats);
             assert_eq!(t.cycles, solo.cycles);
@@ -437,7 +488,8 @@ mod tests {
         let cfg = quick().instructions(5_000);
         let apps = [SpecApp::Libquantum, SpecApp::Sjeng];
         let specs = [PolicySpec::baseline(), PolicySpec::qbs()];
-        let out = run_policy_reports(&cfg, &apps, &specs, None, Some(2_000));
+        let none = IoMixConfig::none();
+        let out = run_policy_reports_io(&cfg, &apps, &specs, None, Some(2_000), &none);
         assert_eq!(out.len(), 2);
         for ((result, report), spec) in out.iter().zip(&specs) {
             assert_eq!(result.spec_name, spec.name);
@@ -445,9 +497,83 @@ mod tests {
             assert_eq!(report.policy, spec.name);
             assert!(!report.windows.is_empty());
         }
-        let plain = run_policy_reports(&cfg, &apps, &specs, None, None);
+        let plain = run_policy_reports_io(&cfg, &apps, &specs, None, None, &none);
         assert!(plain.iter().all(|(_, rep)| rep.is_none()));
         assert_eq!(plain[1].0.global, out[1].0.global);
+    }
+
+    #[test]
+    fn keys_ignore_thread_knobs_and_nothing_else() {
+        let cfg = quick();
+        let apps = [SpecApp::Libquantum, SpecApp::Sjeng];
+        let key = |cfg: &SimConfig| RunKey::new(cfg, &apps, &PolicySpec::qbs());
+        let base = key(&cfg);
+        assert_eq!(key(&cfg.clone().jobs(3)), base);
+        assert_eq!(key(&cfg.clone().shard_jobs(4)), base);
+        assert_eq!(key(&cfg.clone().jobs(1).shard_jobs(0)), base);
+
+        let slow_memory = tla_cpu::CoreModelConfig {
+            latencies: tla_cpu::Latencies {
+                memory: 300,
+                ..cfg.core_config().latencies
+            },
+            ..*cfg.core_config()
+        };
+        let changed = [
+            key(&cfg.clone().seed(1)),
+            key(&cfg.clone().instructions(15_001)),
+            key(&cfg.clone().warmup(1)),
+            key(&cfg.clone().prefetch(false)),
+            key(&cfg.clone().core_model(slow_memory)),
+            key(&cfg.clone().with_scale(4)),
+            base.clone().llc_override(Some(1 << 20)),
+            base.clone()
+                .io(IoMixConfig::none().agent(tla_io::IoAgentSpec::nic())),
+            base.clone().observe(Observe::Report(1_000)),
+            RunKey::new(&cfg, &apps, &PolicySpec::eci()),
+            RunKey::new(&cfg, &apps[..1], &PolicySpec::qbs()),
+            RunKey::new(&cfg, &apps, &PolicySpec::tlh_l1_filtered(0.1)),
+        ];
+        for (i, k) in changed.iter().enumerate() {
+            assert_ne!(*k, base, "change {i} must change the key");
+            for other in &changed[i + 1..] {
+                assert_ne!(k, other);
+            }
+        }
+        // A float field is keyed by its bits: equal values, equal keys.
+        assert_eq!(
+            RunKey::new(&cfg, &apps, &PolicySpec::tlh_l1_filtered(0.1)),
+            changed[11]
+        );
+    }
+
+    #[test]
+    fn grid_runs_each_distinct_key_once_widest_first() {
+        let cfg = quick().instructions(5_000);
+        let pair = [SpecApp::Mcf, SpecApp::Libquantum];
+        let quad = [
+            SpecApp::Mcf,
+            SpecApp::Libquantum,
+            SpecApp::Sjeng,
+            SpecApp::Astar,
+        ];
+        let keys = vec![
+            RunKey::new(&cfg, &pair, &PolicySpec::baseline()),
+            RunKey::new(&cfg, &quad, &PolicySpec::baseline()),
+            RunKey::new(&cfg.clone().jobs(2), &pair, &PolicySpec::baseline()),
+            RunKey::new(&cfg, &pair, &PolicySpec::qbs()),
+            RunKey::new(&cfg, &quad, &PolicySpec::baseline()),
+        ];
+        let (jobs, slots) = grid_jobs(&keys);
+        assert_eq!(jobs, vec![1, 0, 3], "distinct keys, most cores first");
+        assert_eq!(slots, vec![1, 0, 1, 2, 0]);
+        let out = run_grid(&keys, 2);
+        assert_eq!(out.len(), keys.len());
+        assert_eq!(out[0].0.global, out[2].0.global);
+        assert_eq!(out[1].0.threads[3].stats, out[4].0.threads[3].stats);
+        let solo = MixRun::new(&cfg, &pair).spec(&PolicySpec::qbs()).run();
+        assert_eq!(out[3].0.global, solo.global);
+        assert_eq!(out[3].0.spec_name, "QBS");
     }
 
     #[test]
@@ -463,7 +589,14 @@ mod tests {
         }
         // The baseline entry warmed under itself, so it must be
         // bit-identical to the straight-through baseline run.
-        let straight = run_policy_reports(&cfg, &apps, &specs[..1], None, Some(5_000));
+        let straight = run_policy_reports_io(
+            &cfg,
+            &apps,
+            &specs[..1],
+            None,
+            Some(5_000),
+            &IoMixConfig::none(),
+        );
         assert_eq!(out[0].0.global, straight[0].0.global);
         assert_eq!(
             out[0].1.as_ref().unwrap().to_json_string(),
@@ -480,7 +613,7 @@ mod tests {
         let apps = [SpecApp::Libquantum, SpecApp::Sjeng];
         let specs = [PolicySpec::baseline(), PolicySpec::qbs()];
         let warm = run_policy_reports_warm_start(&cfg, &apps, &specs, None, None).unwrap();
-        let straight = run_policy_reports(&cfg, &apps, &specs, None, None);
+        let straight = run_policy_reports_io(&cfg, &apps, &specs, None, None, &IoMixConfig::none());
         for ((a, _), (b, _)) in warm.iter().zip(&straight) {
             assert_eq!(a.global, b.global);
             assert_eq!(a.threads[0].stats, b.threads[0].stats);
@@ -503,7 +636,8 @@ mod tests {
                 .unwrap();
         let stored = cache.entries().unwrap();
         assert_eq!(stored.len(), 1, "one warm image per configuration");
-        let expected = super::prewarm_info(&cfg, &apps, None, None);
+        let baseline = PolicySpec::baseline();
+        let expected = CheckpointInfo::new(&cfg, &apps, None, &baseline.name, None);
         assert!(
             stored[0]
                 .path
@@ -546,7 +680,7 @@ mod tests {
             assert!((0.0..=1.0).contains(&rate));
         }
         // Observation-only: bit-identical to the plain suite.
-        let plain = run_policy_reports(&cfg, &apps, &specs, None, None);
+        let plain = run_policy_reports_io(&cfg, &apps, &specs, None, None, &IoMixConfig::none());
         for ((a, _), (p, _)) in out.iter().zip(&plain) {
             assert_eq!(a.global, p.global);
         }
@@ -555,9 +689,13 @@ mod tests {
     #[test]
     fn suite_indexing_and_normalization() {
         let cfg = quick().instructions(5_000);
-        let mixes = &table2_mixes()[..2];
-        let specs = vec![PolicySpec::baseline(), PolicySpec::qbs()];
-        let results = run_mix_suite(&cfg, mixes, &specs, None);
+        let suite = Suite {
+            cfg,
+            mixes: table2_mixes()[..2].to_vec(),
+            specs: vec![PolicySpec::baseline(), PolicySpec::qbs()],
+            llc_capacity_full_scale: None,
+        };
+        let results = run_suites(&[suite], 2).remove(0);
         assert_eq!(results.len(), 2);
         assert_eq!(results[0].runs.len(), 2);
         let base = &results[0];

@@ -190,8 +190,9 @@ fn read_event(r: &mut SnapshotReader) -> Result<TelemetryEvent, SnapshotError> {
 /// sampling state (`seen` and the inline RNG), so a resumed run keeps
 /// drawing an unbiased sample. The set count and reservoir capacity are
 /// configuration and must match the receiver's. Decoding refuses a
-/// sampled event this collector would not have kept (another kind, or no
-/// set) and a sample count other than `min(seen, capacity)`.
+/// sampled event this collector would not have kept (another kind, no
+/// set, or a set past the LLC) and a sample count other than
+/// `min(seen, capacity)`.
 impl Snapshot for PerSetHistogram {
     fn write_state(&self, w: &mut SnapshotWriter) {
         w.write_usize(self.evictions.len());
@@ -247,6 +248,11 @@ impl Snapshot for PerSetHistogram {
                     }
                 )));
             }
+            if let Some(set) = e.set.filter(|&s| s as usize >= sets) {
+                return Err(SnapshotError::Corrupt(format!(
+                    "set histogram: a sampled event names set {set} of an LLC with {sets}"
+                )));
+            }
             self.reservoir.push(e);
         }
         self.seen = r.read_u64()?;
@@ -277,13 +283,15 @@ impl TelemetrySink for PerSetHistogram {
         if self.reservoir_cap == 0 {
             return;
         }
-        // Algorithm R: keep each of the `seen` events with equal probability.
+        // Algorithm R: keep each of the `seen` events with equal
+        // probability, filed under the set it was counted in.
+        let sample = event.with_set(set as u32);
         if self.reservoir.len() < self.reservoir_cap {
-            self.reservoir.push(*event);
+            self.reservoir.push(sample);
         } else {
             let slot = self.next_rand() % self.seen;
             if (slot as usize) < self.reservoir_cap {
-                self.reservoir[slot as usize] = *event;
+                self.reservoir[slot as usize] = sample;
             }
         }
     }
@@ -412,5 +420,27 @@ mod tests {
         let mut h = PerSetHistogram::new(4);
         h.record(&evict(6)); // 6 % 4 == 2
         assert_eq!(h.evictions()[2], 1);
+        assert_eq!(h.samples()[0].set, Some(2), "sampled under its counted set");
+
+        // A snapshot of it restores; one naming a set past the LLC does not.
+        let mut w = SnapshotWriter::new();
+        h.write_state(&mut w);
+        let bytes = w.finish();
+        let mut restored = PerSetHistogram::new(4);
+        restored
+            .read_state(&mut SnapshotReader::new(&bytes).unwrap())
+            .unwrap();
+        assert_eq!(restored, h);
+        let mut bad = PerSetHistogram::new(4);
+        bad.reservoir.push(evict(6));
+        bad.evictions[2] = 1;
+        bad.seen = 1;
+        let mut w = SnapshotWriter::new();
+        bad.write_state(&mut w);
+        let bytes = w.finish();
+        let err = PerSetHistogram::new(4)
+            .read_state(&mut SnapshotReader::new(&bytes).unwrap())
+            .unwrap_err();
+        assert!(matches!(err, SnapshotError::Corrupt(_)), "got: {err}");
     }
 }

@@ -8,12 +8,12 @@
 use std::process::ExitCode;
 use tla::bench::paper::{self, Figure};
 use tla::cache::CacheConfig;
-use tla::core::HierarchyConfig;
+use tla::core::{HierarchyConfig, TlaPolicy};
 use tla::io::{IoAgentSpec, IoMixConfig};
 use tla::sim::{
-    optimal_llc, run_policy_reports_analyzed_io, run_policy_reports_io,
-    run_policy_reports_warm_start_cached, Checkpoint, CheckpointInfo, MixRun, OracleGap,
-    PolicySpec, RunReport, RunResult, SimConfig, Table, WarmCache,
+    optimal_llc, policy_keys, run_grid, run_policy_reports_io,
+    run_policy_reports_warm_start_cached, Checkpoint, CheckpointInfo, Observe, OracleGap,
+    PolicySpec, RunKey, RunReport, RunResult, SimConfig, Table, WarmCache,
 };
 use tla::telemetry::json::JsonValue;
 use tla::telemetry::DEFAULT_SAMPLE_EVERY;
@@ -556,6 +556,11 @@ fn parse_policy(name: &str) -> Option<PolicySpec> {
         "qbs-l2" => PolicySpec::qbs_l2(),
         "non-inclusive" => PolicySpec::non_inclusive(),
         "exclusive" => PolicySpec::exclusive(),
+        // Figure 9b's compositions: a TLA policy on a non-inclusive base.
+        "ni+tlh-l1" => PolicySpec::on_non_inclusive(TlaPolicy::tlh_l1()),
+        "ni+tlh-l2" => PolicySpec::on_non_inclusive(TlaPolicy::tlh_l2()),
+        "ni+eci" => PolicySpec::on_non_inclusive(TlaPolicy::eci()),
+        "ni+qbs" => PolicySpec::on_non_inclusive(TlaPolicy::qbs()),
         _ => return None,
     })
 }
@@ -669,23 +674,19 @@ fn parse_command(args: &[String]) -> Result<(&'static Command, Options), String>
 /// Time-series window used for `--json` when `--window` is not given.
 const DEFAULT_WINDOW: u64 = 100_000;
 
-fn print_run(opts: &Options, spec: &PolicySpec) -> Option<RunReport> {
-    let mut run = MixRun::new(&opts.cfg, &opts.mix)
-        .spec(spec)
-        .io(opts.io.clone());
-    if let Some(mb) = opts.llc_mb {
-        run = run.llc_capacity_full_scale(mb * 1024 * 1024);
+impl Options {
+    /// `--llc-mb` in full-scale bytes.
+    fn llc(&self) -> Option<usize> {
+        self.llc_mb.map(|mb| mb * 1024 * 1024)
     }
-    let (r, report) = if opts.json.is_some() {
-        let window = opts.window.unwrap_or(DEFAULT_WINDOW);
-        let (r, report) = run.run_report(Some(window));
-        (r, Some(report))
-    } else {
-        (run.run(), None)
-    };
-    print_result(&spec.name, &r);
-    print_io_result(&r);
-    report
+
+    /// The time-series window of a run whose report `--json` writes:
+    /// `--window`, or the default; `None` without `--json`.
+    fn report_window(&self) -> Option<u64> {
+        self.json
+            .as_ref()
+            .map(|_| self.window.unwrap_or(DEFAULT_WINDOW))
+    }
 }
 
 /// One-line device-I/O summary after a run's per-thread table; silent
@@ -769,6 +770,7 @@ fn cmd_list(_: &Options) -> Result<(), String> {
     }
     println!("\npolicies: baseline tlh-il1 tlh-dl1 tlh-l1 tlh-l2 tlh-l1-l2 eci qbs");
     println!("          qbs-il1 qbs-dl1 qbs-l1 qbs-l2 non-inclusive exclusive");
+    println!("          ni+tlh-l1 ni+tlh-l2 ni+eci ni+qbs (Figure 9b: TLA on a non-inclusive LLC)");
     println!(
         "          vc<N> (victim cache with N entries, 1..={MAX_VICTIM_ENTRIES}; vc32 = paper §VI)"
     );
@@ -786,15 +788,22 @@ fn cmd_paper(opts: &Options) -> Result<(), String> {
         cfg.seed_value()
     );
     let figures = opts.figure.map_or(Figure::ALL.to_vec(), |f| vec![f]);
-    for figure in figures {
-        print!("{}", paper::run(figure, cfg));
+    for report in paper::run(&figures, cfg) {
+        print!("{report}");
     }
     Ok(())
 }
 
 fn cmd_run(opts: &Options) -> Result<(), String> {
     let spec = opts.policy.clone().unwrap_or_else(PolicySpec::baseline);
-    match (&opts.json, print_run(opts, &spec)) {
+    let (r, report) = RunKey::new(&opts.cfg, &opts.mix, &spec)
+        .llc_override(opts.llc())
+        .io(opts.io.clone())
+        .observe(opts.report_window().map_or(Observe::Plain, Observe::Report))
+        .run();
+    print_result(&spec.name, &r);
+    print_io_result(&r);
+    match (&opts.json, report) {
         (Some(path), Some(report)) => write_json(path, &report.to_json_string()),
         _ => Ok(()),
     }
@@ -818,11 +827,8 @@ fn cmd_compare(opts: &Options) -> Result<(), String> {
     let specs = compare_specs();
     // All policies run in parallel (bit-identical to serial, `--jobs`
     // workers); printing happens afterwards, in spec order.
-    let window = opts
-        .json
-        .as_ref()
-        .map(|_| opts.window.unwrap_or(DEFAULT_WINDOW));
-    let llc = opts.llc_mb.map(|mb| mb * 1024 * 1024);
+    let window = opts.report_window();
+    let llc = opts.llc();
     let warm_cache = opts
         .warm_cache
         .as_ref()
@@ -873,20 +879,16 @@ fn cmd_compare(opts: &Options) -> Result<(), String> {
 
 fn cmd_analyze(opts: &Options) -> Result<(), String> {
     let specs = compare_specs();
-    let llc = opts.llc_mb.map(|mb| mb * 1024 * 1024);
+    let llc = opts.llc();
+    let opt = optimal_llc(&opts.cfg, &opts.mix, llc);
     // Analyze always instruments (the analytics ride on the telemetry
     // stream), so a window exists with or without --json.
-    let window = opts.window.unwrap_or(DEFAULT_WINDOW);
-    let opt = optimal_llc(&opts.cfg, &opts.mix, llc);
-    let results = run_policy_reports_analyzed_io(
-        &opts.cfg,
-        &opts.mix,
-        &specs,
-        llc,
-        Some(window),
-        DEFAULT_SAMPLE_EVERY,
-        &opts.io,
-    );
+    let observe = Observe::Analyzed {
+        window: Some(opts.window.unwrap_or(DEFAULT_WINDOW)),
+        sample_every: DEFAULT_SAMPLE_EVERY,
+    };
+    let keys = policy_keys(&opts.cfg, &opts.mix, &specs, llc, &opts.io, observe);
+    let results = run_grid(&keys, opts.cfg.effective_jobs());
     println!(
         "MIN oracle (demand-fetch, LLC geometry): {} accesses, {} hits, {} misses",
         opt.accesses, opt.hits, opt.misses
@@ -914,7 +916,8 @@ fn cmd_analyze(opts: &Options) -> Result<(), String> {
     let mut table = Table::new(&headers);
     let pct = |p: Option<u64>| p.map_or_else(|| "-".into(), |v| v.to_string());
     let mut reports = Vec::new();
-    for (r, mut report) in results {
+    for (r, report) in results {
+        let mut report = report.expect("analyzed runs carry a report");
         let gap = OracleGap::new(&r, opt.misses);
         gap.attach(&mut report);
         let reuse = report.reuse.as_ref().expect("analyzed runs carry reuse");
@@ -1001,11 +1004,7 @@ fn cmd_io_sweep(opts: &Options) -> Result<(), String> {
     };
     let specs = io_sweep_specs();
     let scenarios = io_sweep_scenarios(opts.smoke);
-    let llc = opts.llc_mb.map(|mb| mb * 1024 * 1024);
-    let window = opts
-        .json
-        .as_ref()
-        .map(|_| opts.window.unwrap_or(DEFAULT_WINDOW));
+    let llc = opts.llc();
     // One MIN-oracle replay covers the whole grid: device traffic never
     // changes the app reference stream, so the optimum is I/O-invariant
     // and gap-to-opt directly measures I/O-induced damage.
@@ -1032,10 +1031,16 @@ fn cmd_io_sweep(opts: &Options) -> Result<(), String> {
         "injections",
         "throughput",
     ]);
+    // One grid over scenarios x specs, scenario-major.
+    let observe = opts.report_window().map_or(Observe::Plain, Observe::Report);
+    let keys: Vec<RunKey> = scenarios
+        .iter()
+        .flat_map(|io| policy_keys(&cfg, &mix, &specs, llc, io, observe))
+        .collect();
+    let mut results = run_grid(&keys, cfg.effective_jobs()).into_iter();
     let mut reports = Vec::new();
     for io in &scenarios {
-        let results = run_policy_reports_io(&cfg, &mix, &specs, llc, window, io);
-        for (spec, (r, report)) in specs.iter().zip(results) {
+        for (spec, (r, report)) in specs.iter().zip(results.by_ref()) {
             let gap = OracleGap::new(&r, opt.misses);
             let (io_victims, injections) = r.io.as_ref().map_or_else(
                 || ("-".to_string(), "-".to_string()),
@@ -1061,48 +1066,13 @@ fn cmd_io_sweep(opts: &Options) -> Result<(), String> {
     write_reports(opts, &reports)
 }
 
-/// One bench-matrix workload: a full hierarchy simulation of `apps` under
-/// `spec`, optionally with device I/O agents injecting alongside (the
-/// `io/*` entries). Its deterministic work-unit count (memory accesses) is
-/// what the calibration-ratio gate divides by.
-#[derive(Clone)]
-struct BenchJob {
-    apps: Vec<SpecApp>,
-    spec: PolicySpec,
-    io: IoMixConfig,
-}
-
-impl BenchJob {
-    fn cores(&self) -> usize {
-        self.apps.len()
-    }
-
-    /// Runs the entry once, cold.
-    fn run(&self, cfg: &SimConfig) -> RunResult {
-        MixRun::new(cfg, &self.apps)
-            .spec(&self.spec)
-            .io(self.io.clone())
-            .run()
-    }
-
-    /// Memory accesses of one run. This costs one untimed run, which
-    /// doubles as warm-up.
-    fn accesses(&self, cfg: &SimConfig) -> u64 {
-        self.run(cfg)
-            .threads
-            .iter()
-            .map(|t| t.stats.l1_accesses())
-            .sum()
-    }
-}
-
 /// The fixed bench matrix: the paper's four management policies crossed
 /// with 1/2/4/8-core LLC-miss-heavy mixes (mcf and libquantum are the two
 /// highest-LLC-MPKI apps of Table I, so every entry exercises the LLC miss
 /// path the scratch-buffer rewrite targets; the 8-core mix stresses
 /// scheduler-heap and sharer-bitmap scaling), plus the `io/*` entries that
-/// time the device-injection path.
-fn bench_matrix() -> Vec<(String, BenchJob)> {
+/// time the device-injection path. Each entry is a plain run under `cfg`.
+fn bench_matrix(cfg: &SimConfig) -> Vec<(String, RunKey)> {
     use SpecApp::{Libquantum, Mcf};
     let mixes: [(&str, Vec<SpecApp>); 4] = [
         ("1core", vec![Mcf]),
@@ -1126,11 +1096,7 @@ fn bench_matrix() -> Vec<(String, BenchJob)> {
         for (pol_name, spec) in &policies {
             matrix.push((
                 format!("{mix_name}/{pol_name}"),
-                BenchJob {
-                    apps: apps.clone(),
-                    spec: spec.clone(),
-                    io: IoMixConfig::none(),
-                },
+                RunKey::new(cfg, apps, spec),
             ));
         }
     }
@@ -1140,32 +1106,21 @@ fn bench_matrix() -> Vec<(String, BenchJob)> {
     // LLC-miss-heavy stream keeps that path hot.
     matrix.push((
         "1core-vc128/vc128".to_string(),
-        BenchJob {
-            apps: vec![Mcf],
-            spec: PolicySpec::victim_cache(128),
-            io: IoMixConfig::none(),
-        },
+        RunKey::new(cfg, &[Mcf], &PolicySpec::victim_cache(128)),
     ));
     // Injection-path entries: a period-2 leaky-DMA agent keeps the
     // io_inject fast path (device fills, way-masked victim search,
     // IoInjection back-invalidates) hot alongside two demand-heavy cores
     // — once under plain LRU, once under the way-limited DDIO model.
     let dma = IoMixConfig::none().agent(IoAgentSpec::dma().period(2));
+    let dma_run = RunKey::new(cfg, &[Mcf, Libquantum], &PolicySpec::baseline());
     matrix.push((
         "io/2core-dma/baseline".to_string(),
-        BenchJob {
-            apps: vec![Mcf, Libquantum],
-            spec: PolicySpec::baseline(),
-            io: dma.clone(),
-        },
+        dma_run.clone().io(dma.clone()),
     ));
     matrix.push((
         "io/2core-dma-w2/baseline".to_string(),
-        BenchJob {
-            apps: vec![Mcf, Libquantum],
-            spec: PolicySpec::baseline(),
-            io: dma.inject_ways(2),
-        },
+        dma_run.io(dma.inject_ways(2)),
     ));
     matrix
 }
@@ -1340,11 +1295,22 @@ fn cmd_bench(opts: &Options) -> Result<(), String> {
         tla::cache::kernel_name(),
     );
     let t_total = std::time::Instant::now();
-    let matrix = bench_matrix();
+    let matrix = bench_matrix(cfg);
 
-    // One untimed run per entry pins the deterministic access count and
-    // doubles as warm-up before the timed rounds.
-    let accesses: Vec<u64> = matrix.iter().map(|(_, job)| job.accesses(cfg)).collect();
+    // One untimed run per entry pins its memory accesses (the deterministic
+    // work-unit count the calibration-ratio gate divides by) and doubles as
+    // warm-up before the timed rounds.
+    let accesses: Vec<u64> = matrix
+        .iter()
+        .map(|(_, job)| {
+            job.run()
+                .0
+                .threads
+                .iter()
+                .map(|t| t.stats.l1_accesses())
+                .sum()
+        })
+        .collect();
 
     // The timing budget is split into rounds interleaved across the whole
     // matrix rather than spent contiguously per entry, and inside each
@@ -1377,10 +1343,10 @@ fn cmd_bench(opts: &Options) -> Result<(), String> {
             let mut pairs = 0u32;
             loop {
                 let t0 = std::time::Instant::now();
-                cal_job.run(cfg);
+                cal_job.run();
                 best_cal = best_cal.min(t0.elapsed().as_nanos());
                 let t0 = std::time::Instant::now();
-                job.run(cfg);
+                job.run();
                 let entry_nanos = t0.elapsed().as_nanos();
                 best_entry = best_entry.min(entry_nanos);
                 iters[i] += 1;
@@ -1481,10 +1447,8 @@ fn cmd_snapshot_save(opts: &Options) -> Result<(), String> {
         .as_ref()
         .ok_or_else(|| format!("snapshot save: {} is required", OUT.name))?;
     let spec = opts.policy.clone().unwrap_or_else(PolicySpec::baseline);
-    let mut run = MixRun::new(&opts.cfg, &opts.mix).spec(&spec);
-    if let Some(mb) = opts.llc_mb {
-        run = run.llc_capacity_full_scale(mb * 1024 * 1024);
-    }
+    let key = RunKey::new(&opts.cfg, &opts.mix, &spec).llc_override(opts.llc());
+    let run = key.mix_run();
     let checkpoint = match opts.window {
         Some(w) => run.warm_checkpoint_instrumented(Some(w)),
         None => run.warm_checkpoint(),
@@ -1548,23 +1512,22 @@ fn cmd_snapshot_resume(opts: &Options) -> Result<(), String> {
     let (checkpoint, info) = load_checkpoint(path)?;
     let cfg = info.sim_config();
     let spec = opts.policy.clone().unwrap_or_else(PolicySpec::baseline);
-    let build = || {
-        let mut run = MixRun::new(&cfg, &info.apps).spec(&spec);
-        if let Some(bytes) = info.llc_capacity_full_scale {
-            // The builder re-applies the scale divisor, so feed it the
-            // full-scale figure the checkpoint recorded.
-            run = run.llc_capacity_full_scale(bytes);
-        }
-        run
-    };
+    // The checkpoint records the override at full scale, as the key takes it.
+    let key = RunKey::new(&cfg, &info.apps, &spec).llc_override(info.llc_capacity_full_scale);
     let failed = |e| format!("cannot resume {path}: {e}");
     if let Some(json_path) = &opts.json {
         let window = opts.window.or(info.window);
-        let (result, report) = build().resume_report(&checkpoint, window).map_err(failed)?;
+        let (result, report) = key
+            .mix_run()
+            .resume_report(&checkpoint, window)
+            .map_err(failed)?;
         print_result(&spec.name, &result);
         write_json(json_path, &report.to_json_string())
     } else {
-        print_result(&spec.name, &build().resume(&checkpoint).map_err(failed)?);
+        print_result(
+            &spec.name,
+            &key.mix_run().resume(&checkpoint).map_err(failed)?,
+        );
         Ok(())
     }
 }
@@ -1677,11 +1640,26 @@ mod tests {
             "qbs-l2",
             "non-inclusive",
             "exclusive",
+            "ni+tlh-l1",
+            "ni+tlh-l2",
+            "ni+eci",
+            "ni+qbs",
             "vc32",
             "vc128",
             "vc256",
         ] {
             assert!(parse_policy(name).is_some(), "{name} must parse");
+        }
+        // Figure 9b's compositions keep the figure's labels.
+        for (name, label) in [
+            ("ni+tlh-l1", "NI+TLH-L1"),
+            ("ni+tlh-l2", "NI+TLH-L2"),
+            ("ni+eci", "NI+ECI"),
+            ("ni+qbs", "NI+QBS"),
+        ] {
+            let spec = parse_policy(name).unwrap();
+            assert_eq!(spec.name, label);
+            assert_eq!(spec.inclusion, tla::core::InclusionPolicy::NonInclusive);
         }
         assert!(parse_policy("bogus").is_none());
         assert_eq!(parse_policy("inclusive").unwrap().name, "Inclusive");
@@ -2025,7 +2003,9 @@ mod tests {
 
     #[test]
     fn bench_matrix_shape() {
-        let matrix = bench_matrix();
+        use SpecApp::{Libquantum, Mcf};
+        let cfg = SimConfig::default();
+        let matrix = bench_matrix(&cfg);
         assert_eq!(
             matrix.len(),
             19,
@@ -2037,22 +2017,29 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 19);
+        let entry = |name: &str| &matrix.iter().find(|(n, _)| n == name).unwrap().1;
         // The probe-heavy entry runs a 128-entry victim cache on one core.
-        assert!(matrix.iter().any(|(n, job)| n == "1core-vc128/vc128"
-            && job.apps.len() == 1
-            && job.spec.victim_cache == Some(128)));
+        assert_eq!(
+            *entry("1core-vc128/vc128"),
+            RunKey::new(&cfg, &[Mcf], &PolicySpec::victim_cache(128))
+        );
         // The io entries time the device-injection path: the same 2-core
         // mix with a leaky-DMA agent, unlimited and way-limited.
-        assert!(matrix.iter().any(|(n, job)| n == "io/2core-dma/baseline"
-            && job.io.agents.len() == 1
-            && job.io.inject_ways.is_none()));
-        assert!(matrix.iter().any(|(n, job)| n == "io/2core-dma-w2/baseline"
-            && job.io.agents.len() == 1
-            && job.io.inject_ways == Some(2)));
+        let dma = IoMixConfig::none().agent(IoAgentSpec::dma().period(2));
+        let dma_run = RunKey::new(&cfg, &[Mcf, Libquantum], &PolicySpec::baseline());
+        assert_eq!(
+            *entry("io/2core-dma/baseline"),
+            dma_run.clone().io(dma.clone())
+        );
+        assert_eq!(
+            *entry("io/2core-dma-w2/baseline"),
+            dma_run.io(dma.inject_ways(2))
+        );
         // Every non-io sim entry stays device-free, so bench numbers for
         // the classic entries are comparable against pre-io baselines.
         for (n, job) in &matrix {
-            assert_eq!(!job.io.is_trivial(), n.contains("io/"), "{n}");
+            let device_free = *job == job.clone().io(IoMixConfig::none());
+            assert_eq!(!device_free, n.contains("io/"), "{n}");
         }
         // The headline LLC-miss-heavy workload is present at 4 cores.
         assert!(matrix

@@ -37,7 +37,8 @@
 //!   count, the reservoir's, and the series' per-core, window and delta
 //!   counts, each raised by 1, by 2^24 and to `u64::MAX`;
 //! * byte flips in those lengths, in the series' window size, in each
-//!   window's instruction span and delta placement, and invalid values
+//!   window's instruction span and delta placement, and in the high byte
+//!   of each sampled event's set (a set past the LLC), and invalid values
 //!   in every bool and in each sampled event's kind (out of range, or a
 //!   kind the histogram never samples);
 //! * truncations at seeded offsets inside the section.
@@ -391,6 +392,8 @@ struct TelemetryLayout {
     bools: Vec<(String, usize)>,
     /// Sampled events' kind bytes.
     kinds: Vec<usize>,
+    /// Sampled events' set high bytes.
+    set_highs: Vec<usize>,
     /// Other structural words: the window size, each window's span and
     /// delta placement.
     words: Vec<(String, usize)>,
@@ -438,6 +441,9 @@ fn walk_telemetry(b: &[u8]) -> TelemetryLayout {
             let present = b[pos] == 1;
             pos += 1;
             if present {
+                if field == "set" {
+                    t.set_highs.push(pos + width - 1);
+                }
                 pos += width;
             }
         }
@@ -539,6 +545,18 @@ fn mutated_telemetry_sections_are_refused() {
     for _ in 0..8 {
         let cut = rng.gen_range(layout.start..layout.end);
         mutants.push((format!("truncated at {cut}"), body[..cut].to_vec()));
+    }
+    // A flipped set high byte names a set far past the small LLC: one
+    // mutant per sample of the full reservoir.
+    assert_eq!(
+        (layout.set_highs.len(), layout.kinds.len()),
+        (64, 64),
+        "every sample of the full reservoir has a set"
+    );
+    for (i, &at) in layout.set_highs.iter().enumerate() {
+        let mut m = body.to_vec();
+        m[at] ^= rng.gen_range(1..=255u64) as u8;
+        mutants.push((format!("event {i} set high byte {at}"), m));
     }
 
     check_refused(&mutants, limit, |body| {

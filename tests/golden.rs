@@ -12,7 +12,7 @@
 
 use std::path::Path;
 
-use tla::sim::{run_policy_reports, PolicySpec, SimConfig};
+use tla::sim::{run_grid, Observe, PolicySpec, RunKey, SimConfig};
 use tla::telemetry::json::JsonValue;
 use tla::workloads::SpecApp;
 
@@ -28,7 +28,11 @@ fn compare_json_matches_committed_golden() {
         PolicySpec::non_inclusive(),
         PolicySpec::exclusive(),
     ];
-    let results = run_policy_reports(&cfg, &mix, &specs, None, Some(5_000));
+    let keys: Vec<RunKey> = specs
+        .iter()
+        .map(|spec| RunKey::new(&cfg, &mix, spec).observe(Observe::Report(5_000)))
+        .collect();
+    let results = run_grid(&keys, cfg.effective_jobs());
     let doc = JsonValue::array(
         results
             .iter()

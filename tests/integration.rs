@@ -6,14 +6,28 @@
 
 use tla::cache::Policy;
 use tla::core::{InclusionPolicy, TlaPolicy};
-use tla::sim::{
-    mpki_table, run_alone, run_alone_many, run_mix_suite, MixRun, PolicySpec, SimConfig,
-};
+use tla::sim::{run_grid, run_suites, MixRun, PolicySpec, RunKey, SimConfig, Suite, ThreadResult};
 use tla::types::stats;
-use tla::workloads::{all_two_core_mixes, random_mixes, table2_mixes, Category, SpecApp};
+use tla::workloads::{all_two_core_mixes, random_mixes, table2_mixes, Category, Mix, SpecApp};
 
 fn quick() -> SimConfig {
     SimConfig::scaled_down().warmup(40_000).instructions(40_000)
+}
+
+/// `app` alone on one core.
+fn run_alone(cfg: &SimConfig, app: SpecApp) -> ThreadResult {
+    MixRun::new(cfg, &[app]).run().threads.remove(0)
+}
+
+/// Every spec over every mix on one grid, `[spec][mix]`.
+fn run_suite(cfg: &SimConfig, mixes: &[Mix], specs: &[PolicySpec]) -> Vec<tla::sim::SuiteResult> {
+    let suite = Suite {
+        cfg: cfg.clone(),
+        mixes: mixes.to_vec(),
+        specs: specs.to_vec(),
+        llc_capacity_full_scale: None,
+    };
+    run_suites(&[suite], cfg.effective_jobs()).remove(0)
 }
 
 #[test]
@@ -54,10 +68,16 @@ fn ccf_apps_have_high_isolated_ipc() {
 
 #[test]
 fn mpki_table_is_monotone_down_the_hierarchy() {
-    let rows = mpki_table(&quick());
-    for r in rows {
-        assert!(r.l1_mpki >= r.l2_mpki - 1e-9);
-        assert!(r.l2_mpki >= r.llc_mpki - 1e-9);
+    // Table I's runs: every app alone with the prefetcher off.
+    let cfg = quick().prefetch(false);
+    let keys: Vec<RunKey> = SpecApp::ALL
+        .iter()
+        .map(|&app| RunKey::new(&cfg, &[app], &PolicySpec::baseline()))
+        .collect();
+    for (r, _) in run_grid(&keys, cfg.effective_jobs()) {
+        let r = &r.threads[0];
+        assert!(r.l1_mpki() >= r.l2_mpki() - 1e-9);
+        assert!(r.l2_mpki() >= r.llc_mpki() - 1e-9);
     }
 }
 
@@ -68,12 +88,7 @@ fn qbs_never_collapses_relative_to_baseline() {
     // ECI; QBS has no mechanism to lose much).
     let cfg = quick();
     let mixes = table2_mixes();
-    let suites = run_mix_suite(
-        &cfg,
-        &mixes,
-        &[PolicySpec::baseline(), PolicySpec::qbs()],
-        None,
-    );
+    let suites = run_suite(&cfg, &mixes, &[PolicySpec::baseline(), PolicySpec::qbs()]);
     for (mix, v) in mixes
         .iter()
         .zip(suites[1].normalized_throughput(&suites[0]))
@@ -155,7 +170,7 @@ fn all_policy_specs_run_all_mixes() {
         PolicySpec::baseline().with_llc_replacement(Policy::Srrip),
         PolicySpec::on_non_inclusive(TlaPolicy::qbs()),
     ];
-    let suites = run_mix_suite(&cfg, mixes, &specs, None);
+    let suites = run_suite(&cfg, mixes, &specs);
     for suite in &suites {
         for run in &suite.runs {
             assert!(run.throughput() > 0.0, "{}", suite.spec.name);
@@ -181,7 +196,7 @@ fn four_and_eight_core_mixes_run() {
 fn weighted_speedup_consistent_with_throughput_direction() {
     let cfg = quick();
     let mix = [SpecApp::Libquantum, SpecApp::Sjeng];
-    let alone: Vec<f64> = run_alone_many(&cfg, &mix).iter().map(|t| t.ipc()).collect();
+    let alone: Vec<f64> = mix.iter().map(|&app| run_alone(&cfg, app).ipc()).collect();
     let base = MixRun::new(&cfg, &mix).run();
     let qbs = MixRun::new(&cfg, &mix).policy(TlaPolicy::qbs()).run();
     if qbs.throughput() > base.throughput() {
@@ -195,12 +210,7 @@ fn stats_helpers_round_trip() {
     // End-to-end: geomean of normalized series equals manual computation.
     let cfg = quick();
     let mixes = &table2_mixes()[..2];
-    let suites = run_mix_suite(
-        &cfg,
-        mixes,
-        &[PolicySpec::baseline(), PolicySpec::eci()],
-        None,
-    );
+    let suites = run_suite(&cfg, mixes, &[PolicySpec::baseline(), PolicySpec::eci()]);
     let series = suites[1].normalized_throughput(&suites[0]);
     let manual: f64 = series.iter().map(|v| v.ln()).sum::<f64>() / series.len() as f64;
     let g = suites[1].geomean_throughput(&suites[0]).unwrap();

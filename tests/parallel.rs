@@ -6,9 +6,10 @@
 //! tests pin that guarantee end to end: identical rows, identical
 //! counters, byte-identical JSON reports for `--jobs 1` vs `--jobs 4`.
 
+use tla::io::IoMixConfig;
 use tla::sim::{
-    mpki_table, run_alone_many, run_mix_suite, run_policy_reports, run_policy_reports_analyzed,
-    PolicySpec, SimConfig,
+    run_grid, run_policy_reports_analyzed, run_policy_reports_io, run_suites, PolicySpec, RunKey,
+    SimConfig, Suite, ThreadResult,
 };
 use tla::telemetry::json::JsonValue;
 use tla::workloads::{table2_mixes, SpecApp};
@@ -17,26 +18,44 @@ fn quick() -> SimConfig {
     SimConfig::scaled_down().instructions(10_000)
 }
 
+/// `apps` each alone on one core, on a grid of `jobs` workers.
+fn alone(cfg: &SimConfig, apps: &[SpecApp], jobs: usize) -> Vec<ThreadResult> {
+    let keys: Vec<RunKey> = apps
+        .iter()
+        .map(|&app| RunKey::new(cfg, &[app], &PolicySpec::baseline()))
+        .collect();
+    run_grid(&keys, jobs)
+        .into_iter()
+        .map(|(mut r, _)| r.threads.remove(0))
+        .collect()
+}
+
 #[test]
 fn mpki_table_parallel_matches_serial_row_for_row() {
-    let serial = mpki_table(&quick().jobs(1));
-    let parallel = mpki_table(&quick().jobs(4));
+    // Table I's runs: every app alone, prefetcher off.
+    let cfg = quick().prefetch(false);
+    let serial = alone(&cfg, &SpecApp::ALL, 1);
+    let parallel = alone(&cfg, &SpecApp::ALL, 4);
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(&parallel) {
         assert_eq!(s.app, p.app);
         // Bit-identical, not merely close: the runs are the same runs.
-        assert_eq!(s.l1_mpki.to_bits(), p.l1_mpki.to_bits(), "{}", s.app);
-        assert_eq!(s.l2_mpki.to_bits(), p.l2_mpki.to_bits(), "{}", s.app);
-        assert_eq!(s.llc_mpki.to_bits(), p.llc_mpki.to_bits(), "{}", s.app);
+        assert_eq!(s.l1_mpki().to_bits(), p.l1_mpki().to_bits(), "{}", s.app);
+        assert_eq!(s.l2_mpki().to_bits(), p.l2_mpki().to_bits(), "{}", s.app);
+        assert_eq!(s.llc_mpki().to_bits(), p.llc_mpki().to_bits(), "{}", s.app);
     }
 }
 
 #[test]
 fn mix_suite_parallel_matches_serial() {
-    let mixes = &table2_mixes()[..3];
-    let specs = [PolicySpec::baseline(), PolicySpec::qbs(), PolicySpec::eci()];
-    let serial = run_mix_suite(&quick().jobs(1), mixes, &specs, None);
-    let parallel = run_mix_suite(&quick().jobs(4), mixes, &specs, None);
+    let suite = Suite {
+        cfg: quick(),
+        mixes: table2_mixes()[..3].to_vec(),
+        specs: vec![PolicySpec::baseline(), PolicySpec::qbs(), PolicySpec::eci()],
+        llc_capacity_full_scale: None,
+    };
+    let serial = run_suites(std::slice::from_ref(&suite), 1).remove(0);
+    let parallel = run_suites(&[suite], 4).remove(0);
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(&parallel) {
         assert_eq!(s.spec.name, p.spec.name);
@@ -55,8 +74,8 @@ fn mix_suite_parallel_matches_serial() {
 #[test]
 fn run_alone_many_parallel_matches_serial() {
     let apps: Vec<SpecApp> = SpecApp::ALL[..6].to_vec();
-    let serial = run_alone_many(&quick().jobs(1), &apps);
-    let parallel = run_alone_many(&quick().jobs(4), &apps);
+    let serial = alone(&quick(), &apps, 1);
+    let parallel = alone(&quick(), &apps, 4);
     for (s, p) in serial.iter().zip(&parallel) {
         assert_eq!(s.app, p.app);
         assert_eq!(s.stats, p.stats);
@@ -75,7 +94,14 @@ fn compare_reports_are_byte_identical_across_job_counts() {
         PolicySpec::non_inclusive(),
     ];
     let render = |jobs: usize| {
-        let results = run_policy_reports(&quick().jobs(jobs), &mix, &specs, None, Some(2_500));
+        let results = run_policy_reports_io(
+            &quick().jobs(jobs),
+            &mix,
+            &specs,
+            None,
+            Some(2_500),
+            &IoMixConfig::none(),
+        );
         let doc = JsonValue::array(
             results
                 .iter()
